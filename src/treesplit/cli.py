@@ -24,6 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .analytics import (
+    _LENGTH_LAWS,
     SplitParams,
     asymptotic_throughput,
     cri_table_rows,
@@ -40,8 +41,6 @@ from .engines import export_tree, run_cri
 from .reports import IoError, config_digest, emit_report
 from .rng import derive_seed, scripted_coins
 from .sim import EmptySampleError, delay_stats, simulate, throughput_estimate
-
-_LENGTH_LAW_PROTOCOLS = ("bta", "mta", "sicta", "atic")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,10 +178,10 @@ def _policy_tag(policy: str) -> str:
 def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
     params = SplitParams(cfg.p)
     for proto in cfg.protocols:
-        if proto not in _LENGTH_LAW_PROTOCOLS:
+        if proto not in _LENGTH_LAWS:
             raise ConfigError(
                 "protocols", f"no closed length law for {proto!r}; "
-                f"choices here: {_LENGTH_LAW_PROTOCOLS}")
+                f"choices here: {_LENGTH_LAWS}")
         rows = [
             {"n": n, "L_n": length, "T_n": thr}
             for n, length, thr in cri_table_rows(args.n_max, params, proto)
@@ -336,7 +335,7 @@ def _cmd_tree(args, cfg: ExperimentConfig) -> int:
     coins = scripted_coins(_parse_script(args.script), p=cfg.p, seed=seed) \
         if args.script else seed
     trace = run_cri(proto, range(1, args.users + 1), cfg.p, coins,
-                    record_tree=True)
+                    record_slots=False, record_tree=True)
     dot = export_tree(trace)
     path = _outpath(cfg, f"tree_{proto}_n{args.users}.dot")
     header = f"// seed={seed} config_sha256={config_digest(_hashable(cfg))}\n"

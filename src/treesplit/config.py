@@ -11,9 +11,11 @@ import json
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .engines import ProtocolKind
+
 ENV_OUTDIR = "TREESPLIT_OUTDIR"
 
-_PROTOCOLS = ("bta", "mta", "sicta", "atic", "atic_left")
+_PROTOCOLS = tuple(kind.value for kind in ProtocolKind)
 
 _DEFAULT_BUDGET = 100_000
 _DEFAULT_BITS = 256
@@ -66,7 +68,6 @@ class ExperimentConfig:
     policy: str = "gated"
     p: float = 0.5
     rates: tuple[float, ...] = ()
-    users: tuple[int, ...] = ()
     budget: int = _DEFAULT_BUDGET
     seed: int | None = None
     outdir: str = field(default_factory=lambda: os.environ.get(ENV_OUTDIR, "."))
@@ -98,9 +99,6 @@ class ExperimentConfig:
         for lam in self.rates:
             if lam < 0:
                 raise ConfigError("rates", f"arrival rate must be >= 0, got {lam}")
-        for n in self.users:
-            if n < 0:
-                raise ConfigError("users", f"user count must be >= 0, got {n}")
         if self.budget < 1:
             raise ConfigError("budget", f"slot budget must be >= 1, got {self.budget}")
         if self.seed is not None and self.seed < 0:
@@ -130,7 +128,6 @@ _COERCERS = {
     "policy": lambda v, f: _as_type(v, str, f),
     "p": lambda v, f: _as_float(v, f),
     "rates": lambda v, f: _as_float_tuple(v, f),
-    "users": lambda v, f: _as_int_tuple(v, f),
     "budget": lambda v, f: _as_int(v, f),
     "seed": lambda v, f: None if v is None else _as_int(v, f),
     "outdir": lambda v, f: _as_type(v, str, f),
@@ -173,12 +170,6 @@ def _as_float_tuple(value, field_name) -> tuple[float, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(_as_float(x, field_name) for x in value)
     return (_as_float(value, field_name),)
-
-
-def _as_int_tuple(value, field_name) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_int(x, field_name) for x in value)
-    return (_as_int(value, field_name),)
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:

@@ -20,6 +20,12 @@ under any of five rule sets:
              the arbitration shortcut is available for received
              collisions but not for derived groups.
 
+Each protocol is one ``RULES`` row of four independent :class:`Rules`
+flags.  The pair shortcut follows from the broadcasts: users resolve a
+degree-2 group by id arbitration when they saw it broadcast, so received
+pairs qualify under ``z_on_collision`` and derived pairs under
+``z_on_success``.
+
 The engine is receiver-centric: it tracks the split tree explicitly
 (a stack of not-yet-visited right siblings plus the group currently on
 air) and applies cancellation through an incremental index, which keeps
@@ -52,20 +58,18 @@ class ProtocolKind(str, Enum):
 class Rules(NamedTuple):
     """Static per-protocol behaviour switches (see module docstring)."""
 
-    saves_collisions: bool   # receiver stores collision signals for cancellation
-    derives_right: bool      # right siblings are derivable: root slots skipped
+    saves_collisions: bool   # store collisions for cancellation: right siblings derivable
     skips_definite: bool     # definite-collision root slots are skipped
-    pair_shortcut: str       # degree-2 id arbitration: "none" | "received" | "all"
-    z_on_collision: bool     # broadcast the received signal on collisions
-    z_on_success: bool       # broadcast the freshest unresolved remainder on successes
+    z_on_collision: bool     # broadcast received collisions: received pairs arbitrate
+    z_on_success: bool       # broadcast the freshest remainder: derived pairs arbitrate
 
 
 RULES: dict[ProtocolKind, Rules] = {
-    ProtocolKind.BTA: Rules(False, False, False, "none", False, False),
-    ProtocolKind.MTA: Rules(False, False, True, "none", False, False),
-    ProtocolKind.SICTA: Rules(True, True, True, "none", False, False),
-    ProtocolKind.ATIC: Rules(True, True, True, "all", True, True),
-    ProtocolKind.ATIC_LEFT: Rules(True, True, True, "received", True, False),
+    ProtocolKind.BTA: Rules(False, False, False, False),
+    ProtocolKind.MTA: Rules(False, True, False, False),
+    ProtocolKind.SICTA: Rules(True, True, False, False),
+    ProtocolKind.ATIC: Rules(True, True, True, True),
+    ProtocolKind.ATIC_LEFT: Rules(True, True, True, False),
 }
 
 
@@ -256,6 +260,17 @@ def _validate_p(p: float) -> float:
     return p
 
 
+def _broadcast(rules: Rules, kind: str, received, remainder):
+    """Members a slot's feedback broadcasts, or None: the ``received``
+    signal on collisions under ``z_on_collision``, the freshest stored
+    ``remainder`` (if any) on successes under ``z_on_success``."""
+    if kind == "collision":
+        return received if rules.z_on_collision else None
+    if kind == "success" and rules.z_on_success and remainder:
+        return remainder
+    return None
+
+
 def run_cri(
     protocol: Union[ProtocolKind, str],
     initial: Iterable[PacketId],
@@ -286,12 +301,10 @@ def run_cri(
     trace = CriTrace(protocol=kind, p=p, initial=tuple(ids))
 
     sic = _SicCore() if rules.saves_collisions else None
-    resolved: set = set()
     pending: list = []         # stack of _Group right siblings
     entry_of: dict = {}        # pid -> pending _Group holding it
 
     nodes: list = trace.nodes
-    node_styles: dict = {}
 
     def new_node(parent, members) -> Optional[int]:
         if not record_tree:
@@ -307,7 +320,7 @@ def run_cri(
         d = group.depth
         for uid in group.members:
             (left if coin.flip(uid, d) else right).append(uid)
-        r = _Group(right, rules.derives_right, d + 1, new_node(group.node, right), False)
+        r = _Group(right, rules.saves_collisions, d + 1, new_node(group.node, right), False)
         pending.append(r)
         for uid in right:
             entry_of[uid] = r
@@ -336,7 +349,7 @@ def run_cri(
                     raise EngineInvariantError(
                         "derived singletons must drain via cancellation, never pop"
                     )
-                if len(g.members) == 2 and rules.pair_shortcut == "all":
+                if len(g.members) == 2 and rules.z_on_success:
                     # Users saw this pair in the freshest broadcast remainder:
                     # the arbitration winner transmits, the loser is cancelled.
                     winner = arbitrate(g.members[0], g.members[1])
@@ -360,8 +373,7 @@ def run_cri(
         n_here = len(members)
 
         if n_here == 0:
-            outcome = SlotOutcome("idle", None, 0)
-            fb = FeedbackMsg("idle", 0, NULL_SIGNAL)
+            fb_kind, skip_k, z = "idle", 0, None
             if current.left_child and pending and rules.skips_definite:
                 # An idle left child makes the freshly parked sibling a
                 # definite collision; its root slot will be skipped.
@@ -369,48 +381,39 @@ def run_cri(
             next_current = None
         elif n_here == 1:
             pid = members[0]
-            outcome = SlotOutcome("singleton", pid, 1)
+            fb_kind, skip_k, z = "success", 0, None
             trace.successes += 1
-            resolved.add(pid)
             trace.decoded_order.append((pid, t))
-            prunes = 0
             if sic is not None:
                 for y in sic.decode(pid):
-                    resolved.add(y)
                     trace.decoded_order.append((y, t))
                     holder = entry_of.pop(y, None)
                     if holder is not None:
                         holder.unresolved -= 1
+                skip_k = 1
                 while pending and pending[-1].unresolved == 0:
                     done = pending.pop()
                     for uid in done.members:
                         entry_of.pop(uid, None)
                     trace.skipped_slots += 1
-                    prunes += 1
+                    skip_k += 1
                     if record_tree:
                         nodes[done.node][3] = "pruned"
-                k = 1 + prunes
-                trace.k_values.append(k)
-                if rules.z_on_success and sic.entries:
-                    z = Signal(sic.freshest())
+                trace.k_values.append(skip_k)
+                z = _broadcast(rules, fb_kind, None, sic.freshest())
+                if z is not None:
                     trace.z_success_slots += 1
-                else:
-                    z = NULL_SIGNAL
-                fb = FeedbackMsg("success", k, z)
-            else:
-                fb = FeedbackMsg("success", 0, NULL_SIGNAL)
             next_current = None
         else:
-            outcome = SlotOutcome("collision", None, n_here)
+            fb_kind, skip_k = "collision", 0
+            z = _broadcast(rules, fb_kind, members, None)
             trace.collisions += 1
             trace.collision_degrees.append(n_here)
             if sic is not None:
                 sic.save(t, members)
                 if sic.live > trace.memory_highwater:
                     trace.memory_highwater = sic.live
-            z = Signal(members) if rules.z_on_collision else NULL_SIGNAL
-            fb = FeedbackMsg("collision", 0, z)
-            if n_here == 2 and rules.pair_shortcut != "none":
+            if n_here == 2 and rules.z_on_collision:
                 # Everyone saw the broadcast pair: winner transmits next,
                 # the loser is exposed by cancelling the winner.
                 winner = arbitrate(members[0], members[1])
@@ -422,16 +425,18 @@ def run_cri(
         if record_tree and current.node is not None:
             nodes[current.node][4] = t
         if record_slots:
+            fb = FeedbackMsg(fb_kind, skip_k, NULL_SIGNAL if z is None else Signal(z))
             trace.slots.append(
-                SlotRecord(t, tuple(members), outcome, fb,
+                SlotRecord(t, tuple(members), classify(Signal(members)), fb,
                            sic.live if sic is not None else 0)
             )
         current = next_current
 
     trace.length = consumed
-    if resolved != set(ids):
+    decoded = sorted(pid for pid, _ in trace.decoded_order)
+    if decoded != ids:
         raise EngineInvariantError(
-            f"interval ended with undecoded packets: {sorted(set(ids) - resolved)}"
+            f"interval decoded {decoded}, expected each of {ids} exactly once"
         )
     if record_tree:
         trace.nodes = [TreeNode(*row) for row in nodes]
@@ -450,18 +455,18 @@ def build_feedback(
     given it defaults to 1 (advance past the success itself) for the
     cancellation protocols and 0 otherwise.
     """
-    kind = ProtocolKind(protocol)
-    rules = RULES[kind]
+    rules = RULES[ProtocolKind(protocol)]
     out = classify(slot_signal)
     if out.is_idle:
         return FeedbackMsg("idle", 0, NULL_SIGNAL)
     if out.is_collision:
-        z = slot_signal if rules.z_on_collision else NULL_SIGNAL
-        return FeedbackMsg("collision", 0, z)
-    if skip_k is None:
-        skip_k = 1 if rules.saves_collisions else 0
-    z = state.freshest_remainder() if rules.z_on_success else NULL_SIGNAL
-    return FeedbackMsg("success", skip_k, z)
+        fb_kind, skip_k = "collision", 0
+    else:
+        fb_kind = "success"
+        if skip_k is None:
+            skip_k = 1 if rules.saves_collisions else 0
+    z = _broadcast(rules, fb_kind, slot_signal, state.freshest_remainder())
+    return FeedbackMsg(fb_kind, skip_k, NULL_SIGNAL if z is None else z)
 
 
 class UserAction(str, Enum):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -129,7 +129,9 @@ class MetricsReport:
     feedback_bits: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        # Lists hold ints, so a shallow copy detaches them; asdict would
+        # deep-copy every element of the long delay sample.
+        out = {k: list(v) if isinstance(v, list) else v for k, v in vars(self).items()}
         # JSON object keys are strings; keep histogram keys explicit.
         for key in ("collision_degree_hist", "feedback_k_hist", "feedback_bits"):
             out[key] = {str(k): v for k, v in sorted(out[key].items())}
@@ -249,7 +251,7 @@ def simulate(
     return report
 
 
-def _serve_batch(report, kind, rate_unused, p, coins_base, batch, start) -> int:
+def _serve_batch(report, kind, p, coins_base, batch, start) -> int:
     """Run one interval for ``batch`` beginning at slot ``start``.
 
     Returns the index of the last slot the interval consumed and folds
@@ -302,7 +304,7 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
     backlog_points: list = []
     while True:
         start = consumed + 1
-        consumed = _serve_batch(report, kind, rate, p, coins_base, batch, start)
+        consumed = _serve_batch(report, kind, p, coins_base, batch, start)
         # Arrivals blocked during the interval just served form the next batch.
         batch = draw_batch(report.cri_count, start, consumed - start + 1)
         report.arrivals_total += len(batch.ids)
@@ -346,7 +348,7 @@ def _run_windowed(report, kind, rules, rate, budget, p,
             # slots count toward the horizon but belong to no interval.
             report.idle_slots += start - 1 - consumed
             consumed = start - 1
-        consumed = _serve_batch(report, kind, rate, p, coins_base, batch, start)
+        consumed = _serve_batch(report, kind, p, coins_base, batch, start)
         backlog -= len(batch.ids)
         backlog_points.append((consumed, backlog))
         window += 1

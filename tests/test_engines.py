@@ -19,6 +19,7 @@ from treesplit.engines import (
     ApState,
     FeedbackMsg,
     NonTerminationError,
+    UserAction,
     UserState,
     ap_sic_step,
     arbitrate,
@@ -32,6 +33,8 @@ from treesplit.rng import CoinSource, scripted_coins
 from treesplit.signals import NULL_SIGNAL, Signal
 
 HALF = SplitParams(0.5)
+PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
+TRIPLE_ONE_VS_TWO = {(1, 0): True, (2, 0): False, (3, 0): False}
 
 
 def mean_length(protocol, n, trials, base_seed, p=0.5):
@@ -98,8 +101,7 @@ class TestScriptedFixtures:
         assert lengths == {2}
 
     def test_atic_triple_split_one_vs_two(self):
-        script = {(1, 0): True, (2, 0): False, (3, 0): False}
-        trace = run_cri("atic", [1, 2, 3], 0.5, scripted_coins(script),
+        trace = run_cri("atic", [1, 2, 3], 0.5, scripted_coins(TRIPLE_ONE_VS_TWO),
                         record_tree=True)
         assert trace.length == 3
         fb = trace.slots[1].feedback
@@ -231,8 +233,7 @@ class TestRunnerContract:
         with pytest.raises(ValueError):
             arbitrate(4, 4)
 
-    @given(st.integers(0, 30), st.integers(0, 10_000),
-           st.sampled_from(["bta", "mta", "sicta", "atic", "atic_left"]))
+    @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(PROTOCOLS))
     @settings(max_examples=150)
     def test_conservation_and_no_double_decode(self, n, seed, protocol):
         trace = run_cri(protocol, range(n), 0.5, seed)
@@ -244,6 +245,17 @@ class TestRunnerContract:
         slots = [s for _, s in trace.decoded_order]
         assert all(1 <= s <= trace.length for s in slots)
         assert slots == sorted(slots)
+
+    @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(PROTOCOLS))
+    @settings(max_examples=150)
+    def test_slot_records_do_not_change_the_statistics(self, n, seed, protocol):
+        recorded = run_cri(protocol, range(n), 0.5, seed, record_slots=True)
+        bare = run_cri(protocol, range(n), 0.5, seed, record_slots=False)
+        assert len(recorded.slots) == recorded.length and bare.slots == []
+        for name in ("length", "collisions", "successes", "skipped_slots",
+                     "decoded_order", "k_values", "collision_degrees",
+                     "z_success_slots", "memory_highwater"):
+            assert getattr(recorded, name) == getattr(bare, name), name
 
     @given(st.integers(2, 24), st.integers(0, 5_000))
     @settings(max_examples=80)
@@ -277,6 +289,26 @@ class TestUserView:
         me = UserState(own=Signal.of(9))
         action = user_react("bta", me, FeedbackMsg("collision", 0, NULL_SIGNAL))
         assert action.value == "split_and_maybe_transmit"
+
+    @pytest.mark.parametrize("ids,coins,told,loser", [
+        ([10, 20], 3, 20, 10),
+        ([1, 2, 3], scripted_coins(TRIPLE_ONE_VS_TWO), 3, 2),
+    ], ids=["pair", "triple"])
+    def test_users_follow_recorded_feedback(self, ids, coins, told, loser):
+        """Every user reacts to the engine's broadcasts: the arbitration
+        winner is the sole transmitter of the next slot, and the loser is
+        resolved by cancellation."""
+        trace = run_cri("atic", ids, 0.5, coins)
+        users = {uid: UserState(own=Signal.of(uid)) for uid in ids}
+        winners = []
+        for rec, nxt in zip(trace.slots, trace.slots[1:] + [None]):
+            go = [uid for uid, me in users.items()
+                  if user_react("atic", me, rec.feedback) is UserAction.TRANSMIT_NEXT]
+            if go:
+                assert nxt is not None and nxt.transmitters == tuple(go)
+                winners += go
+        assert winners == [told]
+        assert users[loser].status == "resolved"
 
     def test_feedback_composition(self):
         state = ApState(memory=((3, Signal.of(4, 5)),))

@@ -18,6 +18,13 @@ Length laws, conditioning on the binomial split count i of n colliders
   atic   as sicta for n >= 3, with L_2 = 2 exactly (degree-2 collisions
           resolve in one extra slot via the id-arbitration shortcut)
 
+Each row sums only over the split counts 1 <= i <= n-1 with
+|i - n p| <= t_n = sqrt(n ln(2/eps) / 2) + 1, eps = 2^-64, plus the
+self terms i = 0 and i = n, which are kept exactly.  By Hoeffding's
+bound the binomial mass left out is at most eps, so the dropped part of
+a row's numerator is below 2^-62 relative to L_n (under one ulp), and a
+table up to n costs O(n^{3/2}) instead of O(n^2).
+
 There is no analytic length law here for the left-broadcast variant
 (``atic_left``); its throughput constant is checked by simulation.
 """
@@ -37,6 +44,11 @@ _LENGTH_LAWS = ("bta", "mta", "sicta", "atic")
 # the running absolute-term mass by a small constant times this.
 _ULP = 2.0 ** -53
 _ERROR_MODEL_CONSTANT = 8.0
+# Binomial mass a recursion row may leave out.  Rows sum only over split
+# counts with |i - n p| <= t_n = sqrt(n ln(2 / eps) / 2) + 1; Hoeffding
+# bounds the mass outside by 2 exp(-2 t^2 / n) <= eps.
+_TAIL_EPS = 2.0 ** -64
+_WINDOW_LOG_TERM = 0.5 * math.log(2.0 / _TAIL_EPS)
 
 
 class PrecisionLossError(ArithmeticError):
@@ -67,18 +79,62 @@ class SplitParams:
         return 2.0 - 4.0 * p * q - 3.0 * (p * p + q * q)
 
 
-def _binom_pmf_row(n: int, log_p: float, log_q: float, gl: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) pmf over i=0..n via the log-gamma table ``gl``."""
-    i = np.arange(n + 1)
-    return np.exp(gl[n + 1] - gl[i + 1] - gl[n - i + 1] + i * log_p + (n - i) * log_q)
+class _SplitTable:
+    """Values over collider counts n, grown row by row by a recursion that
+    conditions on the Binomial(n, p) split of the n colliders.
+
+    ``_values[:_size]`` holds the finished rows; its capacity and the
+    log-gamma table ``_gl`` grow together, doubling.  Each subclass
+    writes its law as ``_extend(n_max)``, which fills rows up to n_max.
+    """
+
+    def __init__(self, params: SplitParams, protocol: str, base: list):
+        self.params = params
+        self.protocol = protocol
+        self._log_p = math.log(params.p)
+        self._log_q = math.log(params.q)
+        self._values = np.array(base, dtype=float)
+        self._size = len(base)
+        self._gl: np.ndarray = gammaln(np.arange(len(base) + 1))
+
+    def _reserve(self, n_max: int) -> None:
+        if n_max < len(self._values):
+            return
+        capacity = max(n_max + 1, 2 * len(self._values))
+        values = np.empty(capacity)
+        values[: self._size] = self._values[: self._size]
+        self._values = values
+        self._gl = gammaln(np.arange(capacity + 1))
+
+    def _window(self, n: int) -> tuple[int, np.ndarray, float, float]:
+        """The Binomial(n, p) split probabilities row n of a recursion needs.
+
+        Returns ``(lo, pmf, pi_0, pi_n)``: ``pmf[k]`` is P(i = lo + k) over
+        the interior split counts 1 <= i <= n-1 with |i - n p| <= t_n, and
+        ``pi_0 = q^n``, ``pi_n = p^n`` are the exact self-term probabilities.
+        """
+        log_p, log_q, gl = self._log_p, self._log_q, self._gl
+        half_width = math.sqrt(n * _WINDOW_LOG_TERM) + 1.0
+        lo = max(1, math.ceil(n * self.params.p - half_width))
+        hi = min(n - 1, math.floor(n * self.params.p + half_width))
+        i = np.arange(lo, hi + 1)
+        pmf = np.exp(gl[n + 1] - gl[i + 1] - gl[n - i + 1] + i * log_p + (n - i) * log_q)
+        return lo, pmf, float(np.exp(n * log_q)), float(np.exp(n * log_p))
+
+    def expected(self, n: int) -> float:
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        self._extend(n)
+        return float(self._values[n])
 
 
-class CriLengthTable:
+class CriLengthTable(_SplitTable):
     """Lazily grown table of expected interval lengths L_n for one protocol.
 
-    Building is O(n^2) total up to the largest requested n, so bulk
-    consumers (throughput curves, Poisson mixtures) should share one
-    table instead of calling the one-shot helpers in a loop.
+    Building is O(n^{3/2}) total up to the largest requested n (each row
+    sums over a window of O(sqrt(n)) split counts), so bulk consumers
+    (throughput curves, Poisson mixtures) should share one table instead
+    of calling the one-shot helpers in a loop.
     """
 
     def __init__(self, params: SplitParams, protocol: str = "atic"):
@@ -88,43 +144,26 @@ class CriLengthTable:
                 f"no analytic length law for {protocol!r}; "
                 f"choose one of {_LENGTH_LAWS} or estimate by simulation"
             )
-        self.params = params
-        self.protocol = protocol
-        self._log_p = math.log(params.p)
-        self._log_q = math.log(params.q)
-        base = [1.0, 1.0]
-        if protocol == "atic":
-            base.append(2.0)
-        self._lengths = base  # grown in place by _extend
-        self._gl: np.ndarray = gammaln(np.arange(2))
+        super().__init__(params, protocol, [1.0, 1.0, 2.0] if protocol == "atic" else [1.0, 1.0])
 
     def _extend(self, n_max: int) -> None:
-        if n_max < len(self._lengths):
+        if n_max < self._size:
             return
-        if len(self._gl) < n_max + 2:
-            self._gl = gammaln(np.arange(max(n_max + 2, 2 * len(self._gl))))
-        L = self._lengths
-        arr = np.empty(n_max + 1)
-        arr[: len(L)] = L
-        gated = self.protocol in ("bta", "mta")
-        for n in range(len(L), n_max + 1):
-            pmf = _binom_pmf_row(n, self._log_p, self._log_q, self._gl)
-            mid = float(np.dot(pmf[1:n], arr[1:n] + arr[n - 1:0:-1]))
+        self._reserve(n_max)
+        L = self._values
+        for n in range(self._size, n_max + 1):
+            lo, pmf, pi_0, pi_n = self._window(n)
+            hi = lo + len(pmf) - 1
+            mid = float(np.dot(pmf, L[lo:hi + 1] + L[n - hi:n - lo + 1][::-1]))
             if self.protocol in ("sicta", "atic"):
                 # self terms i=0 and i=n contribute pi*(1 + L_n); extract L_n
-                num = mid + pmf[0] + pmf[n]
+                num = mid + pi_0 + pi_n
             elif self.protocol == "bta":
-                num = 1.0 + mid + pmf[0] + pmf[n]
+                num = 1.0 + mid + pi_0 + pi_n
             else:  # mta: i=0 leaves a definite right group, root slot skipped
-                num = 1.0 + mid + pmf[n]
-            arr[n] = num / (1.0 - pmf[0] - pmf[n])
-        self._lengths = arr.tolist()
-
-    def expected(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        self._extend(n)
-        return self._lengths[n]
+                num = 1.0 + mid + pi_n
+            L[n] = num / (1.0 - pi_0 - pi_n)
+        self._size = n_max + 1
 
     def throughput(self, n: int) -> float:
         if n < 1:
@@ -132,8 +171,21 @@ class CriLengthTable:
         return n / self.expected(n)
 
     def lengths_up_to(self, n_max: int) -> np.ndarray:
+        """L_0..L_n_max as a new array (the table keeps its own)."""
         self._extend(n_max)
-        return np.asarray(self._lengths[: n_max + 1])
+        return self._values[: n_max + 1].copy()
+
+
+def _shared_table(table, cls, params: SplitParams, protocol: str):
+    """``table`` when it was built for (params, protocol); a new one if None."""
+    if table is None:
+        return cls(params, protocol)
+    if table.protocol != protocol or table.params != params:
+        raise ValueError(
+            f"table was built for {table.protocol!r} at p={table.params.p}, "
+            f"not for {protocol!r} at p={params.p}"
+        )
+    return table
 
 
 def expected_cri_recursive(
@@ -145,9 +197,7 @@ def expected_cri_recursive(
     One-shot calls rebuild the table from scratch; pass a shared
     :class:`CriLengthTable` when evaluating many n.
     """
-    if table is None:
-        table = CriLengthTable(params, protocol)
-    return table.expected(n)
+    return _shared_table(table, CriLengthTable, params, protocol).expected(n)
 
 
 def conditional_throughput(
@@ -261,14 +311,14 @@ def poisson_expected_cri(
         raise ValueError("load must be non-negative")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if table is None:
-        table = CriLengthTable(params, protocol)
+    table = _shared_table(table, CriLengthTable, params, protocol)
     if load == 0.0:
         return table.expected(0)
     m = _poisson_truncation(load, tol)
     lengths = table.lengths_up_to(m)
     n = np.arange(m + 1)
-    log_pmf = n * math.log(load) - load - gammaln(n + 1)
+    # the table's log-gamma array holds ln(n!) at n + 1 once it reaches m
+    log_pmf = n * math.log(load) - load - table._gl[1:m + 2]
     return float(np.dot(np.exp(log_pmf), lengths))
 
 
@@ -318,7 +368,7 @@ def scan_windowed_mst(grid: Iterable[float], params: SplitParams) -> WindowedSca
     return WindowedScan(best_load, best_rate)
 
 
-class CollisionCountTable:
+class CollisionCountTable(_SplitTable):
     """Expected received-collision counts per interval, given n colliders.
 
     Counts only collision slots actually consumed on the channel (derived
@@ -330,38 +380,23 @@ class CollisionCountTable:
         protocol = str(protocol)
         if protocol not in ("sicta", "atic"):
             raise ValueError(f"collision-count law implemented for sicta/atic, got {protocol!r}")
-        self.params = params
-        self.protocol = protocol
-        self._log_p = math.log(params.p)
-        self._log_q = math.log(params.q)
-        base = [0.0, 0.0]
-        if protocol == "atic":
-            base.append(1.0)  # a received pair is exactly one collision slot
-        self._counts = base
-        self._gl: np.ndarray = gammaln(np.arange(2))
+        # an atic received pair is exactly one collision slot
+        super().__init__(params, protocol, [0.0, 0.0, 1.0] if protocol == "atic" else [0.0, 0.0])
 
     def _extend(self, n_max: int) -> None:
-        if n_max < len(self._counts):
+        if n_max < self._size:
             return
-        if len(self._gl) < n_max + 2:
-            self._gl = gammaln(np.arange(max(n_max + 2, 2 * len(self._gl))))
-        arr = np.empty(n_max + 1)
-        arr[: len(self._counts)] = self._counts
-        for n in range(len(self._counts), n_max + 1):
-            pmf = _binom_pmf_row(n, self._log_p, self._log_q, self._gl)
-            i = np.arange(1, n)
-            right = n - i
+        self._reserve(n_max)
+        C = self._values
+        for n in range(self._size, n_max + 1):
+            lo, pmf, pi_0, pi_n = self._window(n)
+            hi = lo + len(pmf) - 1
+            right = np.arange(n - lo, n - hi - 1, -1)
             # A derived right group of size m >= 2 saves its root collision.
-            derived = arr[right] - (right >= 2)
-            mid = float(np.dot(pmf[1:n], arr[1:n] + derived))
-            arr[n] = (1.0 - pmf[0] + mid) / (1.0 - pmf[0] - pmf[n])
-        self._counts = arr.tolist()
-
-    def expected(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        self._extend(n)
-        return self._counts[n]
+            derived = C[right] - (right >= 2)
+            mid = float(np.dot(pmf, C[lo:hi + 1] + derived))
+            C[n] = (1.0 - pi_0 + mid) / (1.0 - pi_0 - pi_n)
+        self._size = n_max + 1
 
 
 def expected_collisions(
@@ -369,9 +404,7 @@ def expected_collisions(
     table: Optional[CollisionCountTable] = None,
 ) -> float:
     """Expected consumed collision slots in one interval with n colliders."""
-    if table is None:
-        table = CollisionCountTable(params, protocol)
-    return table.expected(n)
+    return _shared_table(table, CollisionCountTable, params, protocol).expected(n)
 
 
 def cri_table_rows(n_max: int, params: SplitParams, protocol: str = "atic"):

@@ -38,6 +38,10 @@ def _normalize(value):
     if isinstance(value, dict):
         return {k: _normalize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        # Int-only lists (delay samples, per-interval counts) have nothing
+        # to round, so one copy replaces the element-by-element rebuild.
+        if set(map(type, value)) <= {int}:
+            return list(value)
         return [_normalize(v) for v in value]
     return value
 
@@ -81,7 +85,11 @@ def render_csv(rows, *, seed=None, config=None) -> str:
 
 
 def render_json(payload, *, seed=None, config=None) -> str:
-    """Render a report object to deterministic JSON text."""
+    """Render a report object to deterministic JSON text.
+
+    One line with sorted keys: without ``indent`` the json module's C
+    encoder writes it, which matters for reports of thousands of samples.
+    """
     if is_dataclass(payload) and not isinstance(payload, type):
         payload = asdict(payload)
     body = {
@@ -91,7 +99,7 @@ def render_json(payload, *, seed=None, config=None) -> str:
         },
         "data": _normalize(payload),
     }
-    return json.dumps(body, sort_keys=True, indent=1) + "\n"
+    return json.dumps(body, sort_keys=True) + "\n"
 
 
 def emit_report(payload, fmt: str, path: str, *, seed=None, config=None) -> str:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from treesplit.analytics import (
     CollisionCountTable,
@@ -209,3 +210,121 @@ class TestTableMechanics:
         value = expected_cri_recursive(n, SplitParams(p), "atic")
         assert math.isfinite(value)
         assert value >= 2.0 - 1e-12
+
+
+def _full_rows(kind: str, protocol: str, p: float, n_max: int) -> np.ndarray:
+    """The length (or collision-count) laws summed over every split count.
+
+    The oracle for the windowed tables: each row evaluates the whole
+    Binomial(n, p) pmf, O(n) per row.
+    """
+    if kind == "lengths":
+        values = [1.0, 1.0, 2.0] if protocol == "atic" else [1.0, 1.0]
+    else:
+        values = [0.0, 0.0, 1.0] if protocol == "atic" else [0.0, 0.0]
+    out = np.zeros(n_max + 1)
+    out[: len(values)] = values
+    gl = gammaln(np.arange(n_max + 2))
+    for n in range(len(values), n_max + 1):
+        i = np.arange(n + 1)
+        pmf = np.exp(gl[n + 1] - gl[i + 1] - gl[n - i + 1]
+                     + i * math.log(p) + (n - i) * math.log(1.0 - p))
+        left, right = out[1:n], out[n - 1:0:-1]
+        pi_0, pi_n = pmf[0], pmf[n]
+        if kind == "collisions":
+            mid = np.dot(pmf[1:n], left + right - (np.arange(n - 1, 0, -1) >= 2))
+            out[n] = (1.0 - pi_0 + mid) / (1.0 - pi_0 - pi_n)
+            continue
+        mid = np.dot(pmf[1:n], left + right)
+        num = {
+            "bta": 1.0 + mid + pi_0 + pi_n,
+            "mta": 1.0 + mid + pi_n,
+            "sicta": mid + pi_0 + pi_n,
+            "atic": mid + pi_0 + pi_n,
+        }[protocol]
+        out[n] = num / (1.0 - pi_0 - pi_n)
+    return out
+
+
+ORACLE_N = 3000
+ORACLE_PS = (0.1, 0.3, 0.5, 0.7)
+
+
+class TestWindowedRows:
+    """The tables sum each row over the binomial window only; the laws
+    summed over every split count agree to double precision."""
+
+    @pytest.mark.parametrize("p", ORACLE_PS)
+    @pytest.mark.parametrize("protocol", ["bta", "mta", "sicta", "atic"])
+    def test_lengths_match_full_rows(self, protocol, p):
+        got = CriLengthTable(SplitParams(p), protocol).lengths_up_to(ORACLE_N)
+        want = _full_rows("lengths", protocol, p, ORACLE_N)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", ORACLE_PS)
+    @pytest.mark.parametrize("protocol", ["sicta", "atic"])
+    def test_collision_counts_match_full_rows(self, protocol, p):
+        table = CollisionCountTable(SplitParams(p), protocol)
+        table.expected(ORACLE_N)
+        got = np.array([table.expected(n) for n in range(ORACLE_N + 1)])
+        want = _full_rows("collisions", protocol, p, ORACLE_N)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.7])
+    @pytest.mark.parametrize("n", [2, 50, 400, 3000, 10_000])
+    def test_dropped_mass_below_two_to_minus_64(self, n, p):
+        table = CriLengthTable(SplitParams(p), "atic")
+        table._reserve(n)
+        lo, pmf, pi_0, pi_n = table._window(n)
+        hi = lo + len(pmf) - 1
+        i = np.arange(n + 1)
+        log_pmf = (gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
+                   + i * math.log(p) + (n - i) * math.log(1.0 - p))
+        assert pi_0 == pytest.approx(math.exp(log_pmf[0]), rel=1e-12)
+        assert pi_n == pytest.approx(math.exp(log_pmf[n]), rel=1e-12)
+        np.testing.assert_allclose(pmf, np.exp(log_pmf[lo:hi + 1]), rtol=1e-12)
+        dropped = np.r_[log_pmf[1:lo], log_pmf[hi + 1:n]]
+        if len(dropped):
+            assert logsumexp(dropped) <= -64.0 * math.log(2.0)
+
+    def test_returned_lengths_are_a_copy(self):
+        table = CriLengthTable(HALF, "atic")
+        lengths = table.lengths_up_to(60)
+        before = [table.expected(n) for n in range(61)]
+        lengths[:] = -1.0
+        assert [table.expected(n) for n in range(61)] == before
+        assert table.expected(500) == CriLengthTable(HALF, "atic").expected(500)
+
+
+class TestSharedTableMismatch:
+    def test_other_protocol_rejected(self):
+        table = CriLengthTable(HALF, "sicta")
+        with pytest.raises(ValueError, match="sicta"):
+            expected_cri_recursive(5, HALF, "atic", table)
+        with pytest.raises(ValueError):
+            conditional_throughput(5, HALF, "atic", table)
+        with pytest.raises(ValueError):
+            poisson_expected_cri(3.0, HALF, table=table)
+        with pytest.raises(ValueError):
+            windowed_stable_rate(3.0, HALF, table=table)
+
+    def test_other_split_probability_rejected(self):
+        table = CriLengthTable(SplitParams(0.3), "atic")
+        with pytest.raises(ValueError, match="p=0.3"):
+            expected_cri_recursive(5, HALF, "atic", table)
+        with pytest.raises(ValueError):
+            conditional_throughput(5, HALF, "atic", table)
+        with pytest.raises(ValueError):
+            poisson_expected_cri(3.0, HALF, table=table)
+        with pytest.raises(ValueError):
+            windowed_stable_rate(3.0, HALF, table=table)
+        with pytest.raises(ValueError):
+            expected_collisions(5, HALF, "atic", CollisionCountTable(SplitParams(0.3), "atic"))
+
+    def test_matching_table_is_used(self):
+        table = CriLengthTable(SplitParams(0.3), "sicta")
+        table.expected(80)
+        params = SplitParams(0.3)
+        assert expected_cri_recursive(80, params, "sicta", table) == table.expected(80)
+        assert poisson_expected_cri(4.0, params, protocol="sicta", table=table) == (
+            poisson_expected_cri(4.0, params, protocol="sicta"))

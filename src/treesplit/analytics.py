@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -77,6 +78,15 @@ class SplitParams:
     def r(self) -> float:
         p, q = self.p, self.q
         return 2.0 - 4.0 * p * q - 3.0 * (p * p + q * q)
+
+
+def _protocol_name(protocol) -> str:
+    """A protocol's law name, given as a string or a string-valued enum.
+
+    ``str()`` of a ``(str, Enum)`` member gives 'ProtocolKind.ATIC' on
+    Python 3.11 and later, so an enum member contributes its value.
+    """
+    return protocol.value if isinstance(protocol, Enum) else str(protocol)
 
 
 class _SplitTable:
@@ -138,7 +148,7 @@ class CriLengthTable(_SplitTable):
     """
 
     def __init__(self, params: SplitParams, protocol: str = "atic"):
-        protocol = str(protocol)
+        protocol = _protocol_name(protocol)
         if protocol not in _LENGTH_LAWS:
             raise ValueError(
                 f"no analytic length law for {protocol!r}; "
@@ -377,7 +387,7 @@ class CollisionCountTable(_SplitTable):
     """
 
     def __init__(self, params: SplitParams, protocol: str = "atic"):
-        protocol = str(protocol)
+        protocol = _protocol_name(protocol)
         if protocol not in ("sicta", "atic"):
             raise ValueError(f"collision-count law implemented for sicta/atic, got {protocol!r}")
         # an atic received pair is exactly one collision slot

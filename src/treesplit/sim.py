@@ -14,7 +14,11 @@ channel access policy:
 Every run is a pure function of (protocol, policy, rate, budget, seed):
 arrival counts, arrival positions, and split coins all come from
 counter-derived sub-streams of the master seed, so replications are
-order-independent and reports are bit-identical across reruns.
+order-independent and reports are bit-identical across reruns.  The
+arrivals of interval (or window) ``i`` come from the numpy PCG64 stream
+``np.random.default_rng(stream_seed(arrivals_base, i))``; one generator
+object is fully reseeded to that stream's start for each interval
+(:class:`~treesplit.rng.ArrivalStreams`).
 
 Slot/time conventions: slot ``t`` (1-based) covers real time [t-1, t).
 A packet generated during slot ``t`` (or at real instant ``u``) is first
@@ -38,7 +42,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .engines import ProtocolKind, RULES, run_cri
-from .rng import CoinSource, derive_seed, stream_seed
+from .rng import ArrivalStreams, CoinSource, derive_seed, stream_seed
 
 # Backlog drift (packets per slot) above which the trailing-half
 # regression declares the run unstable.  A rate 2-3% above the maximum
@@ -283,19 +287,25 @@ def _serve_batch(report, kind, p, coins_base, batch, start) -> int:
 
 def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
     next_id = 0
+    streams = ArrivalStreams(arrivals_base)
 
     def draw_batch(cri_index: int, span_start: int, span_len: int) -> _Batch:
         """Arrivals generated during [span_start, span_start+span_len-1]."""
         nonlocal next_id
-        rng = np.random.default_rng(stream_seed(arrivals_base, cri_index))
-        count = int(rng.poisson(rate * span_len)) if rate > 0.0 else 0
+        count = 0
+        if rate > 0.0:
+            rng = streams.generator(cri_index)
+            count = int(rng.poisson(rate * span_len))
         if count == 0:
             return _Batch([], [])
-        gen_slots = np.sort(rng.integers(span_start, span_start + span_len,
-                                         size=count))
+        # Scalar draws give the values of one size=count draw (both take
+        # bounded 32-bit draws one at a time) and cost less for few arrivals.
+        span_end = span_start + span_len
+        arrivals = sorted(int(rng.integers(span_start, span_end)) + 1
+                          for _ in range(count))
         ids = list(range(next_id, next_id + count))
         next_id += count
-        return _Batch(ids, [int(g) + 1 for g in gen_slots])
+        return _Batch(ids, arrivals)
 
     # Bootstrap: the first interval serves arrivals of a single slot-0 epoch.
     batch = draw_batch(0, 0, 1)
@@ -319,12 +329,15 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
 def _run_windowed(report, kind, rules, rate, budget, p,
                   arrivals_base, coins_base, delta):
     next_id = 0
+    streams = ArrivalStreams(arrivals_base)
 
     def draw_window(j: int) -> _Batch:
         """Arrivals of window j, spanning real time [j*delta, (j+1)*delta)."""
         nonlocal next_id
-        rng = np.random.default_rng(stream_seed(arrivals_base, j))
-        count = int(rng.poisson(rate * delta)) if rate > 0.0 else 0
+        count = 0
+        if rate > 0.0:
+            rng = streams.generator(j)
+            count = int(rng.poisson(rate * delta))
         if count == 0:
             return _Batch([], [])
         instants = np.sort(rng.uniform(j * delta, (j + 1) * delta, size=count))

@@ -23,6 +23,7 @@ from treesplit.analytics import (
     scan_windowed_mst,
     windowed_stable_rate,
 )
+from treesplit.engines import ProtocolKind
 
 HALF = SplitParams(0.5)
 
@@ -195,6 +196,16 @@ class TestTableMechanics:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
             CriLengthTable(HALF, "aloha")
+
+    @pytest.mark.parametrize("cls,kind", [
+        (CriLengthTable, ProtocolKind.ATIC), (CriLengthTable, ProtocolKind.BTA),
+        (CollisionCountTable, ProtocolKind.ATIC),
+        (CollisionCountTable, ProtocolKind.SICTA),
+    ])
+    def test_protocol_enum_accepted(self, cls, kind):
+        table = cls(HALF, kind)
+        assert table.protocol == kind.value and type(table.protocol) is str
+        assert table.expected(12) == cls(HALF, kind.value).expected(12)
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=40)

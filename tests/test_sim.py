@@ -1,5 +1,7 @@
 """Tests for the traffic-level simulator and its report statistics."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -229,3 +231,28 @@ class TestSaturatedStatistics:
     def test_left_variant_saturation_throughput(self):
         r = simulate("atic_left", Gated(), 2.0, 120000, 9)
         assert throughput_estimate(r) == pytest.approx(6 * math.log(2) / 5, abs=0.01)
+
+
+# sha256 of the JSON of simulate(protocol, policy, 0.3, 4000, 2024).to_dict(),
+# recorded when every interval built its own np.random.default_rng, so they
+# check that the reseeded arrival streams reproduce those draws; any change
+# to arrival draws, split coins or accounting shows up here.
+PINNED_REPORTS = {
+    ("bta", "gated"): "32426fe8c18edf5ad196b8e800f6f13ae4bcb2538947b22cf9615a62e885c073",
+    ("mta", "gated"): "015d18d3de33fd5b25aa16ba643aca40f2967ed0e337f03693fb75b0edcbc342",
+    ("sicta", "gated"): "f9ecd5991f264429f662e9723aefd390bf9106ecedeb4a933329f66a632ff896",
+    ("atic", "gated"): "63a172c97cc3f91a27d1bd12edc6e4ec7752d812a15f050d62c0d5fa16f1f488",
+    ("atic_left", "gated"): "4c4fdb498fe7043393ecf5501c87847c3fcdc72f8a5e2733c7dc6497c2910611",
+    ("bta", "windowed:40"): "a04bed85557e76b0b688e94733785a844ac9416e2e0473ee5695611a87d81667",
+    ("mta", "windowed:40"): "1a1f94fa98889f98e2a82aff3fd89a58548432aaaa945edf7b35f42ed33f9f4a",
+    ("sicta", "windowed:40"): "189c954643f45f55ee0eb43769f2d96e5fca49fe51c77e800cbc2df24a5bfaea",
+    ("atic", "windowed:40"): "0c824e696654a0a9ffd4fce7b9ed3f4045f89127ce0f16dacf1d2f4dabbbfa2d",
+    ("atic_left", "windowed:40"): "8a389fd2b52f514269b7a603945946b690662a7b2f75aac34b8491014a7a6c7b",
+}
+
+
+@pytest.mark.parametrize("protocol,policy", sorted(PINNED_REPORTS))
+def test_report_pinned(protocol, policy):
+    report = simulate(protocol, policy, 0.3, 4000, 2024)
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[protocol, policy]

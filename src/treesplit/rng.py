@@ -159,7 +159,10 @@ def _pcg64_states(seeds: np.ndarray) -> list:
     Vectorizes numpy's ``SeedSequence`` over the seeds: the entropy words
     are the seed's low and high 32 bits (a seed below 2^32 has one word,
     and SeedSequence hashes zeros into the rest of its pool of four, as for
-    a zero high word).  PCG64 then seeds its LCG with two steps.
+    a zero high word).  PCG64 then seeds its LCG with two steps.  Numpy's
+    own ``SeedSequence(s).generate_state(4, np.uint64)`` costs about as much
+    per seed as ``default_rng(s)`` does, so calling it per stream would
+    save next to nothing.
     """
     zero = np.zeros(len(seeds), dtype=np.uint32)
     keys = iter(_POOL_KEYS)

@@ -298,14 +298,11 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
             count = int(rng.poisson(rate * span_len))
         if count == 0:
             return _Batch([], [])
-        # Scalar draws give the values of one size=count draw (both take
-        # bounded 32-bit draws one at a time) and cost less for few arrivals.
-        span_end = span_start + span_len
-        arrivals = sorted(int(rng.integers(span_start, span_end)) + 1
-                          for _ in range(count))
+        gen_slots = np.sort(rng.integers(span_start, span_start + span_len,
+                                         size=count))
         ids = list(range(next_id, next_id + count))
         next_id += count
-        return _Batch(ids, arrivals)
+        return _Batch(ids, [int(g) + 1 for g in gen_slots])
 
     # Bootstrap: the first interval serves arrivals of a single slot-0 epoch.
     batch = draw_batch(0, 0, 1)

@@ -8,6 +8,7 @@ are plain JSON objects; command-line flags always win over file values.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -92,13 +93,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     "policy", f"windowed policy needs a window length, got {self.policy!r}"
                 ) from None
-            if delta <= 0:
-                raise ConfigError("policy", f"window length must be > 0, got {delta}")
+            if not (math.isfinite(delta) and delta > 0):
+                raise ConfigError(
+                    "policy", f"window length must be finite and > 0, got {delta}")
         if not 0.0 < self.p < 1.0:
             raise ConfigError("p", f"split probability must lie in (0,1), got {self.p}")
         for lam in self.rates:
-            if lam < 0:
-                raise ConfigError("rates", f"arrival rate must be >= 0, got {lam}")
+            if not (math.isfinite(lam) and lam >= 0):
+                raise ConfigError("rates", f"arrival rate must be finite and >= 0, got {lam}")
         if self.budget < 1:
             raise ConfigError("budget", f"slot budget must be >= 1, got {self.budget}")
         if self.seed is not None and self.seed < 0:

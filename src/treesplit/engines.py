@@ -28,9 +28,10 @@ pairs qualify under ``z_on_collision`` and derived pairs under
 
 The engine is receiver-centric: it tracks the split tree explicitly
 (a stack of not-yet-visited right siblings plus the group currently on
-air) and applies cancellation through an incremental index, which keeps
-one interval at O(total signal volume) instead of rescanning memory on
-every decode.  The per-user decision rule is exposed separately as
+air) and keeps one set of decoded packets.  Cancellation scans the
+stored remainders directly: the live ones lie on the current root path,
+each a subset of the one above it, so there are never more of them than
+the tree is deep.  The per-user decision rule is exposed separately as
 :func:`user_react` and checked against the engine in the test suite.
 """
 
@@ -156,63 +157,51 @@ def arbitrate(a: PacketId, b: PacketId) -> PacketId:
 
 
 class _SicCore:
-    """Incremental cancellation over stored collision remainders.
+    """Cancellation over stored collision remainders.
 
-    Remainders are kept as plain int sets in stack order (they form a
-    nested chain along the current root path).  A member index maps each
-    undecoded packet to the remainders containing it, so one decode costs
-    time proportional to the signal volume it touches, not to the whole
-    memory.
+    Remainders are plain int sets in save order.  The non-empty ones lie
+    on the current root path, each a subset of the one saved before it,
+    so ``entries`` never holds more of them than the tree is deep and a
+    decode simply scans it.
     """
 
-    __slots__ = ("entries", "member_index", "live")
+    __slots__ = ("entries",)
 
     def __init__(self):
-        self.entries: list = []          # [slot index, set remainder]
-        self.member_index: dict = {}     # pid -> list of remainder sets
-        self.live = 0
+        self.entries: list = []          # (slot index, set remainder), non-empty
 
     def save(self, slot: int, members) -> None:
-        rem = set(members)
-        self.entries.append([slot, rem])
-        self.live += 1
-        idx = self.member_index
-        for pid in rem:
-            idx.setdefault(pid, []).append(rem)
+        self.entries.append((slot, set(members)))
 
-    def decode(self, pid: int) -> list:
-        """Cancel ``pid`` everywhere and cascade; returns packets newly
-        resolved *beyond* pid itself (in resolution order)."""
+    def decode(self, pid: int, done: set) -> list:
+        """Cancel ``pid`` everywhere and cascade, adding every resolved
+        packet to ``done``; returns packets newly resolved *beyond* pid
+        itself (in resolution order)."""
         cascaded: list = []
-        seen = {pid}
+        done.add(pid)
         stack = [pid]
-        idx = self.member_index
+        entries = self.entries
         while stack:
             x = stack.pop()
-            for rem in idx.pop(x, ()):
-                if x not in rem:
-                    continue  # already drained through a cascade
-                rem.remove(x)
-                if len(rem) == 1:
-                    y = rem.pop()  # remainder drains: y is decodable
-                    self.live -= 1
-                    # Two stored signals can expose the same packet (equal
-                    # groups at different depths); resolve it only once.
-                    if y not in seen:
-                        seen.add(y)
-                        cascaded.append(y)
-                        stack.append(y)
-        # drop drained tail entries (drains happen deepest-first)
-        entries = self.entries
-        while entries and not entries[-1][1]:
-            entries.pop()
+            for _, rem in entries:
+                if x in rem:
+                    rem.remove(x)
+                    if len(rem) == 1:
+                        y = rem.pop()  # remainder drains: y is decodable
+                        # Two stored signals can expose the same packet (equal
+                        # groups at different depths); resolve it only once.
+                        if y not in done:
+                            done.add(y)
+                            cascaded.append(y)
+                            stack.append(y)
+        self.entries = [entry for entry in entries if entry[1]]
         return cascaded
 
     def freshest(self) -> Optional[set]:
         return self.entries[-1][1] if self.entries else None
 
     def snapshot(self) -> tuple:
-        return tuple((slot, Signal(rem)) for slot, rem in self.entries if rem)
+        return tuple((slot, Signal(rem)) for slot, rem in self.entries)
 
 
 def ap_sic_step(state: ApState, decoded: Signal) -> tuple:
@@ -230,8 +219,9 @@ def ap_sic_step(state: ApState, decoded: Signal) -> tuple:
     core = _SicCore()
     for slot, sig in state.memory:
         core.save(slot, sig.components)
-    cascaded = core.decode(pid)
-    newly = frozenset([pid, *cascaded])
+    done: set = set()
+    cascaded = core.decode(pid, done)
+    newly = frozenset(done)
     new_state = ApState(
         memory=core.snapshot(),
         resolved=state.resolved | newly,
@@ -242,7 +232,7 @@ def ap_sic_step(state: ApState, decoded: Signal) -> tuple:
 class _Group:
     """A tree group: either on air now or parked as a pending right sibling."""
 
-    __slots__ = ("members", "known", "depth", "node", "left_child", "unresolved")
+    __slots__ = ("members", "known", "depth", "node", "left_child")
 
     def __init__(self, members, known, depth, node, left_child):
         self.members = members        # sorted list of ids
@@ -250,7 +240,6 @@ class _Group:
         self.depth = depth
         self.node = node              # TreeNode id or None
         self.left_child = left_child  # True when this group has a fresh right sibling
-        self.unresolved = len(members)
 
 
 def _validate_p(p: float) -> float:
@@ -302,7 +291,7 @@ def run_cri(
 
     sic = _SicCore() if rules.saves_collisions else None
     pending: list = []         # stack of _Group right siblings
-    entry_of: dict = {}        # pid -> pending _Group holding it
+    done: set = set()          # packets decoded so far (cancellation protocols)
 
     nodes: list = trace.nodes
 
@@ -322,8 +311,6 @@ def run_cri(
             (left if coin.flip(uid, d) else right).append(uid)
         r = _Group(right, rules.saves_collisions, d + 1, new_node(group.node, right), False)
         pending.append(r)
-        for uid in right:
-            entry_of[uid] = r
         return _Group(left, False, d + 1, new_node(group.node, left), True)
 
     current: Optional[_Group] = _Group(ids, False, 0, new_node(None, ids), False)
@@ -334,12 +321,10 @@ def run_cri(
             if not pending:
                 break
             g = pending.pop()
-            if g.unresolved != len(g.members):
+            if not done.isdisjoint(g.members):
                 raise EngineInvariantError(
                     "popped a partially resolved group; prune accounting is broken"
                 )
-            for uid in g.members:
-                entry_of.pop(uid, None)
             if g.known and rules.skips_definite:
                 # Root slot of a derivable/definite group is skipped.
                 trace.skipped_slots += 1
@@ -385,20 +370,15 @@ def run_cri(
             trace.successes += 1
             trace.decoded_order.append((pid, t))
             if sic is not None:
-                for y in sic.decode(pid):
+                for y in sic.decode(pid, done):
                     trace.decoded_order.append((y, t))
-                    holder = entry_of.pop(y, None)
-                    if holder is not None:
-                        holder.unresolved -= 1
                 skip_k = 1
-                while pending and pending[-1].unresolved == 0:
-                    done = pending.pop()
-                    for uid in done.members:
-                        entry_of.pop(uid, None)
+                while pending and done.issuperset(pending[-1].members):
+                    drained = pending.pop()
                     trace.skipped_slots += 1
                     skip_k += 1
                     if record_tree:
-                        nodes[done.node][3] = "pruned"
+                        nodes[drained.node][3] = "pruned"
                 trace.k_values.append(skip_k)
                 z = _broadcast(rules, fb_kind, None, sic.freshest())
                 if z is not None:
@@ -411,8 +391,8 @@ def run_cri(
             trace.collision_degrees.append(n_here)
             if sic is not None:
                 sic.save(t, members)
-                if sic.live > trace.memory_highwater:
-                    trace.memory_highwater = sic.live
+                if len(sic.entries) > trace.memory_highwater:
+                    trace.memory_highwater = len(sic.entries)
             if n_here == 2 and rules.z_on_collision:
                 # Everyone saw the broadcast pair: winner transmits next,
                 # the loser is exposed by cancelling the winner.
@@ -428,7 +408,7 @@ def run_cri(
             fb = FeedbackMsg(fb_kind, skip_k, NULL_SIGNAL if z is None else Signal(z))
             trace.slots.append(
                 SlotRecord(t, tuple(members), classify(Signal(members)), fb,
-                           sic.live if sic is not None else 0)
+                           len(sic.entries) if sic is not None else 0)
             )
         current = next_current
 

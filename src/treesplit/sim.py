@@ -9,7 +9,8 @@ channel access policy:
   windowed  the arrival axis is cut into windows of ``delta`` slots and
             the k-th window's batch starts its interval once both the
             window has closed and the previous interval has finished.
-            Backlogged windows queue whole, first in first out.
+            Backlogged windows queue whole, first in first out; the
+            backlog counts the packets of closed, unserved windows.
 
 Every run is a pure function of (protocol, policy, rate, budget, seed):
 arrival counts, arrival positions, and split coins all come from
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -74,8 +76,9 @@ class Windowed:
     delta: float
 
     def __post_init__(self):
-        if not (float(self.delta) > 0.0):
-            raise ValueError(f"window length must be positive, got {self.delta}")
+        delta = float(self.delta)
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise ValueError(f"window length must be positive and finite, got {self.delta}")
 
     def describe(self) -> str:
         return f"windowed:{self.delta:g}"
@@ -150,7 +153,7 @@ class MetricsReport:
 
 
 class _Batch(NamedTuple):
-    ids: list       # packet ids, arrival order
+    ids: range      # packet ids, contiguous in arrival order
     arrivals: list  # arrival (first-eligible) slot per id, same order
 
 
@@ -234,8 +237,8 @@ def simulate(
     policy = _coerce_policy(policy)
     rate = float(rate)
     budget = int(budget)
-    if rate < 0.0:
-        raise ValueError(f"arrival rate must be non-negative, got {rate}")
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"arrival rate must be finite and non-negative, got {rate}")
     if budget < 1:
         raise ValueError(f"slot budget must be at least 1, got {budget}")
 
@@ -263,11 +266,12 @@ def _serve_batch(report, kind, p, coins_base, batch, start) -> int:
     """
     coins = CoinSource(stream_seed(coins_base, report.cri_count), p)
     trace = run_cri(kind, batch.ids, p, coins, record_slots=False)
-    arrival_of = dict(zip(batch.ids, batch.arrivals))
+    arrivals = batch.arrivals
+    first = batch.ids.start
     base = start - 1
     delays = report.delay_samples
     for pid, rel_slot in trace.decoded_order:
-        delays.append(base + rel_slot - arrival_of[pid])
+        delays.append(base + rel_slot - arrivals[pid - first])
     report.cri_count += 1
     report.packets_decoded += len(batch.ids)
     report.success_slots += trace.successes
@@ -296,11 +300,11 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
         if rate > 0.0:
             rng = streams.generator(cri_index)
             count = int(rng.poisson(rate * span_len))
+        ids = range(next_id, next_id + count)
         if count == 0:
-            return _Batch([], [])
+            return _Batch(ids, [])
         gen_slots = np.sort(rng.integers(span_start, span_start + span_len,
                                          size=count))
-        ids = list(range(next_id, next_id + count))
         next_id += count
         return _Batch(ids, [int(g) + 1 for g in gen_slots])
 
@@ -335,22 +339,34 @@ def _run_windowed(report, kind, rules, rate, budget, p,
         if rate > 0.0:
             rng = streams.generator(j)
             count = int(rng.poisson(rate * delta))
+        ids = range(next_id, next_id + count)
         if count == 0:
-            return _Batch([], [])
+            return _Batch(ids, [])
         instants = np.sort(rng.uniform(j * delta, (j + 1) * delta, size=count))
-        ids = list(range(next_id, next_id + count))
         next_id += count
         # First slot whose start lies at or after the arrival instant.
         return _Batch(ids, [math.ceil(float(u) + 1.0 - 1e-9) for u in instants])
 
+    queue: deque = deque()  # windows drawn but not yet served, in index order
+    drawn = 0               # windows drawn so far
+    backlog = 0             # packets in ``queue``
+
+    def draw_next() -> None:
+        nonlocal drawn, backlog
+        batch = draw_window(drawn)
+        queue.append(batch)
+        drawn += 1
+        backlog += len(batch.ids)
+        report.arrivals_total += len(batch.ids)
+
     consumed = 0
     window = 0
     backlog_points: list = []
-    backlog = 0
     while consumed < budget:
-        batch = draw_window(window)
-        report.arrivals_total += len(batch.ids)
-        backlog += len(batch.ids)
+        if not queue:
+            draw_next()  # the next window may still be open
+        batch = queue.popleft()
+        backlog -= len(batch.ids)
         window_close = (window + 1) * delta
         start = max(consumed + 1, math.ceil(window_close + 1.0 - 1e-9))
         if start - 1 > consumed:
@@ -359,16 +375,12 @@ def _run_windowed(report, kind, rules, rate, budget, p,
             report.idle_slots += start - 1 - consumed
             consumed = start - 1
         consumed = _serve_batch(report, kind, p, coins_base, batch, start)
-        backlog -= len(batch.ids)
+        window += 1
+        # Windows that closed while the channel was busy wait in the queue;
+        # those left at the end are arrivals of the period never served.
+        while (drawn + 1) * delta <= consumed:
+            draw_next()
         backlog_points.append((consumed, backlog))
-        window += 1
-    # Windows that closed inside the horizon but were never served still
-    # contain arrivals of the simulated period: count them as backlog.
-    while (window + 1) * delta <= consumed:
-        pending = draw_window(window)
-        report.arrivals_total += len(pending.ids)
-        backlog += len(pending.ids)
-        window += 1
     report.slots_simulated = consumed
     report.terminal_backlog = backlog
     _finalize(report, rules, backlog_points)

@@ -63,6 +63,10 @@ class TestConfig:
         ({"replications": 0}, "replications"),
         ({"mystery": 1}, "mystery"),
         ({"rates": [-0.5]}, "rates"),
+        ({"rates": [float("nan")]}, "rates"),
+        ({"rates": [float("inf")]}, "rates"),
+        ({"policy": "windowed:nan"}, "policy"),
+        ({"policy": "windowed:inf"}, "policy"),
     ])
     def test_validation_names_offending_field(self, payload, field):
         with pytest.raises(ConfigError) as err:
@@ -181,6 +185,18 @@ class TestCommands:
         assert run_cli("simulate", "--protocol", "atic", "--rate", "0.4",
                        "--outdir", str(tmp_path)) == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (("--rate", "nan"), "rates"),
+        (("--rate", "inf"), "rates"),
+        (("--rate", "0.3", "--policy", "windowed:nan"), "policy"),
+        (("--rate", "0.3", "--policy", "windowed:inf"), "policy"),
+    ])
+    def test_simulate_rejects_non_finite(self, tmp_path, capsys, flags, field):
+        assert run_cli("simulate", "--protocol", "atic", *flags, "--budget", "100",
+                       "--seed", "7", "--outdir", str(tmp_path)) == 1
+        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_simulate_replications(self, tmp_path):
         assert run_cli("simulate", "--protocol", "sicta", "--rate", "0.3",

@@ -34,6 +34,7 @@ from treesplit.signals import NULL_SIGNAL, Signal
 
 HALF = SplitParams(0.5)
 PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
+SIC_PROTOCOLS = ["sicta", "atic", "atic_left"]
 TRIPLE_ONE_VS_TWO = {(1, 0): True, (2, 0): False, (3, 0): False}
 
 
@@ -71,7 +72,59 @@ def aleft_length_tables(n_max, p):
     return lt, ld
 
 
+def cancel_to_fixpoint(memory, pid):
+    """Independent oracle for one decode: cancel everything resolved from
+    every stored remainder until none holds exactly one packet.  Returns
+    the resolved set and the non-empty remainders left."""
+    resolved = {pid}
+    changed = True
+    while changed:
+        changed = False
+        for _, rem in memory:
+            left = rem - resolved
+            if len(left) == 1:
+                resolved |= left
+                changed = True
+    return resolved, [(slot, rem - resolved) for slot, rem in memory if rem - resolved]
+
+
 class TestCancellationObserver:
+    @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(SIC_PROTOCOLS),
+           st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=150)
+    def test_engine_matches_observer_replay(self, n, seed, protocol, p):
+        """Replay every recorded slot through the observer API: collisions
+        are stored, singletons go through ap_sic_step.  Memory size and
+        feedback match the engine's record on every slot, and each decode
+        resolves what the engine decoded in that slot and what a plain set
+        fixpoint resolves."""
+        trace = run_cri(protocol, range(n), p, seed)
+        decoded_in: dict = {}
+        for pid, slot in trace.decoded_order:
+            decoded_in.setdefault(slot, []).append(pid)
+        state = ApState()
+        oracle: list = []
+        for rec in trace.slots:
+            sig = Signal(rec.transmitters)
+            skip_k = None
+            if rec.outcome.is_collision:
+                state = ApState(state.memory + ((rec.index, sig),), state.resolved)
+                oracle.append((rec.index, set(rec.transmitters)))
+            elif rec.outcome.is_singleton:
+                pid = rec.transmitters[0]
+                expected, oracle = cancel_to_fixpoint(oracle, pid)
+                newly, _, state = ap_sic_step(state, sig)
+                assert newly == expected
+                assert decoded_in[rec.index][0] == pid
+                assert set(decoded_in[rec.index]) == expected
+                # The skip count follows the tree schedule, which the
+                # receiver's memory alone does not carry.
+                skip_k = rec.feedback.skip_k
+            assert state.memory == tuple((slot, Signal(rem)) for slot, rem in oracle)
+            assert len(state.memory) == rec.memory_size
+            assert build_feedback(protocol, sig, state, skip_k) == rec.feedback
+        assert state.resolved == frozenset(range(n))
+
     def test_cascade_drains_nested_memory(self):
         state = ApState(memory=(
             (1, Signal.of(1, 2, 3, 4)),

@@ -88,6 +88,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate("bta", Gated(), -0.1, 100, 1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError):
+            simulate("atic", Gated(), rate, 100, 1)
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             simulate("bta", Gated(), 0.3, 0, 1)
@@ -104,6 +109,9 @@ class TestValidation:
             Windowed(0.0)
         with pytest.raises(ValueError):
             simulate("atic", "windowed:0", 0.4, 100, 1)
+        for text in ("windowed:nan", "windowed:inf"):
+            with pytest.raises(ValueError):
+                simulate("atic", text, 0.4, 100, 1)
 
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
@@ -199,6 +207,13 @@ class TestWindowedAccess:
     def test_conservation_with_end_sweep(self):
         r = simulate("atic", Windowed(16.0), 0.6, 40000, 21)
         assert r.arrivals_total == r.packets_decoded + r.terminal_backlog
+
+    @pytest.mark.parametrize("rate,unstable", [(0.97, True), (0.90, False)])
+    def test_backlog_drift_flags_overload(self, rate, unstable):
+        """Closed windows still waiting for service are backlog, so a rate
+        above the windowed capacity (about 0.924 at delta 16) drifts."""
+        r = simulate("atic", Windowed(16.0), rate, 100_000, 3)
+        assert r.unstable is unstable
 
     def test_budget_reached_and_stable(self):
         r = simulate("atic", Windowed(16.0), 0.6, 40000, 21)

@@ -71,8 +71,7 @@ from .sim import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_grid
 from .reports import IoError, config_digest, emit_report, render_csv, render_json
-
-__version__ = "0.1.0"
+from ._version import __version__
 
 __all__ = [
     "NULL_SIGNAL", "NotContainedError", "Signal", "SlotOutcome",

@@ -25,6 +25,13 @@ bound the binomial mass left out is at most eps, so the dropped part of
 a row's numerator is below 2^-62 relative to L_n (under one ulp), and a
 table up to n costs O(n^{3/2}) instead of O(n^2).
 
+The binomial weights come from a table of ln Gamma(k) = ln((k-1)!) over
+the integers, grown with the length table.  It reproduces cephes
+``lgam`` (what ``scipy.special.gammaln`` evaluates) bit for bit, so the
+package needs no scipy: ln of the exact factorial for k <= 12, and for
+k >= 13 the Stirling series with cephes' coefficients, switch point at
+1000 and operation order, taking ln k from libm through ``math.log``.
+
 There is no analytic length law here for the left-broadcast variant
 (``atic_left``); its throughput constant is checked by simulation.
 """
@@ -38,7 +45,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 _LENGTH_LAWS = ("bta", "mta", "sicta", "atic")
 # Unit roundoff of IEEE doubles; the cancellation-error model multiplies
@@ -50,6 +56,51 @@ _ERROR_MODEL_CONSTANT = 8.0
 # bounds the mass outside by 2 exp(-2 t^2 / n) <= eps.
 _TAIL_EPS = 2.0 ** -64
 _WINDOW_LOG_TERM = 0.5 * math.log(2.0 / _TAIL_EPS)
+# cephes lgam's Stirling series for x >= 13:
+#   ln Gamma(x) = (x - 1/2) ln x - x + ln sqrt(2 pi) + S(1/x^2) / x,
+# S a degree-4 polynomial below x = 1000 and a degree-2 one from there on.
+# On the integers near 1000 both give the same doubles; the switch stays
+# where cephes has it, so equality with gammaln does not rest on a range
+# that was checked.
+_LS2PI = 0.91893853320467274178
+_STIRLING_SMALL = (
+    8.11614167470508450300E-4, -5.95061904284301438324E-4,
+    7.93650340457716943945E-4, -2.77777777730099687205E-3,
+    8.33333333333331927722E-2,
+)
+_STIRLING_LARGE = (
+    7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+    0.0833333333333333333333,
+)
+_STIRLING_SWITCH = 1000
+
+
+def _horner(coefs: tuple, x: np.ndarray) -> np.ndarray:
+    """The polynomial coefs[0] x^d + ... + coefs[d], in cephes polevl order."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _log_gamma(lo: int, hi: int) -> np.ndarray:
+    """ln Gamma(k) for the integers lo <= k < hi; ln Gamma(0) is inf.
+
+    Equal bit for bit to ``scipy.special.gammaln(np.arange(lo, hi))``
+    for k below 1e8 (beyond it cephes lgam drops the series term; no
+    table gets that long).  ln k comes from ``math.log``: numpy's
+    vectorized log differs from libm's in the last bit on a few integers.
+    """
+    head = [math.log(math.factorial(k - 1)) if k else math.inf for k in range(lo, min(hi, 13))]
+    lo = max(lo, 13)
+    if hi <= lo:
+        return np.array(head, dtype=float)
+    x = np.arange(lo, hi, dtype=float)
+    q = (x - 0.5) * np.fromiter(map(math.log, range(lo, hi)), float, hi - lo) - x + _LS2PI
+    p = 1.0 / (x * x)
+    cut = min(max(_STIRLING_SWITCH - lo, 0), hi - lo)
+    series = np.concatenate((_horner(_STIRLING_SMALL, p[:cut]), _horner(_STIRLING_LARGE, p[cut:])))
+    return np.concatenate((head, q + series / x))
 
 
 class PrecisionLossError(ArithmeticError):
@@ -94,8 +145,10 @@ class _SplitTable:
     conditions on the Binomial(n, p) split of the n colliders.
 
     ``_values[:_size]`` holds the finished rows; its capacity and the
-    log-gamma table ``_gl`` grow together, doubling.  Each subclass
-    writes its law as ``_extend(n_max)``, which fills rows up to n_max.
+    log-gamma table ``_gl`` (``_gl[k]`` = ln Gamma(k), one entry longer)
+    grow together, doubling, and ``_gl`` computes only its new entries.
+    Each subclass writes its law as ``_extend(n_max)``, which fills rows
+    up to n_max.
     """
 
     def __init__(self, params: SplitParams, protocol: str, base: list):
@@ -105,7 +158,7 @@ class _SplitTable:
         self._log_q = math.log(params.q)
         self._values = np.array(base, dtype=float)
         self._size = len(base)
-        self._gl: np.ndarray = gammaln(np.arange(len(base) + 1))
+        self._gl = _log_gamma(0, len(base) + 1)
 
     def _reserve(self, n_max: int) -> None:
         if n_max < len(self._values):
@@ -114,7 +167,7 @@ class _SplitTable:
         values = np.empty(capacity)
         values[: self._size] = self._values[: self._size]
         self._values = values
-        self._gl = gammaln(np.arange(capacity + 1))
+        self._gl = np.concatenate((self._gl, _log_gamma(len(self._gl), capacity + 1)))
 
     def _window(self, n: int) -> tuple[int, np.ndarray, float, float]:
         """The Binomial(n, p) split probabilities row n of a recursion needs.

@@ -38,7 +38,7 @@ from .config import (
     parse_grid,
 )
 from .engines import export_tree, run_cri
-from .reports import IoError, config_digest, emit_report
+from .reports import IoError, emit_report, provenance_header
 from .rng import derive_seed, scripted_coins
 from .sim import EmptySampleError, delay_stats, simulate, throughput_estimate
 
@@ -338,7 +338,7 @@ def _cmd_tree(args, cfg: ExperimentConfig) -> int:
                     record_slots=False, record_tree=True)
     dot = export_tree(trace)
     path = _outpath(cfg, f"tree_{proto}_n{args.users}.dot")
-    header = f"// seed={seed} config_sha256={config_digest(_hashable(cfg))}\n"
+    header = provenance_header("//", seed, _hashable(cfg))
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:

@@ -207,10 +207,12 @@ class _SicCore:
 def ap_sic_step(state: ApState, decoded: Signal) -> tuple:
     """Apply one decoded singleton to the stored remainders, to fixpoint.
 
-    Returns ``(newly_resolved, skip_k, updated_state)`` where
-    ``newly_resolved`` contains the decoded packet plus everything the
-    cancellation cascade exposed, and ``skip_k`` counts the scheduled
-    subtree slots the cascade made unnecessary (zero for a plain decode).
+    Returns ``(newly_resolved, updated_state)`` where ``newly_resolved``
+    contains the decoded packet plus everything the cancellation cascade
+    exposed.  The jump count k that the success announces (1 for the
+    success itself plus one per pending group the cascade emptied) depends
+    on the tree schedule, which the stored remainders do not carry; the
+    engine's ``SlotRecord.feedback.skip_k`` holds it.
     """
     out = classify(decoded)
     if not out.is_singleton:
@@ -220,13 +222,13 @@ def ap_sic_step(state: ApState, decoded: Signal) -> tuple:
     for slot, sig in state.memory:
         core.save(slot, sig.components)
     done: set = set()
-    cascaded = core.decode(pid, done)
+    core.decode(pid, done)
     newly = frozenset(done)
     new_state = ApState(
         memory=core.snapshot(),
         resolved=state.resolved | newly,
     )
-    return newly, len(cascaded), new_state
+    return newly, new_state
 
 
 class _Group:

@@ -2,8 +2,9 @@
 
 Every file is reproducible byte-for-byte from (config, seed): floats are
 serialized with 12 significant digits, column order is fixed by the
-caller's row dictionaries, and the header carries the seed plus a hash
-of the generating config so an artifact can be traced back to its run.
+caller's row dictionaries, and the header carries the seed, a hash of
+the generating config and the package version, so an artifact can be
+traced back to its run and to the code that wrote it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import io
 import json
 import os
 from dataclasses import asdict, is_dataclass
+
+from ._version import __version__
 
 
 class IoError(RuntimeError):
@@ -58,6 +61,20 @@ def config_digest(config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _provenance(seed, config) -> dict:
+    return {
+        "seed": seed,
+        "config_sha256": config_digest(config) if config is not None else "none",
+        "version": __version__,
+    }
+
+
+def provenance_header(comment: str, seed, config) -> str:
+    """The provenance line of a text artifact, behind its comment marker."""
+    meta = _provenance("none" if seed is None else seed, config)
+    return comment + "".join(f" {key}={value}" for key, value in meta.items()) + "\n"
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -72,8 +89,7 @@ def render_csv(rows, *, seed=None, config=None) -> str:
     """Render dict rows to CSV text with a provenance comment header."""
     rows = list(rows)
     buf = io.StringIO()
-    digest = config_digest(config) if config is not None else "none"
-    buf.write(f"# seed={'none' if seed is None else seed} config_sha256={digest}\n")
+    buf.write(provenance_header("#", seed, config))
     if not rows:
         return buf.getvalue()
     columns = list(rows[0].keys())
@@ -92,13 +108,7 @@ def render_json(payload, *, seed=None, config=None) -> str:
     """
     if is_dataclass(payload) and not isinstance(payload, type):
         payload = asdict(payload)
-    body = {
-        "meta": {
-            "seed": seed,
-            "config_sha256": config_digest(config) if config is not None else "none",
-        },
-        "data": _normalize(payload),
-    }
+    body = {"meta": _provenance(seed, config), "data": _normalize(payload)}
     return json.dumps(body, sort_keys=True) + "\n"
 
 

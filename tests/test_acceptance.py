@@ -263,7 +263,7 @@ def test_criterion_09_delay_anchors(announce):
             + "; the mid-load targets sit below the in-interval decode "
             "position implied by the protocols' own length laws, and the "
             "near-limit targets reflect shorter horizons than the mandated "
-            "1e6 slots; see notes/decisions.md in the build workspace")
+            "1e6 slots")
 
 
 def test_criterion_10_windowed_rate_curve(announce):
@@ -284,8 +284,7 @@ def test_criterion_10_windowed_rate_curve(announce):
             f"sup={sup:.9f} exceeds 0.924197 and the curve has {violations} "
             f"non-increasing grid steps: the stable rate converges to the "
             f"limit with a log-periodic ripple of a few 1e-6 riding on it, "
-            f"so it crosses the limit rather than staying below; see "
-            f"notes/decisions.md in the build workspace")
+            f"so it crosses the limit rather than staying below")
     assert sup < 0.924197
     assert violations == 0
 

@@ -1,6 +1,9 @@
 """Tests for the expected-length recursions, closed form, and asymptotics."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
+import treesplit
 from treesplit.analytics import (
     CollisionCountTable,
     CriLengthTable,
@@ -22,6 +26,7 @@ from treesplit.analytics import (
     poisson_expected_cri,
     scan_windowed_mst,
     windowed_stable_rate,
+    _log_gamma,
 )
 from treesplit.engines import ProtocolKind
 
@@ -221,6 +226,42 @@ class TestTableMechanics:
         value = expected_cri_recursive(n, SplitParams(p), "atic")
         assert math.isfinite(value)
         assert value >= 2.0 - 1e-12
+
+
+class TestLogGammaTable:
+    """The ln Gamma table equals scipy's gammaln bit for bit, so the length
+    tables and every artifact built on them are those a gammaln table gives."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 12, 13, 14, 40, 999, 1000, 1001,
+                                   1002, 65537, 2 ** 17 + 1])
+    def test_equals_gammaln(self, m):
+        assert np.array_equal(_log_gamma(0, m), gammaln(np.arange(m)))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (3, 13), (11, 15), (12, 13), (13, 14),
+                                       (998, 1003), (999, 1000), (1000, 1001),
+                                       (5000, 9000)])
+    def test_ranges_equal_gammaln(self, lo, hi):
+        assert np.array_equal(_log_gamma(lo, hi), gammaln(np.arange(lo, hi)))
+
+    @pytest.mark.parametrize("cls", [CriLengthTable, CollisionCountTable])
+    def test_grown_table_equals_one_built_at_full_size(self, cls):
+        # The steps grow the log-gamma table across 13 and across 1000.
+        grown = cls(HALF, "atic")
+        for n in (5, 20, 700, 1500, 3000):
+            grown.expected(n)
+        whole = cls(HALF, "atic")
+        whole.expected(len(grown._gl) - 2)
+        assert np.array_equal(grown._gl, whole._gl)
+        assert np.array_equal(grown._gl, gammaln(np.arange(len(grown._gl))))
+        assert np.array_equal(grown._values[:3001], whole._values[:3001])
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(treesplit.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import treesplit, treesplit.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 def _full_rows(kind: str, protocol: str, p: float, n_max: int) -> np.ndarray:

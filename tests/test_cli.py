@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from treesplit import __version__
 from treesplit.analytics import CriLengthTable, SplitParams
 from treesplit.cli import entrypoint
 from treesplit.config import (
@@ -111,12 +112,15 @@ class TestReports:
         text = render_csv([{"x": 1.0 / 3.0}], seed=1, config={"a": 1})
         assert "0.333333333333" in text
         assert text.startswith("# seed=1 config_sha256=")
+        assert text.splitlines()[0].endswith(f" version={__version__}")
 
     def test_json_round_trip_idempotent(self):
         payload = {"value": 2.0 / 3.0, "nested": {"pi": 3.14159265358979}}
         once = render_json(payload, seed=3, config={"a": 1})
         again = render_json(json.loads(once)["data"], seed=3, config={"a": 1})
         assert once == again
+        assert json.loads(once)["meta"] == {
+            "seed": 3, "config_sha256": config_digest({"a": 1}), "version": __version__}
 
     def test_digest_stable_under_key_order(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
@@ -226,6 +230,7 @@ class TestCommands:
         assert dot.count("dashed") == 4
         assert dot.count("slot ") == 5
         assert dot.startswith("// seed=7 config_sha256=")
+        assert dot.splitlines()[0].endswith(f" version={__version__}")
 
     def test_compare_superset_of_simulate(self, tmp_path):
         assert run_cli("compare", "--protocols", "bta,atic", "--rates", "0.3",

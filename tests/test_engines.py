@@ -113,7 +113,7 @@ class TestCancellationObserver:
             elif rec.outcome.is_singleton:
                 pid = rec.transmitters[0]
                 expected, oracle = cancel_to_fixpoint(oracle, pid)
-                newly, _, state = ap_sic_step(state, sig)
+                newly, state = ap_sic_step(state, sig)
                 assert newly == expected
                 assert decoded_in[rec.index][0] == pid
                 assert set(decoded_in[rec.index]) == expected
@@ -131,20 +131,19 @@ class TestCancellationObserver:
             (2, Signal.of(1, 2, 3)),
             (5, Signal.of(1, 2)),
         ))
-        newly, skip, after = ap_sic_step(state, Signal.of(1))
+        newly, after = ap_sic_step(state, Signal.of(1))
         assert newly == frozenset({1, 2, 3, 4})
-        assert skip == 3
         assert after.memory == ()
 
     def test_trivial_decode_keeps_memory_empty(self):
-        newly, skip, after = ap_sic_step(ApState(), Signal.of(7))
-        assert newly == frozenset({7}) and skip == 0 and after.memory == ()
+        newly, after = ap_sic_step(ApState(), Signal.of(7))
+        assert newly == frozenset({7}) and after.memory == ()
 
     def test_no_double_count_when_same_group_stored_twice(self):
         """Two stored slots holding the same pair must still decode each
         packet exactly once."""
         state = ApState(memory=((1, Signal.of(8, 9)), (4, Signal.of(8, 9))))
-        newly, skip, _ = ap_sic_step(state, Signal.of(8))
+        newly, _ = ap_sic_step(state, Signal.of(8))
         assert newly == frozenset({8, 9})
 
 

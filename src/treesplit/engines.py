@@ -28,11 +28,15 @@ pairs qualify under ``z_on_collision`` and derived pairs under
 
 The engine is receiver-centric: it tracks the split tree explicitly
 (a stack of not-yet-visited right siblings plus the group currently on
-air) and keeps one set of decoded packets.  Cancellation scans the
-stored remainders directly: the live ones lie on the current root path,
-each a subset of the one above it, so there are never more of them than
-the tree is deep.  The per-user decision rule is exposed separately as
-:func:`user_react` and checked against the engine in the test suite.
+air, each group a flat ``[members, known, depth, node]`` list) and keeps
+one set of decoded packets.  Split coins come from a :class:`CoinSource`;
+given an integer seed, the engine builds it only when a group first
+splits, so an interval of zero or one packet builds none.  Cancellation
+scans the stored remainders directly: the live ones lie on the current
+root path, each a subset of the one above it, so there are never more of
+them than the tree is deep.  The per-user decision rule is exposed
+separately as :func:`user_react` and checked against the engine in the
+test suite.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ RULES: dict[ProtocolKind, Rules] = {
     ProtocolKind.ATIC: Rules(True, True, True, True),
     ProtocolKind.ATIC_LEFT: Rules(True, True, True, False),
 }
+
+# Protocol name (or member) -> member, without the cost of an Enum call.
+_KINDS: dict = {kind.value: kind for kind in ProtocolKind}
 
 
 class NonTerminationError(RuntimeError):
@@ -231,26 +238,6 @@ def ap_sic_step(state: ApState, decoded: Signal) -> tuple:
     return newly, new_state
 
 
-class _Group:
-    """A tree group: either on air now or parked as a pending right sibling."""
-
-    __slots__ = ("members", "known", "depth", "node", "left_child")
-
-    def __init__(self, members, known, depth, node, left_child):
-        self.members = members        # sorted list of ids
-        self.known = known            # composition derivable by everyone
-        self.depth = depth
-        self.node = node              # TreeNode id or None
-        self.left_child = left_child  # True when this group has a fresh right sibling
-
-
-def _validate_p(p: float) -> float:
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"split probability must lie in (0,1), got {p}")
-    return p
-
-
 def _broadcast(rules: Rules, kind: str, received, remainder):
     """Members a slot's feedback broadcasts, or None: the ``received``
     signal on collisions under ``z_on_collision``, the freshest stored
@@ -260,6 +247,12 @@ def _broadcast(rules: Rules, kind: str, received, remainder):
     if kind == "success" and rules.z_on_success and remainder:
         return remainder
     return None
+
+
+def _add_node(nodes: list, parent, members) -> int:
+    """Append a ``slot`` row for a new tree group; return its node id."""
+    nodes.append([len(nodes), parent, tuple(members), "slot", None])
+    return len(nodes) - 1
 
 
 def run_cri(
@@ -276,153 +269,158 @@ def run_cri(
 
     ``rng`` is either an integer seed or a prepared :class:`CoinSource`;
     split coins are keyed by (user id, depth), so two protocols driven
-    from the same seed see identical split sequences.  ``record_slots``
+    from the same seed see identical split sequences.  An integer seed
+    builds its coin source only when a group first splits, so an interval
+    that never splits (zero or one packet) builds none.  ``record_slots``
     and ``record_tree`` control how much of the trace is materialized;
     the scalar statistics are always filled in.
+
+    Each tree group is a flat list ``[members, known, depth, node]``: its
+    sorted ids, whether everyone can derive its composition, its depth
+    and its ``nodes`` row (None unless the tree is recorded).
 
     Raises :class:`NonTerminationError` when the interval exceeds ``cap``
     consumed slots, which can only happen through a rule-table bug.
     """
-    kind = ProtocolKind(protocol)
+    try:
+        kind = _KINDS[protocol]
+    except (KeyError, TypeError):
+        raise ValueError(f"{protocol!r} is not a valid ProtocolKind") from None
     rules = RULES[kind]
-    p = _validate_p(p)
-    coin = rng if isinstance(rng, CoinSource) else CoinSource(int(rng), p)
+    saves_collisions, skips_definite, z_on_collision, z_on_success = rules
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"split probability must lie in (0,1), got {p}")
+    if isinstance(rng, CoinSource):
+        flip, seed = rng.flip, None
+    else:
+        flip, seed = None, int(rng)
 
-    ids = sorted(set(int(x) for x in initial))
-    trace = CriTrace(protocol=kind, p=p, initial=tuple(ids))
-
-    sic = _SicCore() if rules.saves_collisions else None
-    pending: list = []         # stack of _Group right siblings
+    ids = sorted(set(map(int, initial)))
+    sic = _SicCore() if saves_collisions else None
+    pending: list = []         # stack of parked right siblings
     done: set = set()          # packets decoded so far (cancellation protocols)
-
-    nodes: list = trace.nodes
-
-    def new_node(parent, members) -> Optional[int]:
-        if not record_tree:
-            return None
-        nid = len(nodes)
-        nodes.append([nid, parent, tuple(members), "slot", None])
-        return nid
-
-    def split_group(group: _Group) -> _Group:
-        """Flip coins for ``group``; park the right child, return the left."""
-        left: list = []
-        right: list = []
-        d = group.depth
-        for uid in group.members:
-            (left if coin.flip(uid, d) else right).append(uid)
-        r = _Group(right, rules.saves_collisions, d + 1, new_node(group.node, right), False)
-        pending.append(r)
-        return _Group(left, False, d + 1, new_node(group.node, left), True)
-
-    current: Optional[_Group] = _Group(ids, False, 0, new_node(None, ids), False)
-    consumed = 0
+    nodes: list = []           # [node_id, parent, members, style, slot] rows
+    slots: list = []
+    decoded_order: list = []
+    k_values: list = []
+    collision_degrees: list = []
+    collisions = successes = skipped = highwater = z_successes = consumed = 0
+    current = [ids, False, 0, _add_node(nodes, None, ids) if record_tree else None]
+    left = False               # ``current`` is a left child, its sibling just parked
 
     while True:
         if current is None:
             if not pending:
                 break
-            g = pending.pop()
-            if not done.isdisjoint(g.members):
+            current = pending.pop()
+            members, known, depth, node = current
+            if not done.isdisjoint(members):
                 raise EngineInvariantError(
                     "popped a partially resolved group; prune accounting is broken"
                 )
-            if g.known and rules.skips_definite:
-                # Root slot of a derivable/definite group is skipped.
-                trace.skipped_slots += 1
-                if record_tree:
-                    nodes[g.node][3] = "derived"
-                if len(g.members) == 1:
-                    raise EngineInvariantError(
-                        "derived singletons must drain via cancellation, never pop"
-                    )
-                if len(g.members) == 2 and rules.z_on_success:
-                    # Users saw this pair in the freshest broadcast remainder:
-                    # the arbitration winner transmits, the loser is cancelled.
-                    winner = arbitrate(g.members[0], g.members[1])
-                    current = _Group([winner], False, g.depth + 1,
-                                     new_node(g.node, [winner]), False)
-                else:
-                    current = split_group(g)
-            else:
-                current = g
-            continue
-
-        # ``current`` occupies the channel for one slot.
-        consumed += 1
-        if consumed > cap:
-            raise NonTerminationError(
-                f"{kind.value} interval over {len(ids)} packets exceeded "
-                f"{cap} slots; rule table is inconsistent"
-            )
-        t = consumed
-        members = current.members
-        n_here = len(members)
-
-        if n_here == 0:
-            fb_kind, skip_k, z = "idle", 0, None
-            if current.left_child and pending and rules.skips_definite:
-                # An idle left child makes the freshly parked sibling a
-                # definite collision; its root slot will be skipped.
-                pending[-1].known = True
-            next_current = None
-        elif n_here == 1:
-            pid = members[0]
-            fb_kind, skip_k, z = "success", 0, None
-            trace.successes += 1
-            trace.decoded_order.append((pid, t))
-            if sic is not None:
-                for y in sic.decode(pid, done):
-                    trace.decoded_order.append((y, t))
-                skip_k = 1
-                while pending and done.issuperset(pending[-1].members):
-                    drained = pending.pop()
-                    trace.skipped_slots += 1
-                    skip_k += 1
-                    if record_tree:
-                        nodes[drained.node][3] = "pruned"
-                trace.k_values.append(skip_k)
-                z = _broadcast(rules, fb_kind, None, sic.freshest())
-                if z is not None:
-                    trace.z_success_slots += 1
-            next_current = None
+            if not (known and skips_definite):
+                left = False
+                continue
+            # Root slot of a derivable/definite group is skipped.
+            skipped += 1
+            if record_tree:
+                nodes[node][3] = "derived"
+            if len(members) == 1:
+                raise EngineInvariantError(
+                    "derived singletons must drain via cancellation, never pop"
+                )
+            shortcut = z_on_success
         else:
-            fb_kind, skip_k = "collision", 0
-            z = _broadcast(rules, fb_kind, members, None)
-            trace.collisions += 1
-            trace.collision_degrees.append(n_here)
-            if sic is not None:
-                sic.save(t, members)
-                if len(sic.entries) > trace.memory_highwater:
-                    trace.memory_highwater = len(sic.entries)
-            if n_here == 2 and rules.z_on_collision:
-                # Everyone saw the broadcast pair: winner transmits next,
-                # the loser is exposed by cancelling the winner.
-                winner = arbitrate(members[0], members[1])
-                next_current = _Group([winner], False, current.depth + 1,
-                                      new_node(current.node, [winner]), False)
+            # ``current`` occupies the channel for one slot.
+            consumed += 1
+            if consumed > cap:
+                raise NonTerminationError(
+                    f"{kind.value} interval over {len(ids)} packets exceeded "
+                    f"{cap} slots; rule table is inconsistent"
+                )
+            t = consumed
+            members, _, depth, node = current
+            current = None
+            n_here = len(members)
+            if record_tree:
+                nodes[node][4] = t
+
+            if n_here == 0:
+                fb_kind, skip_k, z = "idle", 0, None
+                if left and skips_definite:
+                    # An idle left child makes the freshly parked sibling a
+                    # definite collision; its root slot will be skipped.
+                    pending[-1][1] = True
+            elif n_here == 1:
+                pid = members[0]
+                fb_kind, skip_k, z = "success", 0, None
+                successes += 1
+                decoded_order.append((pid, t))
+                if sic is not None:
+                    for y in sic.decode(pid, done):
+                        decoded_order.append((y, t))
+                    skip_k = 1
+                    while pending and done.issuperset(pending[-1][0]):
+                        drained = pending.pop()
+                        skipped += 1
+                        skip_k += 1
+                        if record_tree:
+                            nodes[drained[3]][3] = "pruned"
+                    k_values.append(skip_k)
+                    z = _broadcast(rules, fb_kind, None, sic.freshest())
+                    if z is not None:
+                        z_successes += 1
             else:
-                next_current = split_group(current)
+                fb_kind, skip_k = "collision", 0
+                z = _broadcast(rules, fb_kind, members, None)
+                collisions += 1
+                collision_degrees.append(n_here)
+                if sic is not None:
+                    sic.save(t, members)
+                    if len(sic.entries) > highwater:
+                        highwater = len(sic.entries)
 
-        if record_tree and current.node is not None:
-            nodes[current.node][4] = t
-        if record_slots:
-            fb = FeedbackMsg(fb_kind, skip_k, NULL_SIGNAL if z is None else Signal(z))
-            trace.slots.append(
-                SlotRecord(t, tuple(members), classify(Signal(members)), fb,
-                           len(sic.entries) if sic is not None else 0)
-            )
-        current = next_current
+            if record_slots:
+                fb = FeedbackMsg(fb_kind, skip_k, NULL_SIGNAL if z is None else Signal(z))
+                slots.append(
+                    SlotRecord(t, tuple(members), classify(Signal(members)), fb,
+                               len(sic.entries) if sic is not None else 0)
+                )
+            if n_here < 2:
+                continue
+            shortcut = z_on_collision
 
-    trace.length = consumed
-    decoded = sorted(pid for pid, _ in trace.decoded_order)
+        # ``members`` collided, received or derived.  Users who saw it
+        # broadcast resolve a pair by arbitration: the winner transmits next
+        # and the loser is exposed by cancelling the winner.  Otherwise split:
+        # park the right child and put the left one on air.
+        if len(members) == 2 and shortcut:
+            winner = arbitrate(members[0], members[1])
+            current = [[winner], False, depth + 1,
+                       _add_node(nodes, node, (winner,)) if record_tree else None]
+            left = False
+            continue
+        if flip is None:
+            flip = CoinSource(seed, p).flip
+        lm: list = []
+        rm: list = []
+        for uid in members:
+            (lm if flip(uid, depth) else rm).append(uid)
+        rnode = _add_node(nodes, node, rm) if record_tree else None
+        pending.append([rm, saves_collisions, depth + 1, rnode])
+        current = [lm, False, depth + 1, _add_node(nodes, node, lm) if record_tree else None]
+        left = True
+
+    decoded = sorted([pid for pid, _ in decoded_order])
     if decoded != ids:
         raise EngineInvariantError(
             f"interval decoded {decoded}, expected each of {ids} exactly once"
         )
-    if record_tree:
-        trace.nodes = [TreeNode(*row) for row in nodes]
-    return trace
+    # In field order: passing fields by keyword costs about 1 us more.
+    return CriTrace(kind, p, tuple(ids), consumed, collisions, successes, skipped,
+                    highwater, decoded_order, k_values, collision_degrees,
+                    z_successes, slots, [TreeNode(*row) for row in nodes])
 
 
 def build_feedback(

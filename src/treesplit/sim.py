@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .engines import ProtocolKind, RULES, run_cri
-from .rng import ArrivalStreams, CoinSource, derive_seed, stream_seed
+from .rng import ArrivalStreams, derive_seed, stream_seed
 
 # Backlog drift (packets per slot) above which the trailing-half
 # regression declares the run unstable.  A rate 2-3% above the maximum
@@ -157,6 +157,25 @@ class _Batch(NamedTuple):
     arrivals: list  # arrival (first-eligible) slot per id, same order
 
 
+def _slot_arrivals(rng: np.random.Generator, span_start: int, span_len: int,
+                   count: int) -> list:
+    """Sorted arrival slots of ``count`` packets generated in uniform
+    slots of [span_start, span_start + span_len - 1], each first eligible
+    in the slot after.  numpy draws the same offsets for ranges of equal
+    length, so this equals drawing the generation slots and adding one."""
+    return sorted(rng.integers(span_start + 1, span_start + span_len + 1,
+                               size=count).tolist())
+
+
+def _instant_arrivals(rng: np.random.Generator, lo: float, hi: float,
+                      count: int) -> list:
+    """Sorted arrival slots of ``count`` packets generated at uniform real
+    instants in [lo, hi), each first eligible in the first slot whose
+    start lies at or after its instant."""
+    instants = sorted(rng.uniform(lo, hi, size=count).tolist())
+    return [math.ceil(u + 1.0 - 1e-9) for u in instants]
+
+
 def _bit_width(kmax: int) -> int:
     """Feedback field width covering idle/collision plus skip counts up to kmax."""
     return max(2, math.ceil(math.log2(kmax + 3)))
@@ -264,14 +283,13 @@ def _serve_batch(report, kind, p, coins_base, batch, start) -> int:
     Returns the index of the last slot the interval consumed and folds
     the interval's metrics into the report.
     """
-    coins = CoinSource(stream_seed(coins_base, report.cri_count), p)
-    trace = run_cri(kind, batch.ids, p, coins, record_slots=False)
+    trace = run_cri(kind, batch.ids, p, stream_seed(coins_base, report.cri_count),
+                    record_slots=False)
     arrivals = batch.arrivals
     first = batch.ids.start
     base = start - 1
-    delays = report.delay_samples
-    for pid, rel_slot in trace.decoded_order:
-        delays.append(base + rel_slot - arrivals[pid - first])
+    report.delay_samples.extend([base + rel_slot - arrivals[pid - first]
+                                 for pid, rel_slot in trace.decoded_order])
     report.cri_count += 1
     report.packets_decoded += len(batch.ids)
     report.success_slots += trace.successes
@@ -303,10 +321,8 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
         ids = range(next_id, next_id + count)
         if count == 0:
             return _Batch(ids, [])
-        gen_slots = np.sort(rng.integers(span_start, span_start + span_len,
-                                         size=count))
         next_id += count
-        return _Batch(ids, [int(g) + 1 for g in gen_slots])
+        return _Batch(ids, _slot_arrivals(rng, span_start, span_len, count))
 
     # Bootstrap: the first interval serves arrivals of a single slot-0 epoch.
     batch = draw_batch(0, 0, 1)
@@ -342,10 +358,8 @@ def _run_windowed(report, kind, rules, rate, budget, p,
         ids = range(next_id, next_id + count)
         if count == 0:
             return _Batch(ids, [])
-        instants = np.sort(rng.uniform(j * delta, (j + 1) * delta, size=count))
         next_id += count
-        # First slot whose start lies at or after the arrival instant.
-        return _Batch(ids, [math.ceil(float(u) + 1.0 - 1e-9) for u in instants])
+        return _Batch(ids, _instant_arrivals(rng, j * delta, (j + 1) * delta, count))
 
     queue: deque = deque()  # windows drawn but not yet served, in index order
     drawn = 0               # windows drawn so far

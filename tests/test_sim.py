@@ -4,8 +4,13 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import treesplit.sim as sim
+from treesplit.rng import CoinSource, derive_seed, stream_seed
 from treesplit.sim import (
     EmptySampleError,
     Gated,
@@ -271,3 +276,63 @@ def test_report_pinned(protocol, policy):
     report = simulate(protocol, policy, 0.3, 4000, 2024)
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[protocol, policy]
+
+
+# Coin flips of simulate(protocol, policy, 0.3, 4000, 2024), counted at
+# CoinSource.flip before the engine's loop was flattened.
+PINNED_FLIPS = {("atic", "gated"): 118, ("sicta", "windowed:40"): 6095}
+
+
+@pytest.mark.parametrize("protocol,policy", sorted(PINNED_FLIPS))
+def test_layer_call_counts(monkeypatch, protocol, policy):
+    """The simulator calls ``sim.run_cri`` once per interval and the engine
+    calls ``CoinSource.flip`` once per coin, so wrappers patched onto those
+    names (as the benchmark's tracer does) count every engine call and flip."""
+    counts = {"run_cri": 0, "flip": 0}
+    run_cri, flip = sim.run_cri, CoinSource.flip
+
+    def counted_run_cri(*args, **kwargs):
+        counts["run_cri"] += 1
+        return run_cri(*args, **kwargs)
+
+    def counted_flip(self, uid, depth):
+        counts["flip"] += 1
+        return flip(self, uid, depth)
+
+    monkeypatch.setattr(sim, "run_cri", counted_run_cri)
+    monkeypatch.setattr(CoinSource, "flip", counted_flip)
+    report = simulate(protocol, policy, 0.3, 4000, 2024)
+    assert counts["run_cri"] == report.cri_count > 0
+    assert counts["flip"] == PINNED_FLIPS[protocol, policy]
+
+
+# Few packets, as in most intervals, and a few hundred, as in overloaded ones.
+COUNTS = st.one_of(st.integers(0, 3), st.integers(100, 900))
+
+
+@given(st.integers(0, 1 << 40), st.integers(0, 10**7), st.integers(1, 5000), COUNTS)
+@example(0, 0, 1, 0)
+@example(3, 41, 1, 1)
+@example(9, 7, 2, 300)
+def test_slot_arrivals_match_sorted_draws(index, span_start, span_len, count):
+    base = derive_seed(17, "arrivals")
+    rng = np.random.default_rng(stream_seed(base, index))
+    drawn = np.sort(rng.integers(span_start, span_start + span_len, size=count))
+    expected = [int(g) + 1 for g in drawn]
+    rng = np.random.default_rng(stream_seed(base, index))
+    assert sim._slot_arrivals(rng, span_start, span_len, count) == expected
+
+
+@given(st.integers(0, 1 << 40), st.integers(0, 10**5),
+       st.floats(0.25, 200.0, allow_nan=False), COUNTS)
+@example(0, 0, 40.0, 0)
+@example(3, 5, 40.0, 1)
+@example(9, 12, 0.25, 300)
+def test_instant_arrivals_match_sorted_draws(index, window, delta, count):
+    base = derive_seed(17, "arrivals")
+    lo, hi = window * delta, (window + 1) * delta
+    rng = np.random.default_rng(stream_seed(base, index))
+    drawn = np.sort(rng.uniform(lo, hi, size=count))
+    expected = [math.ceil(float(u) + 1.0 - 1e-9) for u in drawn]
+    rng = np.random.default_rng(stream_seed(base, index))
+    assert sim._instant_arrivals(rng, lo, hi, count) == expected

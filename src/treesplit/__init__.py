@@ -34,7 +34,6 @@ from .analytics import (
 )
 from .engines import (
     RULES,
-    ApState,
     CriTrace,
     EngineInvariantError,
     FeedbackMsg,
@@ -43,15 +42,9 @@ from .engines import (
     Rules,
     SlotRecord,
     TreeNode,
-    UserAction,
-    UserState,
-    ap_sic_step,
     arbitrate,
-    build_feedback,
     export_tree,
     run_cri,
-    trace_jsonl,
-    user_react,
 )
 from .sim import (
     CollisionCdf,
@@ -82,10 +75,9 @@ __all__ = [
     "cri_table_rows", "expected_collisions", "expected_cri_closed",
     "expected_cri_recursive", "poisson_expected_cri", "scan_windowed_mst",
     "windowed_stable_rate",
-    "RULES", "ApState", "CriTrace", "EngineInvariantError", "FeedbackMsg",
+    "RULES", "CriTrace", "EngineInvariantError", "FeedbackMsg",
     "NonTerminationError", "ProtocolKind", "Rules", "SlotRecord", "TreeNode",
-    "UserAction", "UserState", "ap_sic_step", "arbitrate", "build_feedback",
-    "export_tree", "run_cri", "trace_jsonl", "user_react",
+    "arbitrate", "export_tree", "run_cri",
     "CollisionCdf", "DelayStats", "EmptySampleError", "FeedbackCostStats",
     "Gated", "MetricsReport", "ProtocolError", "Windowed",
     "collisions_per_cri_cdf", "delay_stats", "feedback_cost",

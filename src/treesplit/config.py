@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .engines import ProtocolKind
+from .sim import _coerce_policy
 
 ENV_OUTDIR = "TREESPLIT_OUTDIR"
 
@@ -83,19 +84,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     "protocols", f"unknown protocol {name!r}; choices: {_PROTOCOLS}"
                 )
-        if not (self.policy == "gated" or self.policy.startswith("windowed")):
-            raise ConfigError("policy", f"unknown policy {self.policy!r}")
-        if self.policy.startswith("windowed"):
-            _, _, tail = self.policy.partition(":")
-            try:
-                delta = float(tail)
-            except ValueError:
-                raise ConfigError(
-                    "policy", f"windowed policy needs a window length, got {self.policy!r}"
-                ) from None
-            if not (math.isfinite(delta) and delta > 0):
-                raise ConfigError(
-                    "policy", f"window length must be finite and > 0, got {delta}")
+        try:
+            _coerce_policy(self.policy)
+        except ValueError as exc:
+            raise ConfigError("policy", str(exc)) from None
         if not 0.0 < self.p < 1.0:
             raise ConfigError("p", f"split probability must lie in (0,1), got {self.p}")
         for lam in self.rates:

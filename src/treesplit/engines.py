@@ -34,20 +34,21 @@ given an integer seed, the engine builds it only when a group first
 splits, so an interval of zero or one packet builds none.  Cancellation
 scans the stored remainders directly: the live ones lie on the current
 root path, each a subset of the one above it, so there are never more of
-them than the tree is deep.  The per-user decision rule is exposed
-separately as :func:`user_react` and checked against the engine in the
-test suite.
+them than the tree is deep.  No per-user model is kept: the
+feedback-replay test (``tests/test_engines.py::TestFeedbackReplay``)
+checks every recorded decode, memory size and broadcast against an
+independent cancellation oracle, and checks that users who see a pair
+broadcast could arbitrate it: the higher id alone transmits next.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .rng import CoinSource
-from .signals import NULL_SIGNAL, PacketId, Signal, SlotOutcome, cancel, classify
+from .signals import NULL_SIGNAL, PacketId, Signal, SlotOutcome, classify
 
 DEFAULT_SLOT_CAP = 1_000_000
 
@@ -145,17 +146,6 @@ class CriTrace:
         return self.length - self.collisions - self.successes
 
 
-@dataclass(frozen=True)
-class ApState:
-    """Receiver-side cancellation state: stored remainders plus decoded set."""
-
-    memory: tuple = ()          # ((slot index, Signal remainder), ...)
-    resolved: frozenset = frozenset()
-
-    def freshest_remainder(self) -> Signal:
-        return self.memory[-1][1] if self.memory else NULL_SIGNAL
-
-
 def arbitrate(a: PacketId, b: PacketId) -> PacketId:
     """Tie-break a degree-2 group: the higher id transmits first."""
     if a == b:
@@ -206,36 +196,6 @@ class _SicCore:
 
     def freshest(self) -> Optional[set]:
         return self.entries[-1][1] if self.entries else None
-
-    def snapshot(self) -> tuple:
-        return tuple((slot, Signal(rem)) for slot, rem in self.entries)
-
-
-def ap_sic_step(state: ApState, decoded: Signal) -> tuple:
-    """Apply one decoded singleton to the stored remainders, to fixpoint.
-
-    Returns ``(newly_resolved, updated_state)`` where ``newly_resolved``
-    contains the decoded packet plus everything the cancellation cascade
-    exposed.  The jump count k that the success announces (1 for the
-    success itself plus one per pending group the cascade emptied) depends
-    on the tree schedule, which the stored remainders do not carry; the
-    engine's ``SlotRecord.feedback.skip_k`` holds it.
-    """
-    out = classify(decoded)
-    if not out.is_singleton:
-        raise ValueError(f"ap_sic_step needs a singleton signal, got {decoded!r}")
-    pid = out.packet
-    core = _SicCore()
-    for slot, sig in state.memory:
-        core.save(slot, sig.components)
-    done: set = set()
-    core.decode(pid, done)
-    newly = frozenset(done)
-    new_state = ApState(
-        memory=core.snapshot(),
-        resolved=state.resolved | newly,
-    )
-    return newly, new_state
 
 
 def _broadcast(rules: Rules, kind: str, received, remainder):
@@ -421,109 +381,6 @@ def run_cri(
     return CriTrace(kind, p, tuple(ids), consumed, collisions, successes, skipped,
                     highwater, decoded_order, k_values, collision_degrees,
                     z_successes, slots, [TreeNode(*row) for row in nodes])
-
-
-def build_feedback(
-    protocol: Union[ProtocolKind, str],
-    slot_signal: Signal,
-    state: ApState,
-    skip_k: Optional[int] = None,
-) -> FeedbackMsg:
-    """Construct the broadcast for one slot from the post-cancellation state.
-
-    ``skip_k`` is the announced jump count for success slots; when not
-    given it defaults to 1 (advance past the success itself) for the
-    cancellation protocols and 0 otherwise.
-    """
-    rules = RULES[ProtocolKind(protocol)]
-    out = classify(slot_signal)
-    if out.is_idle:
-        return FeedbackMsg("idle", 0, NULL_SIGNAL)
-    if out.is_collision:
-        fb_kind, skip_k = "collision", 0
-    else:
-        fb_kind = "success"
-        if skip_k is None:
-            skip_k = 1 if rules.saves_collisions else 0
-    z = _broadcast(rules, fb_kind, slot_signal, state.freshest_remainder())
-    return FeedbackMsg(fb_kind, skip_k, NULL_SIGNAL if z is None else z)
-
-
-class UserAction(str, Enum):
-    TRANSMIT_NEXT = "transmit_next"
-    WAIT = "wait"
-    DEFER_EXPECT_RESOLUTION = "defer_expect_resolution"
-    SPLIT_AND_MAYBE_TRANSMIT = "split_and_maybe_transmit"
-
-
-@dataclass
-class UserState:
-    """Per-user protocol view: own signal, last useful broadcast, position.
-
-    ``counter`` is the classic group counter (how many groups are queued
-    ahead of this user's); it stands in for an explicit stack.
-    """
-
-    own: Signal
-    last_z: Signal = NULL_SIGNAL
-    counter: int = 0
-    status: str = "active"  # active | deferring | resolved
-
-
-def user_react(
-    protocol: Union[ProtocolKind, str],
-    me: UserState,
-    fb: FeedbackMsg,
-    rng: Union[int, CoinSource, None] = None,
-) -> UserAction:
-    """Decision kernel for one user receiving one broadcast.
-
-    Updates ``me.last_z`` on non-null broadcasts and ``me.status`` when
-    the broadcast settles this user's fate.  The centralized engine in
-    :func:`run_cri` implements the same rules in aggregated form; the
-    test suite checks the two agree on the arbitration cases.
-    """
-    ProtocolKind(protocol)  # validate
-    if fb.z.degree:
-        me.last_z = fb.z
-    if me.status == "resolved":
-        return UserAction.WAIT
-    own_id = me.own.components[0]
-    if fb.z.degree and own_id in fb.z:
-        rest = cancel(fb.z, me.own)
-        if rest.degree == 1:
-            other = rest.components[0]
-            if arbitrate(own_id, other) == own_id:
-                return UserAction.TRANSMIT_NEXT
-            me.status = "deferring"
-            return UserAction.DEFER_EXPECT_RESOLUTION
-    if me.status == "deferring":
-        if fb.kind == "success":
-            # the winner got through; cancellation exposes this user
-            me.status = "resolved"
-        return UserAction.WAIT
-    if fb.kind == "collision" and me.counter == 0:
-        return UserAction.SPLIT_AND_MAYBE_TRANSMIT
-    return UserAction.WAIT
-
-
-def trace_jsonl(trace: CriTrace) -> str:
-    """Serialize one trace as JSON lines, one consumed slot per line."""
-    lines = []
-    for rec in trace.slots:
-        lines.append(json.dumps({
-            "slot": rec.index,
-            "transmitters": list(rec.transmitters),
-            "outcome": rec.outcome.kind,
-            "degree": rec.outcome.degree,
-            "feedback": {
-                "kind": rec.feedback.kind,
-                "k": rec.feedback.skip_k,
-                "z": list(rec.feedback.z.components),
-            },
-            "memory": rec.memory_size,
-        }, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _node_label(members: tuple, slot: Optional[int]) -> str:

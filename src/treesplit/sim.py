@@ -91,11 +91,10 @@ def _coerce_policy(policy) -> AccessPolicy:
     if isinstance(policy, (Gated, Windowed)):
         return policy
     if isinstance(policy, str):
-        text = policy.strip().lower()
-        if text == "gated":
+        if policy == "gated":
             return Gated()
-        if text.startswith("windowed:"):
-            return Windowed(float(text.split(":", 1)[1]))
+        if policy.startswith("windowed:"):
+            return Windowed(float(policy.split(":", 1)[1]))
     raise ValueError(f"unrecognized access policy: {policy!r}")
 
 
@@ -260,10 +259,13 @@ def simulate(
         raise ValueError(f"arrival rate must be finite and non-negative, got {rate}")
     if budget < 1:
         raise ValueError(f"slot budget must be at least 1, got {budget}")
+    packet_bits = int(packet_bits)
+    if packet_bits < 1:
+        raise ValueError(f"packet_bits must be at least 1, got {packet_bits}")
 
     report = MetricsReport(
         protocol=kind.value, policy=policy.describe(), rate=rate,
-        budget=budget, seed=int(seed), packet_bits=int(packet_bits),
+        budget=budget, seed=int(seed), packet_bits=packet_bits,
     )
     master = int(seed)
     arrivals_base = derive_seed(master, "arrivals")
@@ -460,17 +462,15 @@ class FeedbackCostStats(NamedTuple):
     histogram: dict  # bits per slot -> slot count
 
 
-def feedback_cost(protocol: Union[ProtocolKind, str], report: MetricsReport,
-                  packet_bits: int = 256) -> FeedbackCostStats:
-    """Downlink feedback cost in bits per slot.
+def feedback_cost(report: MetricsReport, packet_bits: int = 256) -> FeedbackCostStats:
+    """Downlink feedback cost in bits per slot of ``report``'s protocol.
 
     BTA/MTA broadcast a ternary flag: 2 bits always.  SICTA appends the
     skip count, at a fixed width covering the largest value seen (4 bits
     in practice).  The broadcast-signal protocols spend ``packet_bits``
     on every slot whose broadcast carries a signal, plus the flag.
     """
-    kind = ProtocolKind(protocol)
-    rules = RULES[kind]
+    rules = RULES[ProtocolKind(report.protocol)]
     if rules.z_on_collision and packet_bits < 1:
         raise ValueError(f"packet_bits must be at least 1, got {packet_bits}")
     shadow = MetricsReport(**{**report.__dict__})

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import treesplit
 from treesplit import __version__
 from treesplit.analytics import CriLengthTable, SplitParams
 from treesplit.cli import entrypoint
@@ -202,6 +203,21 @@ class TestCommands:
         assert f"error: config field '{field}'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("policy", ["windowed_x:5", "windowed:abc", " Windowed:5"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_simulate_rejects_malformed_policy(self, tmp_path, capsys, via, policy):
+        if via == "flag":
+            source = ("--policy", policy)
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"policy": policy}))
+            source = ("--config", str(path))
+        outdir = tmp_path / "out"
+        assert run_cli("simulate", "--protocol", "atic", "--rate", "0.3", *source,
+                       "--budget", "100", "--seed", "7", "--outdir", str(outdir)) == 1
+        assert "error: config field 'policy'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_simulate_replications(self, tmp_path):
         assert run_cli("simulate", "--protocol", "sicta", "--rate", "0.3",
                        "--budget", "2000", "--seed", "5", "--replications", "3",
@@ -279,3 +295,9 @@ class TestCommands:
                        "--script", "1:0=sideways",
                        "--outdir", str(tmp_path)) == 1
         assert "script" in capsys.readouterr().err
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from treesplit import *", namespace)
+    assert set(treesplit.__all__) <= set(namespace)

@@ -2,12 +2,12 @@
 
 Covers exact worked fixtures under scripted splits, statistical agreement
 with the analytic length laws, ordering properties under shared coins,
-and conservation invariants checked property-style.
+conservation invariants checked property-style, and a replay of the
+recorded feedback against an independent cancellation oracle.
 """
 
 import dataclasses
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -17,22 +17,9 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from treesplit.analytics import CriLengthTable, SplitParams
-from treesplit.engines import (
-    ApState,
-    FeedbackMsg,
-    NonTerminationError,
-    UserAction,
-    UserState,
-    ap_sic_step,
-    arbitrate,
-    build_feedback,
-    export_tree,
-    run_cri,
-    trace_jsonl,
-    user_react,
-)
+from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import CoinSource, scripted_coins
-from treesplit.signals import NULL_SIGNAL, Signal
+from treesplit.signals import Signal
 
 HALF = SplitParams(0.5)
 PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
@@ -90,63 +77,63 @@ def cancel_to_fixpoint(memory, pid):
     return resolved, [(slot, rem - resolved) for slot, rem in memory if rem - resolved]
 
 
-class TestCancellationObserver:
-    @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(SIC_PROTOCOLS),
+# What each protocol's feedback broadcasts, written out apart from the
+# engine's rule table: (received collisions, freshest remainder on successes).
+BROADCASTS = {"bta": (False, False), "mta": (False, False), "sicta": (False, False),
+              "atic": (True, True), "atic_left": (True, False)}
+
+
+class TestFeedbackReplay:
+    @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(PROTOCOLS),
            st.sampled_from([0.3, 0.5, 0.7]))
-    @settings(max_examples=150)
-    def test_engine_matches_observer_replay(self, n, seed, protocol, p):
-        """Replay every recorded slot through the observer API: collisions
-        are stored, singletons go through ap_sic_step.  Memory size and
-        feedback match the engine's record on every slot, and each decode
-        resolves what the engine decoded in that slot and what a plain set
-        fixpoint resolves."""
-        trace = run_cri(protocol, range(n), p, seed)
+    @settings(max_examples=300)
+    def test_recorded_feedback_matches_replay(self, n, seed, protocol, p):
+        """Replay every recorded slot against a set fixpoint of the stored
+        collisions.  Each success decodes what the fixpoint resolves, the
+        memory size counts its remainders, and ``z`` is what the protocol
+        broadcasts.  Users who see a pair broadcast arbitrate it by id: the
+        next slot holds the higher id alone, and every arbitration in the
+        tree (a node with one child) comes right after a broadcast of its
+        parent's members."""
+        z_on_collision, z_on_success = BROADCASTS[protocol]
+        trace = run_cri(protocol, range(n), p, seed, record_tree=True)
         decoded_in: dict = {}
         for pid, slot in trace.decoded_order:
             decoded_in.setdefault(slot, []).append(pid)
-        state = ApState()
-        oracle: list = []
-        for rec in trace.slots:
-            sig = Signal(rec.transmitters)
-            skip_k = None
+        memory: list = []
+        for rec, nxt in zip(trace.slots, trace.slots[1:] + [None]):
+            z: set = set()
             if rec.outcome.is_collision:
-                state = ApState(state.memory + ((rec.index, sig),), state.resolved)
-                oracle.append((rec.index, set(rec.transmitters)))
+                assert rec.feedback.kind == "collision"
+                if protocol in SIC_PROTOCOLS:
+                    memory.append((rec.index, set(rec.transmitters)))
+                if z_on_collision:
+                    z = set(rec.transmitters)
             elif rec.outcome.is_singleton:
+                assert rec.feedback.kind == "success"
                 pid = rec.transmitters[0]
-                expected, oracle = cancel_to_fixpoint(oracle, pid)
-                newly, state = ap_sic_step(state, sig)
-                assert newly == expected
-                assert decoded_in[rec.index][0] == pid
-                assert set(decoded_in[rec.index]) == expected
-                # The skip count follows the tree schedule, which the
-                # receiver's memory alone does not carry.
-                skip_k = rec.feedback.skip_k
-            assert state.memory == tuple((slot, Signal(rem)) for slot, rem in oracle)
-            assert len(state.memory) == rec.memory_size
-            assert build_feedback(protocol, sig, state, skip_k) == rec.feedback
-        assert state.resolved == frozenset(range(n))
+                resolved, memory = cancel_to_fixpoint(memory, pid)
+                decoded = decoded_in.pop(rec.index)
+                assert decoded[0] == pid and set(decoded) == resolved
+                assert len(decoded) == len(resolved)
+                if z_on_success and memory:
+                    z = memory[-1][1]
+            else:
+                assert rec.feedback.kind == "idle"
+            assert rec.memory_size == len(memory)
+            assert rec.feedback.z == Signal(z)
+            if len(z) == 2:
+                assert nxt is not None and nxt.transmitters == (max(z),)
+        assert decoded_in == {} and memory == []
 
-    def test_cascade_drains_nested_memory(self):
-        state = ApState(memory=(
-            (1, Signal.of(1, 2, 3, 4)),
-            (2, Signal.of(1, 2, 3)),
-            (5, Signal.of(1, 2)),
-        ))
-        newly, after = ap_sic_step(state, Signal.of(1))
-        assert newly == frozenset({1, 2, 3, 4})
-        assert after.memory == ()
-
-    def test_trivial_decode_keeps_memory_empty(self):
-        newly, after = ap_sic_step(ApState(), Signal.of(7))
-        assert newly == frozenset({7}) and after.memory == ()
-
-    def test_no_double_count_when_same_group_stored_twice(self):
-        """Two stored slots holding the same pair must still decode each
-        packet exactly once."""
-        state = ApState(memory=((1, Signal.of(8, 9)), (4, Signal.of(8, 9))))
-        newly, _ = ap_sic_step(state, Signal.of(8))
-        assert newly == frozenset({8, 9})
+        children: dict = {}
+        for node in trace.nodes[1:]:
+            children.setdefault(node.parent, []).append(node)
+        for parent, kids in children.items():
+            if len(kids) == 1:
+                slot = kids[0].slot
+                assert slot is not None and slot >= 2
+                assert trace.slots[slot - 2].feedback.z == Signal(trace.nodes[parent].members)
 
 
 class TestScriptedFixtures:
@@ -209,18 +196,6 @@ class TestScriptedFixtures:
         trace = run_cri("atic", [10, 20], 0.5, 3, record_tree=True)
         assert len(trace.nodes) == 2
         assert trace.nodes[1].members == (20,)
-
-    def test_jsonl_one_line_per_consumed_slot(self):
-        script = {(1, 0): True, (2, 0): True, (3, 0): True, (4, 0): False,
-                  (1, 1): False, (2, 1): False, (3, 1): False,
-                  (1, 2): True, (2, 2): True, (3, 2): False,
-                  (1, 3): True, (2, 3): False}
-        trace = run_cri("sicta", [1, 2, 3, 4], 0.5, scripted_coins(script))
-        lines = [json.loads(x) for x in trace_jsonl(trace).strip().split("\n")]
-        assert len(lines) == 5
-        assert lines[0]["memory"] == 1
-        assert lines[-1]["feedback"]["k"] == 4
-
 
 class TestLengthLaws:
     TRIALS = 20000
@@ -355,49 +330,3 @@ class TestTracePinned:
             fields = [(f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace)]
             digest.update(repr(fields).encode())
         assert digest.hexdigest() == PINNED_TRACES
-
-
-class TestUserView:
-    def test_loser_defers_after_arbitration(self):
-        me = UserState(own=Signal.of(2))
-        action = user_react("atic", me, FeedbackMsg("success", 1, Signal.of(2, 3)))
-        assert action.value == "defer_expect_resolution"
-        assert me.status == "deferring"
-        assert me.last_z == Signal.of(2, 3)
-
-    def test_winner_transmits_next(self):
-        me = UserState(own=Signal.of(3))
-        action = user_react("atic", me, FeedbackMsg("success", 1, Signal.of(2, 3)))
-        assert action.value == "transmit_next"
-
-    def test_collision_at_head_splits(self):
-        me = UserState(own=Signal.of(9))
-        action = user_react("bta", me, FeedbackMsg("collision", 0, NULL_SIGNAL))
-        assert action.value == "split_and_maybe_transmit"
-
-    @pytest.mark.parametrize("ids,coins,told,loser", [
-        ([10, 20], 3, 20, 10),
-        ([1, 2, 3], scripted_coins(TRIPLE_ONE_VS_TWO), 3, 2),
-    ], ids=["pair", "triple"])
-    def test_users_follow_recorded_feedback(self, ids, coins, told, loser):
-        """Every user reacts to the engine's broadcasts: the arbitration
-        winner is the sole transmitter of the next slot, and the loser is
-        resolved by cancellation."""
-        trace = run_cri("atic", ids, 0.5, coins)
-        users = {uid: UserState(own=Signal.of(uid)) for uid in ids}
-        winners = []
-        for rec, nxt in zip(trace.slots, trace.slots[1:] + [None]):
-            go = [uid for uid, me in users.items()
-                  if user_react("atic", me, rec.feedback) is UserAction.TRANSMIT_NEXT]
-            if go:
-                assert nxt is not None and nxt.transmitters == tuple(go)
-                winners += go
-        assert winners == [told]
-        assert users[loser].status == "resolved"
-
-    def test_feedback_composition(self):
-        state = ApState(memory=((3, Signal.of(4, 5)),))
-        fb = build_feedback("atic", Signal.of(3), state)
-        assert fb.kind == "success" and fb.z == Signal.of(4, 5)
-        fb2 = build_feedback("sicta", Signal.of(1, 2, 3), ApState())
-        assert fb2.kind == "collision" and fb2.z == NULL_SIGNAL

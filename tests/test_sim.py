@@ -102,6 +102,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate("bta", Gated(), 0.3, 0, 1)
 
+    @pytest.mark.parametrize("bits", [0, -5])
+    def test_packet_bits_must_be_positive(self, bits):
+        with pytest.raises(ValueError):
+            simulate("atic", "gated", 0.5, 2000, 1, packet_bits=bits)
+
     def test_policy_coercion_from_string(self):
         a = simulate("atic", "gated", 0.4, 5000, 9)
         b = simulate("atic", Gated(), 0.4, 5000, 9)
@@ -192,17 +197,17 @@ class TestStabilityFlag:
 class TestFeedbackCost:
     def test_two_state_protocols_cost_two_bits(self):
         r = simulate("bta", Gated(), 0.3, 4000, 2)
-        fc = feedback_cost("bta", r)
+        fc = feedback_cost(r)
         assert fc.mean_bits == 2.0 and fc.max_bits == 2
 
     def test_counter_protocol_uses_small_words(self, sicta_near_mst):
-        fc = feedback_cost("sicta", sicta_near_mst)
+        fc = feedback_cost(sicta_near_mst)
         assert fc.max_bits == 4
         assert set(fc.histogram) == {4}
 
     def test_broadcast_protocol_pays_packet_bits(self):
         r = simulate("atic", Gated(), 0.5, 20000, 42)
-        fc = feedback_cost("atic", r, 256)
+        fc = feedback_cost(r, 256)
         assert fc.max_bits == 258
         assert 2 in fc.histogram and 258 in fc.histogram
         assert 2.0 < fc.mean_bits < 258.0

@@ -19,15 +19,11 @@ from .rng import CoinSource, coin_uniform, derive_seed, scripted_coins, stream_s
 from .analytics import (
     CollisionCountTable,
     CriLengthTable,
-    PrecisionLossError,
     SplitParams,
     WindowedScan,
     asymptotic_throughput,
-    conditional_throughput,
     cri_table_rows,
-    expected_collisions,
     expected_cri_closed,
-    expected_cri_recursive,
     poisson_expected_cri,
     scan_windowed_mst,
     windowed_stable_rate,
@@ -70,11 +66,9 @@ __all__ = [
     "NULL_SIGNAL", "NotContainedError", "Signal", "SlotOutcome",
     "cancel", "classify", "superpose",
     "CoinSource", "coin_uniform", "derive_seed", "scripted_coins", "stream_seed",
-    "CollisionCountTable", "CriLengthTable", "PrecisionLossError", "SplitParams",
-    "WindowedScan", "asymptotic_throughput", "conditional_throughput",
-    "cri_table_rows", "expected_collisions", "expected_cri_closed",
-    "expected_cri_recursive", "poisson_expected_cri", "scan_windowed_mst",
-    "windowed_stable_rate",
+    "CollisionCountTable", "CriLengthTable", "SplitParams", "WindowedScan",
+    "asymptotic_throughput", "cri_table_rows", "expected_cri_closed",
+    "poisson_expected_cri", "scan_windowed_mst", "windowed_stable_rate",
     "RULES", "CriTrace", "EngineInvariantError", "FeedbackMsg",
     "NonTerminationError", "ProtocolKind", "Rules", "SlotRecord", "TreeNode",
     "arbitrate", "export_tree", "run_cri",

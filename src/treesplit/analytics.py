@@ -1,11 +1,13 @@
 """Exact and asymptotic performance math for splitting-tree protocols.
 
-The canonical evaluator for expected interval lengths is the bottom-up
-probabilistic recursion (all-positive terms, numerically stable).  The
-alternating-binomial closed form is kept as an independent validator: it
-suffers catastrophic cancellation as n grows, so it runs compensated
-summation with a running error bound and escalates to exact rational
-arithmetic when the bound exceeds the requested tolerance.
+The length laws are reached through their tables: ``CriLengthTable``
+grows the bottom-up probabilistic recursion (all-positive terms,
+numerically stable) for one protocol and split probability, and the
+Poisson mixtures and windowed stable rates read a table passed to them,
+so they follow whichever protocol it was built for.  The
+alternating-binomial closed form for the full-broadcast law is kept as
+an independent validator; its alternating terms cancel catastrophically
+in doubles as n grows, so it is summed in exact rational arithmetic.
 
 Length laws, conditioning on the binomial split count i of n colliders
 (left group size), with pi_i = C(n,i) p^i q^(n-i):
@@ -42,15 +44,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 _LENGTH_LAWS = ("bta", "mta", "sicta", "atic")
-# Unit roundoff of IEEE doubles; the cancellation-error model multiplies
-# the running absolute-term mass by a small constant times this.
-_ULP = 2.0 ** -53
-_ERROR_MODEL_CONSTANT = 8.0
+# Poisson tail mass a mixture over the length table may leave out.
+_POISSON_TOL = 1e-12
 # Binomial mass a recursion row may leave out.  Rows sum only over split
 # counts with |i - n p| <= t_n = sqrt(n ln(2 / eps) / 2) + 1; Hoeffding
 # bounds the mass outside by 2 exp(-2 t^2 / n) <= eps.
@@ -101,10 +101,6 @@ def _log_gamma(lo: int, hi: int) -> np.ndarray:
     cut = min(max(_STIRLING_SWITCH - lo, 0), hi - lo)
     series = np.concatenate((_horner(_STIRLING_SMALL, p[:cut]), _horner(_STIRLING_LARGE, p[cut:])))
     return np.concatenate((head, q + series / x))
-
-
-class PrecisionLossError(ArithmeticError):
-    """Closed-form evaluation lost more precision than the caller allows."""
 
 
 @dataclass(frozen=True)
@@ -196,8 +192,7 @@ class CriLengthTable(_SplitTable):
 
     Building is O(n^{3/2}) total up to the largest requested n (each row
     sums over a window of O(sqrt(n)) split counts), so bulk consumers
-    (throughput curves, Poisson mixtures) should share one table instead
-    of calling the one-shot helpers in a loop.
+    (throughput curves, Poisson mixtures) share one table.
     """
 
     def __init__(self, params: SplitParams, protocol: str = "atic"):
@@ -239,70 +234,19 @@ class CriLengthTable(_SplitTable):
         return self._values[: n_max + 1].copy()
 
 
-def _shared_table(table, cls, params: SplitParams, protocol: str):
-    """``table`` when it was built for (params, protocol); a new one if None."""
-    if table is None:
-        return cls(params, protocol)
-    if table.protocol != protocol or table.params != params:
-        raise ValueError(
-            f"table was built for {table.protocol!r} at p={table.params.p}, "
-            f"not for {protocol!r} at p={params.p}"
-        )
-    return table
+def expected_cri_closed(n: int, params: SplitParams) -> float:
+    """Closed-form expected interval length (full-broadcast law).
 
-
-def expected_cri_recursive(
-    n: int, params: SplitParams, protocol: str = "atic",
-    table: Optional[CriLengthTable] = None,
-) -> float:
-    """Expected interval length via the stable bottom-up recursion.
-
-    One-shot calls rebuild the table from scratch; pass a shared
-    :class:`CriLengthTable` when evaluating many n.
+    The alternating binomial sum loses all double precision before n = 30,
+    so it is evaluated in exact rational arithmetic over the binary value
+    of p and rounded once; use a :class:`CriLengthTable` for large n.
     """
-    return _shared_table(table, CriLengthTable, params, protocol).expected(n)
-
-
-def conditional_throughput(
-    n: int, params: SplitParams, protocol: str = "atic",
-    table: Optional[CriLengthTable] = None,
-) -> float:
-    """T_n = n / L_n, the per-interval efficiency given n initial colliders."""
-    if n < 1:
-        raise ValueError("conditional throughput needs n >= 1")
-    return n / expected_cri_recursive(n, params, protocol, table)
-
-
-def _closed_sum_float(n: int, p: float) -> tuple[float, float]:
-    """Kahan-compensated closed-form sum and its cancellation error bound."""
-    q = 1.0 - p
-    r = 2.0 - 4.0 * p * q - 3.0 * (p * p + q * q)
-    total = 0.0
-    comp = 0.0
-    abs_mass = 0.0
-    sign = 1.0
-    for i in range(2, n + 1):
-        term = (
-            sign
-            * math.comb(n, i)
-            * (i - 1 + r * i * (i - 1) / 2.0)
-            / (1.0 - p ** i - q ** i)
-        )
-        sign = -sign
-        abs_mass += abs(term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return 1.0 + total, _ERROR_MODEL_CONSTANT * _ULP * abs_mass
-
-
-def _closed_sum_exact(n: int, p: float) -> float:
-    """Closed form in exact rational arithmetic over the binary value of p."""
-    pf = Fraction(p)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    pf = Fraction(params.p)
     qf = 1 - pf
     rf = 2 - 4 * pf * qf - 3 * (pf * pf + qf * qf)
-    total = Fraction(0)
+    total = Fraction(1)
     for i in range(2, n + 1):
         total += (
             math.comb(n, i)
@@ -310,33 +254,7 @@ def _closed_sum_exact(n: int, p: float) -> float:
             * (i - 1 + rf * i * (i - 1) / 2)
             / (1 - pf ** i - qf ** i)
         )
-    return float(1 + total)
-
-
-def expected_cri_closed(
-    n: int, params: SplitParams, tol: float = 1e-9, allow_exact: bool = True
-) -> float:
-    """Closed-form expected interval length (full-broadcast law).
-
-    Starts with compensated double-precision summation; when the running
-    cancellation bound exceeds ``tol`` (which happens well before n = 30),
-    it escalates to exact rational arithmetic, or raises
-    :class:`PrecisionLossError` when ``allow_exact`` is False.  Callers
-    who need large n should use the recursion instead.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n <= 1:
-        return 1.0
-    value, err_bound = _closed_sum_float(n, params.p)
-    if err_bound <= tol:
-        return value
-    if not allow_exact:
-        raise PrecisionLossError(
-            f"closed-form cancellation bound {err_bound:.3e} exceeds tol {tol:.1e} "
-            f"at n={n}; use expected_cri_recursive or allow_exact=True"
-        )
-    return _closed_sum_exact(n, params.p)
+    return float(total)
 
 
 def asymptotic_throughput(params: SplitParams) -> float:
@@ -349,8 +267,9 @@ def asymptotic_throughput(params: SplitParams) -> float:
     return entropy / (1.0 + r / 2.0)
 
 
-def _poisson_truncation(load: float, tol: float) -> int:
-    """Smallest cutoff M whose Poisson tail bound P(N >= M) drops below tol.
+def _poisson_truncation(load: float) -> int:
+    """Smallest cutoff M whose Poisson tail bound P(N >= M) drops below
+    ``_POISSON_TOL``.
 
     Chernoff bound: P(N >= M) <= exp(-load + M + M ln(load / M)) for M > load.
     """
@@ -361,23 +280,18 @@ def _poisson_truncation(load: float, tol: float) -> int:
     while True:
         m += step
         log_tail = -load + m + m * math.log(load / m)
-        if log_tail < math.log(tol):
+        if log_tail < math.log(_POISSON_TOL):
             return m
 
 
-def poisson_expected_cri(
-    load: float, params: SplitParams, tol: float = 1e-12,
-    protocol: str = "atic", table: Optional[CriLengthTable] = None,
-) -> float:
-    """Expected interval length when the collider count is Poisson(load)."""
-    if load < 0.0:
-        raise ValueError("load must be non-negative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    table = _shared_table(table, CriLengthTable, params, protocol)
+def poisson_expected_cri(load: float, table: CriLengthTable) -> float:
+    """Expected interval length under ``table``'s protocol and split
+    probability when the collider count is Poisson(load)."""
+    if not (math.isfinite(load) and load >= 0.0):
+        raise ValueError(f"load must be finite and non-negative, got {load}")
     if load == 0.0:
         return table.expected(0)
-    m = _poisson_truncation(load, tol)
+    m = _poisson_truncation(load)
     lengths = table.lengths_up_to(m)
     n = np.arange(m + 1)
     # the table's log-gamma array holds ln(n!) at n + 1 once it reaches m
@@ -385,23 +299,20 @@ def poisson_expected_cri(
     return float(np.dot(np.exp(log_pmf), lengths))
 
 
-def windowed_stable_rate(
-    load: float, params: SplitParams, tol: float = 1e-12,
-    table: Optional[CriLengthTable] = None,
-) -> float:
+def windowed_stable_rate(load: float, table: CriLengthTable) -> float:
     """Supremum arrival rate (packets/slot) stable at the given window load.
 
     For window size delta and arrival rate lam, the batch load is
     lam * delta and stability requires the expected interval length to fit
-    inside the window; the boundary rate is load / E[L(Poisson(load))].
-    The rate climbs towards the full-broadcast asymptote as the load
-    grows; a small log-periodic ripple (order 1e-6 after Poisson
-    smoothing) survives on top of that trend, so the climb is not
-    strictly monotone at fine resolution.
+    inside the window; the boundary rate is load / E[L(Poisson(load))],
+    with L the lengths of ``table``'s protocol.  The rate climbs towards
+    the protocol's asymptote as the load grows; a small log-periodic
+    ripple (order 1e-6 after Poisson smoothing) survives on top of that
+    trend, so the climb is not strictly monotone at fine resolution.
     """
-    if load <= 0.0:
-        raise ValueError("load must be positive")
-    return load / poisson_expected_cri(load, params, tol, table=table)
+    if not (math.isfinite(load) and load > 0.0):
+        raise ValueError(f"load must be positive and finite, got {load}")
+    return load / poisson_expected_cri(load, table)
 
 
 class WindowedScan(NamedTuple):
@@ -409,23 +320,23 @@ class WindowedScan(NamedTuple):
     rate: float
 
 
-def scan_windowed_mst(grid: Iterable[float], params: SplitParams) -> WindowedScan:
+def scan_windowed_mst(grid: Iterable[float], table: CriLengthTable) -> WindowedScan:
     """Maximize the windowed stable rate over a grid of loads.
 
-    Returns the argmax load and the supremum rate.  The supremum tracks
-    the asymptote from below up to the residual ripple of a few 1e-6, so
-    window tuning cannot beat unwindowed (gated) operation by more than
-    that ripple at any finite window.
+    Returns the argmax load and the supremum rate for ``table``'s
+    protocol.  The supremum tracks the protocol's asymptote from below up
+    to the residual ripple of a few 1e-6, so window tuning cannot beat
+    unwindowed (gated) operation by more than that ripple at any finite
+    window.
     """
     loads = [float(x) for x in grid]
     if not loads:
         raise ValueError("grid must be non-empty")
     if min(loads) <= 0.0:
         raise ValueError("grid loads must be positive")
-    table = CriLengthTable(params, "atic")
     best_load, best_rate = loads[0], -math.inf
     for load in loads:
-        rate = windowed_stable_rate(load, params, table=table)
+        rate = windowed_stable_rate(load, table)
         if rate > best_rate:
             best_load, best_rate = load, rate
     return WindowedScan(best_load, best_rate)
@@ -460,14 +371,6 @@ class CollisionCountTable(_SplitTable):
             mid = float(np.dot(pmf, C[lo:hi + 1] + derived))
             C[n] = (1.0 - pi_0 + mid) / (1.0 - pi_0 - pi_n)
         self._size = n_max + 1
-
-
-def expected_collisions(
-    n: int, params: SplitParams, protocol: str = "atic",
-    table: Optional[CollisionCountTable] = None,
-) -> float:
-    """Expected consumed collision slots in one interval with n colliders."""
-    return _shared_table(table, CollisionCountTable, params, protocol).expected(n)
 
 
 def cri_table_rows(n_max: int, params: SplitParams, protocol: str = "atic"):

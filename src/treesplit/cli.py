@@ -176,6 +176,8 @@ def _policy_tag(policy: str) -> str:
 
 
 def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
+    if args.n_max < 1:
+        raise ConfigError("n_max", f"need n_max >= 1, got {args.n_max}")
     params = SplitParams(cfg.p)
     for proto in cfg.protocols:
         if proto not in _LENGTH_LAWS:
@@ -215,15 +217,18 @@ def _cmd_asymptote(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
+    for name in ("load_min", "load_max"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(name, f"load must be finite, got {value}")
     if args.load_min <= 0 or args.load_max <= args.load_min:
         raise ConfigError("load_min", "need 0 < load_min < load_max")
     if args.points < 2:
         raise ConfigError("points", "need at least 2 grid points")
-    params = SplitParams(cfg.p)
-    table = CriLengthTable(params, "atic")
+    table = CriLengthTable(SplitParams(cfg.p), "atic")
     loads = np.geomspace(args.load_min, args.load_max, args.points)
     rows = [
-        {"load": float(x), "stable_rate": windowed_stable_rate(float(x), params, table=table)}
+        {"load": float(x), "stable_rate": windowed_stable_rate(float(x), table)}
         for x in loads
     ]
     best = max(rows, key=lambda r: r["stable_rate"])

@@ -462,21 +462,17 @@ class FeedbackCostStats(NamedTuple):
     histogram: dict  # bits per slot -> slot count
 
 
-def feedback_cost(report: MetricsReport, packet_bits: int = 256) -> FeedbackCostStats:
-    """Downlink feedback cost in bits per slot of ``report``'s protocol.
+def feedback_cost(report: MetricsReport) -> FeedbackCostStats:
+    """Summary of ``report.feedback_bits``, the downlink feedback cost in
+    bits per slot of the run's protocol.
 
     BTA/MTA broadcast a ternary flag: 2 bits always.  SICTA appends the
     skip count, at a fixed width covering the largest value seen (4 bits
-    in practice).  The broadcast-signal protocols spend ``packet_bits``
-    on every slot whose broadcast carries a signal, plus the flag.
+    in practice).  The broadcast-signal protocols spend the run's
+    ``packet_bits`` on every slot whose broadcast carries a signal, plus
+    the flag.
     """
-    rules = RULES[ProtocolKind(report.protocol)]
-    if rules.z_on_collision and packet_bits < 1:
-        raise ValueError(f"packet_bits must be at least 1, got {packet_bits}")
-    shadow = MetricsReport(**{**report.__dict__})
-    shadow.packet_bits = int(packet_bits)
-    _fill_feedback_bits(shadow, rules)
-    hist = shadow.feedback_bits
+    hist = report.feedback_bits
     total = sum(hist.values())
     if total == 0:
         return FeedbackCostStats(0.0, 0, {})

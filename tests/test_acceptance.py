@@ -21,7 +21,6 @@ from treesplit.analytics import (
     SplitParams,
     asymptotic_throughput,
     expected_cri_closed,
-    expected_cri_recursive,
     windowed_stable_rate,
 )
 from treesplit.engines import run_cri
@@ -91,8 +90,7 @@ def test_criterion_01_closed_form_vs_recursion(announce):
         params = SplitParams(p)
         table = CriLengthTable(params, "atic")
         for n in range(0, 31):
-            diff = abs(expected_cri_closed(n, params)
-                       - expected_cri_recursive(n, params, "atic", table))
+            diff = abs(expected_cri_closed(n, params) - table.expected(n))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 1.0
@@ -269,7 +267,7 @@ def test_criterion_09_delay_anchors(announce):
 def test_criterion_10_windowed_rate_curve(announce):
     grid = np.geomspace(0.1, 1e4, 200)
     table = CriLengthTable(HALF, "atic")
-    rates = [windowed_stable_rate(float(x), HALF, table=table) for x in grid]
+    rates = [windowed_stable_rate(float(x), table) for x in grid]
     sup = max(rates)
     violations = sum(1 for i in range(len(rates) - 1) if rates[i + 1] <= rates[i])
     sup_ok = sup < 0.924197

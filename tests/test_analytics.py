@@ -15,14 +15,10 @@ import treesplit
 from treesplit.analytics import (
     CollisionCountTable,
     CriLengthTable,
-    PrecisionLossError,
     SplitParams,
     asymptotic_throughput,
-    conditional_throughput,
     cri_table_rows,
-    expected_collisions,
     expected_cri_closed,
-    expected_cri_recursive,
     poisson_expected_cri,
     scan_windowed_mst,
     windowed_stable_rate,
@@ -50,13 +46,14 @@ class TestHandValues:
         ],
     )
     def test_expected_lengths(self, protocol, n, expected):
-        got = expected_cri_recursive(n, HALF, protocol)
+        got = CriLengthTable(HALF, protocol).expected(n)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_cases(self):
         for protocol in ("bta", "mta", "sicta", "atic"):
-            assert expected_cri_recursive(0, HALF, protocol) == 1.0
-            assert expected_cri_recursive(1, HALF, protocol) == 1.0
+            table = CriLengthTable(HALF, protocol)
+            assert table.expected(0) == 1.0
+            assert table.expected(1) == 1.0
 
     def test_protocol_length_ordering(self):
         """Skipping, SIC, and the pair shortcut each only shorten intervals."""
@@ -76,7 +73,7 @@ class TestHandValues:
 
     def test_bta_large_n_throughput(self):
         # binary tree algorithm without skipping settles near 0.3466
-        t = conditional_throughput(2000, HALF, "bta")
+        t = CriLengthTable(HALF, "bta").throughput(2000)
         assert t == pytest.approx(0.34663, abs=5e-4)
 
 
@@ -85,7 +82,7 @@ class TestClosedForm:
         table = CriLengthTable(HALF, "atic")
         for n in range(0, 31):
             closed = expected_cri_closed(n, HALF)
-            rec = expected_cri_recursive(n, HALF, "atic", table)
+            rec = table.expected(n)
             assert closed == pytest.approx(rec, abs=1e-9), f"n={n}"
 
     @pytest.mark.parametrize("p", [0.3, 0.7])
@@ -96,16 +93,6 @@ class TestClosedForm:
             assert expected_cri_closed(n, params) == pytest.approx(
                 table.expected(n), abs=1e-9
             )
-
-    def test_precision_escalation_is_flagged(self):
-        """The alternating sum loses all double precision before n = 30."""
-        with pytest.raises(PrecisionLossError):
-            expected_cri_closed(30, HALF, allow_exact=False)
-
-    def test_small_n_stays_in_floats(self):
-        assert expected_cri_closed(6, HALF, allow_exact=False) == pytest.approx(
-            expected_cri_recursive(6, HALF, "atic"), abs=1e-9
-        )
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -139,19 +126,32 @@ class TestAsymptote:
 class TestPoissonAndWindowed:
     def test_poisson_mixture_interpolates(self):
         # tiny load: nearly always an empty or singleton interval
-        assert poisson_expected_cri(1e-6, HALF) == pytest.approx(1.0, abs=1e-4)
+        table = CriLengthTable(HALF, "atic")
+        assert poisson_expected_cri(1e-6, table) == pytest.approx(1.0, abs=1e-4)
+
+    def test_grown_table_gives_fresh_value(self):
+        table = CriLengthTable(SplitParams(0.3), "sicta")
+        table.expected(80)
+        assert poisson_expected_cri(4.0, table) == (
+            poisson_expected_cri(4.0, CriLengthTable(SplitParams(0.3), "sicta")))
 
     def test_windowed_rate_positive_and_bounded(self):
+        table = CriLengthTable(HALF, "atic")
         for load in (0.5, 2.0, 20.0):
-            rate = windowed_stable_rate(load, HALF)
+            rate = windowed_stable_rate(load, table)
             assert 0.0 < rate < 1.0
 
     def test_windowed_rate_rejects_nonpositive_load(self):
         with pytest.raises(ValueError):
-            windowed_stable_rate(0.0, HALF)
+            windowed_stable_rate(0.0, CriLengthTable(HALF, "atic"))
+
+    @pytest.mark.parametrize("load", [math.inf, math.nan])
+    def test_windowed_rate_rejects_non_finite_load(self, load):
+        with pytest.raises(ValueError, match="finite"):
+            windowed_stable_rate(load, CriLengthTable(HALF, "atic"))
 
     def test_scan_finds_interior_optimum(self):
-        scan = scan_windowed_mst(np.geomspace(0.5, 100.0, 40), HALF)
+        scan = scan_windowed_mst(np.geomspace(0.5, 100.0, 40), CriLengthTable(HALF, "atic"))
         assert scan.rate == pytest.approx(LIMIT, abs=5e-5)
         # the near-limit ripple peaks recur log-periodically, so the grid
         # argmax may land on any of them, but never at the grid edges
@@ -160,18 +160,26 @@ class TestPoissonAndWindowed:
     def test_windowed_never_beats_limit_materially(self):
         """Window tuning tracks the asymptote from below up to a ripple
         of a few parts in 1e6 (it can exceed the limit by that ripple)."""
-        scan = scan_windowed_mst(np.geomspace(0.1, 1e3, 120), HALF)
+        scan = scan_windowed_mst(np.geomspace(0.1, 1e3, 120), CriLengthTable(HALF, "atic"))
         assert scan.rate < LIMIT + 1e-5
+
+    def test_scan_follows_table_protocol(self):
+        """A sicta table scans sicta's windowed rates, which approach ln 2."""
+        grid = np.geomspace(0.5, 100.0, 40)
+        sicta = scan_windowed_mst(grid, CriLengthTable(HALF, "sicta"))
+        assert sicta.rate == pytest.approx(math.log(2.0), abs=5e-5)
+        assert sicta.rate < scan_windowed_mst(grid, CriLengthTable(HALF, "atic")).rate
 
 
 class TestCollisionCounts:
     def test_small_n_counts(self):
         # one packet never collides; a pair collides once then resolves
-        assert expected_collisions(0, HALF, "atic") == 0.0
-        assert expected_collisions(1, HALF, "atic") == 0.0
-        assert expected_collisions(2, HALF, "atic") == pytest.approx(1.0, abs=1e-12)
+        atic = CollisionCountTable(HALF, "atic")
+        assert atic.expected(0) == 0.0
+        assert atic.expected(1) == 0.0
+        assert atic.expected(2) == pytest.approx(1.0, abs=1e-12)
         # SICTA pair: root collision plus the geometric both-same tail
-        assert expected_collisions(2, HALF, "sicta") == pytest.approx(1.5, abs=1e-12)
+        assert CollisionCountTable(HALF, "sicta").expected(2) == pytest.approx(1.5, abs=1e-12)
 
     def test_large_n_ratios(self):
         atic = CollisionCountTable(HALF, "atic")
@@ -223,7 +231,7 @@ class TestTableMechanics:
     def test_recursion_finite_and_at_least_n(self, p, n):
         """Any interval must spend at least one slot per packet resolved
         beyond the shortcut floor; lengths are finite and >= 2 for n >= 2."""
-        value = expected_cri_recursive(n, SplitParams(p), "atic")
+        value = CriLengthTable(SplitParams(p), "atic").expected(n)
         assert math.isfinite(value)
         assert value >= 2.0 - 1e-12
 
@@ -347,36 +355,3 @@ class TestWindowedRows:
         assert [table.expected(n) for n in range(61)] == before
         assert table.expected(500) == CriLengthTable(HALF, "atic").expected(500)
 
-
-class TestSharedTableMismatch:
-    def test_other_protocol_rejected(self):
-        table = CriLengthTable(HALF, "sicta")
-        with pytest.raises(ValueError, match="sicta"):
-            expected_cri_recursive(5, HALF, "atic", table)
-        with pytest.raises(ValueError):
-            conditional_throughput(5, HALF, "atic", table)
-        with pytest.raises(ValueError):
-            poisson_expected_cri(3.0, HALF, table=table)
-        with pytest.raises(ValueError):
-            windowed_stable_rate(3.0, HALF, table=table)
-
-    def test_other_split_probability_rejected(self):
-        table = CriLengthTable(SplitParams(0.3), "atic")
-        with pytest.raises(ValueError, match="p=0.3"):
-            expected_cri_recursive(5, HALF, "atic", table)
-        with pytest.raises(ValueError):
-            conditional_throughput(5, HALF, "atic", table)
-        with pytest.raises(ValueError):
-            poisson_expected_cri(3.0, HALF, table=table)
-        with pytest.raises(ValueError):
-            windowed_stable_rate(3.0, HALF, table=table)
-        with pytest.raises(ValueError):
-            expected_collisions(5, HALF, "atic", CollisionCountTable(SplitParams(0.3), "atic"))
-
-    def test_matching_table_is_used(self):
-        table = CriLengthTable(SplitParams(0.3), "sicta")
-        table.expected(80)
-        params = SplitParams(0.3)
-        assert expected_cri_recursive(80, params, "sicta", table) == table.expected(80)
-        assert poisson_expected_cri(4.0, params, protocol="sicta", table=table) == (
-            poisson_expected_cri(4.0, params, protocol="sicta"))

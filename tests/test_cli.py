@@ -169,6 +169,25 @@ class TestCommands:
         assert set(rows[0]) == {"load", "stable_rate"}
         assert all(0.0 < float(r["stable_rate"]) < 1.0 for r in rows)
 
+    @pytest.mark.parametrize("flags,field", [
+        (("--load-max", "inf"), "load_max"),
+        (("--load-max", "nan"), "load_max"),
+        (("--load-max", "1e400"), "load_max"),
+        (("--load-min", "nan"), "load_min"),
+    ])
+    def test_windowed_scan_rejects_non_finite(self, tmp_path, capsys, flags, field):
+        outdir = tmp_path / "out"
+        assert run_cli("windowed-scan", *flags, "--outdir", str(outdir)) == 1
+        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_analytic_rejects_n_max_below_one(self, tmp_path, capsys, n_max):
+        outdir = tmp_path / "out"
+        assert run_cli("analytic", "--n-max", n_max, "--outdir", str(outdir)) == 1
+        assert "error: config field 'n_max'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_simulate_writes_report(self, tmp_path):
         assert run_cli("simulate", "--protocol", "atic", "--rate", "0.4",
                        "--budget", "4000", "--seed", "7",

@@ -207,10 +207,16 @@ class TestFeedbackCost:
 
     def test_broadcast_protocol_pays_packet_bits(self):
         r = simulate("atic", Gated(), 0.5, 20000, 42)
-        fc = feedback_cost(r, 256)
+        fc = feedback_cost(r)
         assert fc.max_bits == 258
         assert 2 in fc.histogram and 258 in fc.histogram
         assert 2.0 < fc.mean_bits < 258.0
+
+    def test_cost_reads_the_report_histogram(self):
+        r = simulate("atic", "gated", 0.5, 2000, 1, packet_bits=64)
+        fc = feedback_cost(r)
+        assert fc.histogram == r.feedback_bits
+        assert fc.max_bits == 66
 
 
 class TestWindowedAccess:

@@ -10,14 +10,20 @@ is what the cross-protocol slot-count comparisons rely on.
 
 Arrival streams are numpy PCG64 streams seeded exactly as
 ``np.random.default_rng(stream_seed(base, i))``.  :class:`ArrivalStreams`
-reproduces that seeding itself and fully reseeds one generator object per
-stream, since building a ``SeedSequence`` and a ``Generator`` per interval
-would cost more than the interval's own draws.
+reproduces that seeding itself, since building a ``SeedSequence`` and a
+``Generator`` per interval would cost more than the interval's own draws.
+It also computes each stream's first double, which decides a zero Poisson
+count without numpy: for a mean below 10, numpy multiplies uniform doubles
+until the product falls to ``exp(-lam)`` or below, so the count is zero
+exactly when the first double is at most ``exp(-lam)``.  Any other count
+is drawn by numpy after fully reseeding one generator object to the
+stream's start.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -40,6 +46,10 @@ _SS_POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Consecutive stream indices whose seeds are hashed in one vectorized pass.
 _SEED_BLOCK = 256
+# numpy's random_poisson (numpy/random/src/distributions/distributions.c)
+# draws a mean below this by multiplying uniforms (random_poisson_mult)
+# and a larger one by transformed rejection (random_poisson_ptrs).
+_POISSON_MULT_MAX = 10.0
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -154,7 +164,9 @@ def _hashmix(value: np.ndarray, key) -> np.ndarray:
 
 
 def _pcg64_states(seeds: np.ndarray) -> list:
-    """``(state, inc)`` of ``np.random.PCG64(s)`` for each uint64 seed ``s``.
+    """``(state, inc, first)`` of ``np.random.PCG64(s)`` for each uint64
+    seed ``s``: its LCG state and increment, and ``first``, the first
+    ``random()`` double its generator draws.
 
     Vectorizes numpy's ``SeedSequence`` over the seeds: the entropy words
     are the seed's low and high 32 bits (a seed below 2^32 has one word,
@@ -162,7 +174,8 @@ def _pcg64_states(seeds: np.ndarray) -> list:
     a zero high word).  PCG64 then seeds its LCG with two steps.  Numpy's
     own ``SeedSequence(s).generate_state(4, np.uint64)`` costs about as much
     per seed as ``default_rng(s)`` does, so calling it per stream would
-    save next to nothing.
+    save next to nothing.  The first double is one LCG step followed by
+    PCG64's XSL-RR output, whose top 53 bits are scaled to [0, 1).
     """
     zero = np.zeros(len(seeds), dtype=np.uint32)
     keys = iter(_POOL_KEYS)
@@ -182,7 +195,12 @@ def _pcg64_states(seeds: np.ndarray) -> list:
     states = []
     for a, b, c, d in zip(s0, s1, i0, i1):
         inc = (((c << 64) | d) << 1 | 1) & _MASK128
-        states.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+        state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128
+        step = (state * _PCG_MULT + inc) & _MASK128
+        x = ((step >> 64) ^ step) & _MASK64
+        rot = step >> 122
+        out = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        states.append((state, inc, (out >> 11) * _INV53))
     return states
 
 
@@ -190,7 +208,11 @@ class ArrivalStreams:
     """Generators equal to ``np.random.default_rng(stream_seed(base, i))``.
 
     ``generator(i)`` returns one shared Generator, reseeded to the exact
-    state that call starts in; it is valid until the next call.  The
+    state that call starts in; it is valid until the next call.
+    ``draw_count(i, lam)`` draws stream ``i``'s Poisson count of mean
+    ``lam``.  Below 10, numpy's multiplication branch, a first double at
+    most ``exp(-lam)`` is a zero count, returned without a reseed; any
+    other draw reseeds through ``generator(i)`` and lets numpy draw.  The
     seeds of a block of consecutive indices are hashed together, so a run
     that walks the indices in order hashes each seed once; a jump
     backwards or past the block rehashes from the requested index.
@@ -203,15 +225,27 @@ class ArrivalStreams:
         self._first = 0
         self._states: list = []
 
-    def generator(self, index: int) -> np.random.Generator:
+    def _entry(self, index: int) -> tuple:
         offset = index - self._first
         if not 0 <= offset < len(self._states):
             indices = np.arange(index, index + _SEED_BLOCK, dtype=np.uint64)
             self._states = _pcg64_states(stream_seed(self.base, indices))
             self._first, offset = index, 0
-        state, inc = self._states[offset]
+        return self._states[offset]
+
+    def generator(self, index: int) -> np.random.Generator:
+        state, inc, _ = self._entry(index)
         # Setting the whole state also clears the buffered 32-bit half word.
         self._bitgen.state = {"bit_generator": "PCG64",
                               "state": {"state": state, "inc": inc},
                               "has_uint32": 0, "uinteger": 0}
         return self._generator
+
+    def draw_count(self, index: int, lam: float) -> tuple:
+        """``(count, generator)``: stream ``index``'s Poisson draw of mean
+        ``lam``, and its generator positioned after the draw, or None when
+        the first double alone decided a zero count."""
+        if lam < _POISSON_MULT_MAX and self._entry(index)[2] <= math.exp(-lam):
+            return 0, None
+        rng = self.generator(index)
+        return int(rng.poisson(lam)), rng

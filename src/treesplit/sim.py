@@ -18,8 +18,11 @@ counter-derived sub-streams of the master seed, so replications are
 order-independent and reports are bit-identical across reruns.  The
 arrivals of interval (or window) ``i`` come from the numpy PCG64 stream
 ``np.random.default_rng(stream_seed(arrivals_base, i))``; one generator
-object is fully reseeded to that stream's start for each interval
-(:class:`~treesplit.rng.ArrivalStreams`).
+object is fully reseeded to that stream's start for each interval that
+draws packets, while a zero count is read off the stream's first double
+(:class:`~treesplit.rng.ArrivalStreams`).  An empty interval is the one
+idle slot every protocol's engine would give it, folded by the simulator
+itself without an engine call or a coin seed.
 
 Slot/time conventions: slot ``t`` (1-based) covers real time [t-1, t).
 A packet generated during slot ``t`` (or at real instant ``u``) is first
@@ -161,9 +164,13 @@ def _slot_arrivals(rng: np.random.Generator, span_start: int, span_len: int,
     """Sorted arrival slots of ``count`` packets generated in uniform
     slots of [span_start, span_start + span_len - 1], each first eligible
     in the slot after.  numpy draws the same offsets for ranges of equal
-    length, so this equals drawing the generation slots and adding one."""
-    return sorted(rng.integers(span_start + 1, span_start + span_len + 1,
-                               size=count).tolist())
+    length, so this equals drawing the generation slots and adding one.
+    One packet takes numpy's unsized draw, which yields the same value and
+    skips the sized path's fixed cost."""
+    lo, hi = span_start + 1, span_start + span_len + 1
+    if count == 1:
+        return [int(rng.integers(lo, hi))]
+    return sorted(rng.integers(lo, hi, size=count).tolist())
 
 
 def _instant_arrivals(rng: np.random.Generator, lo: float, hi: float,
@@ -259,6 +266,9 @@ def simulate(
         raise ValueError(f"arrival rate must be finite and non-negative, got {rate}")
     if budget < 1:
         raise ValueError(f"slot budget must be at least 1, got {budget}")
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"split probability must lie in (0,1), got {p}")
     packet_bits = int(packet_bits)
     if packet_bits < 1:
         raise ValueError(f"packet_bits must be at least 1, got {packet_bits}")
@@ -283,10 +293,25 @@ def _serve_batch(report, kind, p, coins_base, batch, start) -> int:
     """Run one interval for ``batch`` beginning at slot ``start``.
 
     Returns the index of the last slot the interval consumed and folds
-    the interval's metrics into the report.
+    the interval's metrics into the report.  An empty batch is one idle
+    slot, as ``run_cri`` resolves it under every protocol, and needs no
+    engine call.
     """
+    if not batch.ids:
+        report.cri_count += 1
+        report.idle_slots += 1
+        report.collisions_per_cri.append(0)
+        report.decoded_per_cri.append(0)
+        report.ap_memory_highwater.append(0)
+        return start
     trace = run_cri(kind, batch.ids, p, stream_seed(coins_base, report.cri_count),
                     record_slots=False)
+    return _fold_trace(report, trace, batch, start)
+
+
+def _fold_trace(report, trace, batch, start) -> int:
+    """Fold the trace of ``batch``'s interval, begun at slot ``start``,
+    into the report; returns the interval's last slot."""
     arrivals = batch.arrivals
     first = batch.ids.start
     base = start - 1
@@ -316,10 +341,7 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
     def draw_batch(cri_index: int, span_start: int, span_len: int) -> _Batch:
         """Arrivals generated during [span_start, span_start+span_len-1]."""
         nonlocal next_id
-        count = 0
-        if rate > 0.0:
-            rng = streams.generator(cri_index)
-            count = int(rng.poisson(rate * span_len))
+        count, rng = streams.draw_count(cri_index, rate * span_len)
         ids = range(next_id, next_id + count)
         if count == 0:
             return _Batch(ids, [])
@@ -353,10 +375,7 @@ def _run_windowed(report, kind, rules, rate, budget, p,
     def draw_window(j: int) -> _Batch:
         """Arrivals of window j, spanning real time [j*delta, (j+1)*delta)."""
         nonlocal next_id
-        count = 0
-        if rate > 0.0:
-            rng = streams.generator(j)
-            count = int(rng.poisson(rate * delta))
+        count, rng = streams.draw_count(j, rate * delta)
         ids = range(next_id, next_id + count)
         if count == 0:
             return _Batch(ids, [])

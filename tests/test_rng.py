@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from treesplit.rng import (
+    _POISSON_MULT_MAX,
     _SEED_BLOCK,
     ArrivalStreams,
     CoinSource,
@@ -52,9 +53,37 @@ class TestArrivalStreams:
         1 << 32, (1 << 32) + 1, (1 << 63) - 1, (1 << 64) - 1,
     ])
     def test_pcg64_seeding_matches_numpy(self, seed):
-        [(state, inc)] = _pcg64_states(np.array([seed], dtype=np.uint64))
+        [(state, inc, first)] = _pcg64_states(np.array([seed], dtype=np.uint64))
         expected = np.random.default_rng(seed).bit_generator.state["state"]
         assert {"state": state, "inc": inc} == expected
+        assert first == np.random.default_rng(seed).random()
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_first_double_matches_numpy(self, base):
+        seeds = stream_seed(base, np.arange(2000, dtype=np.uint64))
+        firsts = [first for _, _, first in _pcg64_states(seeds)]
+        assert firsts == [np.random.default_rng(s).random() for s in seeds.tolist()]
+
+    # Both sides of numpy's switch from multiplication (lam < 10) to PTRS.
+    @pytest.mark.parametrize("lam", [0.0, 1e-9, 0.1, 0.5, 1.0, 3.0, 9.999,
+                                     10.0, 12.0, 40.0])
+    def test_draw_count_matches_numpy(self, lam):
+        base = derive_seed(5, "arrivals")
+        streams = ArrivalStreams(base)
+        # Streams whose first double is below exp(-10): numpy draws them a
+        # zero count just below its switch and a PTRS count at or above it.
+        small_first = (4950, 45193, 71439)
+        assert all(streams._entry(i)[2] <= math.exp(-10) for i in small_first)
+        for index in (*range(2000), *small_first):
+            count, rng = streams.draw_count(index, lam)
+            ref = np.random.default_rng(stream_seed(base, index))
+            assert count == ref.poisson(lam), index
+            if lam < _POISSON_MULT_MAX:
+                # A zero count below the switch never reseeds.
+                assert (rng is None) == (count == 0), index
+            if count:
+                drawn = rng.integers(1, 5001, size=count).tolist()
+                assert drawn == ref.integers(1, 5001, size=count).tolist(), index
 
     def test_buffered_half_word_does_not_leak_into_next_stream(self):
         base = derive_seed(3, "arrivals")

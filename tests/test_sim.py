@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import treesplit.sim as sim
+from treesplit.engines import ProtocolKind, run_cri
 from treesplit.rng import CoinSource, derive_seed, stream_seed
 from treesplit.sim import (
     EmptySampleError,
@@ -126,6 +127,12 @@ class TestValidation:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
             simulate("aloha", Gated(), 0.4, 100, 1)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_split_probability_validated(self, p):
+        # At rate 0 no interval reaches the engine, so simulate checks p itself.
+        with pytest.raises(ValueError):
+            simulate("atic", "gated", 0.0, 200, 1, p=p)
 
 
 class TestDelayStatistics:
@@ -296,9 +303,10 @@ PINNED_FLIPS = {("atic", "gated"): 118, ("sicta", "windowed:40"): 6095}
 
 @pytest.mark.parametrize("protocol,policy", sorted(PINNED_FLIPS))
 def test_layer_call_counts(monkeypatch, protocol, policy):
-    """The simulator calls ``sim.run_cri`` once per interval and the engine
-    calls ``CoinSource.flip`` once per coin, so wrappers patched onto those
-    names (as the benchmark's tracer does) count every engine call and flip."""
+    """The simulator calls ``sim.run_cri`` once per non-empty interval (an
+    empty one it folds itself) and the engine calls ``CoinSource.flip``
+    once per coin, so wrappers patched onto those names (as the
+    benchmark's tracer does) count every engine call and flip."""
     counts = {"run_cri": 0, "flip": 0}
     run_cri, flip = sim.run_cri, CoinSource.flip
 
@@ -313,8 +321,23 @@ def test_layer_call_counts(monkeypatch, protocol, policy):
     monkeypatch.setattr(sim, "run_cri", counted_run_cri)
     monkeypatch.setattr(CoinSource, "flip", counted_flip)
     report = simulate(protocol, policy, 0.3, 4000, 2024)
-    assert counts["run_cri"] == report.cri_count > 0
+    assert counts["run_cri"] == sum(1 for n in report.decoded_per_cri if n) > 0
     assert counts["flip"] == PINNED_FLIPS[protocol, policy]
+
+
+@pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])
+def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
+    """The simulator's own fold of an empty batch equals the fold of the
+    engine's trace of that batch."""
+    batch = sim._Batch(range(7, 7), [])
+    start, p, coins_base = 31, 0.5, derive_seed(4, "coins")
+    folded = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
+    served = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
+    trace = run_cri(protocol, (), p, stream_seed(coins_base, 3), record_slots=False)
+    assert sim._fold_trace(folded, trace, batch, start) == start
+    assert sim._serve_batch(served, ProtocolKind(protocol), p, coins_base,
+                            batch, start) == start
+    assert served.to_dict() == folded.to_dict()
 
 
 # Few packets, as in most intervals, and a few hundred, as in overloaded ones.

@@ -6,15 +6,7 @@ the matching expected-length and throughput laws analytically, and runs
 Poisson-traffic experiments under gated or windowed channel access.
 """
 
-from .signals import (
-    NULL_SIGNAL,
-    NotContainedError,
-    Signal,
-    SlotOutcome,
-    cancel,
-    classify,
-    superpose,
-)
+from .signals import NotContainedError, Signal, cancel, superpose
 from .rng import CoinSource, coin_uniform, derive_seed, scripted_coins, stream_seed
 from .analytics import (
     CollisionCountTable,
@@ -32,7 +24,6 @@ from .engines import (
     RULES,
     CriTrace,
     EngineInvariantError,
-    FeedbackMsg,
     NonTerminationError,
     ProtocolKind,
     Rules,
@@ -63,15 +54,14 @@ from .reports import IoError, config_digest, emit_report, render_csv, render_jso
 from ._version import __version__
 
 __all__ = [
-    "NULL_SIGNAL", "NotContainedError", "Signal", "SlotOutcome",
-    "cancel", "classify", "superpose",
+    "NotContainedError", "Signal", "cancel", "superpose",
     "CoinSource", "coin_uniform", "derive_seed", "scripted_coins", "stream_seed",
     "CollisionCountTable", "CriLengthTable", "SplitParams", "WindowedScan",
     "asymptotic_throughput", "cri_table_rows", "expected_cri_closed",
     "poisson_expected_cri", "scan_windowed_mst", "windowed_stable_rate",
-    "RULES", "CriTrace", "EngineInvariantError", "FeedbackMsg",
-    "NonTerminationError", "ProtocolKind", "Rules", "SlotRecord", "TreeNode",
-    "arbitrate", "export_tree", "run_cri",
+    "RULES", "CriTrace", "EngineInvariantError", "NonTerminationError",
+    "ProtocolKind", "Rules", "SlotRecord", "TreeNode", "arbitrate", "export_tree",
+    "run_cri",
     "CollisionCdf", "DelayStats", "EmptySampleError", "FeedbackCostStats",
     "Gated", "MetricsReport", "ProtocolError", "Windowed",
     "collisions_per_cri_cdf", "delay_stats", "feedback_cost",

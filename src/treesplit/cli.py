@@ -71,7 +71,8 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("analytic",
                          help="emit n, L_n, T_n tables")
     _add_common(sp)
-    sp.add_argument("--protocols", help="comma list (length laws exist for bta,mta,sicta,atic)")
+    sp.add_argument("--protocols",
+                    help=f"comma list (length laws exist for {','.join(_LENGTH_LAWS)})")
     sp.add_argument("--n-max", type=int, default=24, dest="n_max")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(handler=_cmd_analytic)
@@ -195,6 +196,9 @@ def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_asymptote(args, cfg: ExperimentConfig) -> int:
+    if cfg.protocols != ("atic",):
+        raise ConfigError("protocols", "the asymptote is atic's law; "
+                          f"got {','.join(cfg.protocols)}")
     grid = parse_grid(args.p_grid, "p_grid")
     for value in grid:
         if not 0.0 < value < 1.0:
@@ -225,7 +229,10 @@ def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("load_min", "need 0 < load_min < load_max")
     if args.points < 2:
         raise ConfigError("points", "need at least 2 grid points")
-    table = CriLengthTable(SplitParams(cfg.p), "atic")
+    if len(cfg.protocols) != 1 or cfg.protocols[0] not in _LENGTH_LAWS:
+        raise ConfigError("protocols", "windowed-scan needs one protocol of "
+                          f"{','.join(_LENGTH_LAWS)}; got {','.join(cfg.protocols)}")
+    table = CriLengthTable(SplitParams(cfg.p), cfg.protocols[0])
     loads = np.geomspace(args.load_min, args.load_max, args.points)
     rows = [
         {"load": float(x), "stable_rate": windowed_stable_rate(float(x), table)}
@@ -339,8 +346,7 @@ def _cmd_tree(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("users", "user count must be >= 0")
     coins = scripted_coins(_parse_script(args.script), p=cfg.p, seed=seed) \
         if args.script else seed
-    trace = run_cri(proto, range(1, args.users + 1), cfg.p, coins,
-                    record_slots=False, record_tree=True)
+    trace = run_cri(proto, range(1, args.users + 1), cfg.p, coins, record=True)
     dot = export_tree(trace)
     path = _outpath(cfg, f"tree_{proto}_n{args.users}.dot")
     header = provenance_header("//", seed, _hashable(cfg))

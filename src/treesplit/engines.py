@@ -34,7 +34,10 @@ given an integer seed, the engine builds it only when a group first
 splits, so an interval of zero or one packet builds none.  Cancellation
 scans the stored remainders directly: the live ones lie on the current
 root path, each a subset of the one above it, so there are never more of
-them than the tree is deep.  No per-user model is kept: the
+them than the tree is deep.  Slot feedback (idle, success with its jump
+count, or collision, plus the broadcast members ``z``) is decided on int
+sets; ``record=True`` keeps it as :class:`SlotRecord` rows along with the
+split tree as :class:`TreeNode` rows.  No per-user model is kept: the
 feedback-replay test (``tests/test_engines.py::TestFeedbackReplay``)
 checks every recorded decode, memory size and broadcast against an
 independent cancellation oracle, and checks that users who see a pair
@@ -48,7 +51,6 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .rng import CoinSource
-from .signals import NULL_SIGNAL, PacketId, Signal, SlotOutcome, classify
 
 DEFAULT_SLOT_CAP = 1_000_000
 
@@ -90,20 +92,6 @@ class EngineInvariantError(RuntimeError):
     """Internal bookkeeping violated an engine invariant (always a bug)."""
 
 
-class FeedbackMsg(NamedTuple):
-    """Per-slot receiver broadcast.
-
-    ``kind`` is one of ``idle`` / ``success`` / ``collision``; ``skip_k``
-    is the announced jump count on successes (the number of scheduled
-    subtree positions to advance past, counting the success itself);
-    ``z`` is the broadcast signal, null unless the protocol broadcasts.
-    """
-
-    kind: str
-    skip_k: int = 0
-    z: Signal = NULL_SIGNAL
-
-
 class TreeNode(NamedTuple):
     """One realized node of the split tree, for rendering."""
 
@@ -115,10 +103,21 @@ class TreeNode(NamedTuple):
 
 
 class SlotRecord(NamedTuple):
+    """One consumed slot and the feedback the receiver sent for it.
+
+    ``kind`` is ``idle``, ``success`` or ``collision``; ``skip_k`` is the
+    announced jump count on successes under cancellation (the number of
+    scheduled subtree positions to advance past, counting the success
+    itself), else 0; ``z`` holds the sorted broadcast members, ``()``
+    when nothing is broadcast; ``memory_size`` counts the stored
+    remainders after the slot.
+    """
+
     index: int
     transmitters: tuple
-    outcome: SlotOutcome
-    feedback: FeedbackMsg
+    kind: str
+    skip_k: int
+    z: tuple
     memory_size: int
 
 
@@ -138,15 +137,15 @@ class CriTrace:
     k_values: list = field(default_factory=list)        # announced k per success
     collision_degrees: list = field(default_factory=list)
     z_success_slots: int = 0                             # successes with non-null z
-    slots: list = field(default_factory=list)            # SlotRecord, optional
-    nodes: list = field(default_factory=list)            # TreeNode, optional
+    slots: list = field(default_factory=list)            # SlotRecord, if recorded
+    nodes: list = field(default_factory=list)            # TreeNode, if recorded
 
     @property
     def idles(self) -> int:
         return self.length - self.collisions - self.successes
 
 
-def arbitrate(a: PacketId, b: PacketId) -> PacketId:
+def arbitrate(a: int, b: int) -> int:
     """Tie-break a degree-2 group: the higher id transmits first."""
     if a == b:
         raise ValueError(f"arbitration needs distinct ids, got {a} twice")
@@ -194,20 +193,6 @@ class _SicCore:
         self.entries = [entry for entry in entries if entry[1]]
         return cascaded
 
-    def freshest(self) -> Optional[set]:
-        return self.entries[-1][1] if self.entries else None
-
-
-def _broadcast(rules: Rules, kind: str, received, remainder):
-    """Members a slot's feedback broadcasts, or None: the ``received``
-    signal on collisions under ``z_on_collision``, the freshest stored
-    ``remainder`` (if any) on successes under ``z_on_success``."""
-    if kind == "collision":
-        return received if rules.z_on_collision else None
-    if kind == "success" and rules.z_on_success and remainder:
-        return remainder
-    return None
-
 
 def _add_node(nodes: list, parent, members) -> int:
     """Append a ``slot`` row for a new tree group; return its node id."""
@@ -217,13 +202,12 @@ def _add_node(nodes: list, parent, members) -> int:
 
 def run_cri(
     protocol: Union[ProtocolKind, str],
-    initial: Iterable[PacketId],
+    initial: Iterable[int],
     p: float,
     rng: Union[int, CoinSource],
     *,
     cap: int = DEFAULT_SLOT_CAP,
-    record_slots: bool = True,
-    record_tree: bool = False,
+    record: bool = False,
 ) -> CriTrace:
     """Resolve one interval and return its trace.
 
@@ -231,13 +215,14 @@ def run_cri(
     split coins are keyed by (user id, depth), so two protocols driven
     from the same seed see identical split sequences.  An integer seed
     builds its coin source only when a group first splits, so an interval
-    that never splits (zero or one packet) builds none.  ``record_slots``
-    and ``record_tree`` control how much of the trace is materialized;
-    the scalar statistics are always filled in.
+    that never splits (zero or one packet) builds none.  ``record=True``
+    also fills the trace's ``slots`` (one :class:`SlotRecord` per consumed
+    slot) and ``nodes`` (the realized split tree); the scalar statistics
+    are always filled in.
 
     Each tree group is a flat list ``[members, known, depth, node]``: its
     sorted ids, whether everyone can derive its composition, its depth
-    and its ``nodes`` row (None unless the tree is recorded).
+    and its ``nodes`` row (None unless the trace is recorded).
 
     Raises :class:`NonTerminationError` when the interval exceeds ``cap``
     consumed slots, which can only happen through a rule-table bug.
@@ -246,8 +231,7 @@ def run_cri(
         kind = _KINDS[protocol]
     except (KeyError, TypeError):
         raise ValueError(f"{protocol!r} is not a valid ProtocolKind") from None
-    rules = RULES[kind]
-    saves_collisions, skips_definite, z_on_collision, z_on_success = rules
+    saves_collisions, skips_definite, z_on_collision, z_on_success = RULES[kind]
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"split probability must lie in (0,1), got {p}")
@@ -266,7 +250,7 @@ def run_cri(
     k_values: list = []
     collision_degrees: list = []
     collisions = successes = skipped = highwater = z_successes = consumed = 0
-    current = [ids, False, 0, _add_node(nodes, None, ids) if record_tree else None]
+    current = [ids, False, 0, _add_node(nodes, None, ids) if record else None]
     left = False               # ``current`` is a left child, its sibling just parked
 
     while True:
@@ -284,7 +268,7 @@ def run_cri(
                 continue
             # Root slot of a derivable/definite group is skipped.
             skipped += 1
-            if record_tree:
+            if record:
                 nodes[node][3] = "derived"
             if len(members) == 1:
                 raise EngineInvariantError(
@@ -303,18 +287,18 @@ def run_cri(
             members, _, depth, node = current
             current = None
             n_here = len(members)
-            if record_tree:
+            if record:
                 nodes[node][4] = t
 
             if n_here == 0:
-                fb_kind, skip_k, z = "idle", 0, None
+                fb_kind, skip_k, z = "idle", 0, ()
                 if left and skips_definite:
                     # An idle left child makes the freshly parked sibling a
                     # definite collision; its root slot will be skipped.
                     pending[-1][1] = True
             elif n_here == 1:
                 pid = members[0]
-                fb_kind, skip_k, z = "success", 0, None
+                fb_kind, skip_k, z = "success", 0, ()
                 successes += 1
                 decoded_order.append((pid, t))
                 if sic is not None:
@@ -325,15 +309,14 @@ def run_cri(
                         drained = pending.pop()
                         skipped += 1
                         skip_k += 1
-                        if record_tree:
+                        if record:
                             nodes[drained[3]][3] = "pruned"
                     k_values.append(skip_k)
-                    z = _broadcast(rules, fb_kind, None, sic.freshest())
-                    if z is not None:
+                    if z_on_success and sic.entries:
+                        z = sic.entries[-1][1]   # the freshest stored remainder
                         z_successes += 1
             else:
-                fb_kind, skip_k = "collision", 0
-                z = _broadcast(rules, fb_kind, members, None)
+                fb_kind, skip_k, z = "collision", 0, members if z_on_collision else ()
                 collisions += 1
                 collision_degrees.append(n_here)
                 if sic is not None:
@@ -341,12 +324,9 @@ def run_cri(
                     if len(sic.entries) > highwater:
                         highwater = len(sic.entries)
 
-            if record_slots:
-                fb = FeedbackMsg(fb_kind, skip_k, NULL_SIGNAL if z is None else Signal(z))
-                slots.append(
-                    SlotRecord(t, tuple(members), classify(Signal(members)), fb,
-                               len(sic.entries) if sic is not None else 0)
-                )
+            if record:
+                slots.append(SlotRecord(t, tuple(members), fb_kind, skip_k, tuple(sorted(z)),
+                                        len(sic.entries) if sic is not None else 0))
             if n_here < 2:
                 continue
             shortcut = z_on_collision
@@ -358,7 +338,7 @@ def run_cri(
         if len(members) == 2 and shortcut:
             winner = arbitrate(members[0], members[1])
             current = [[winner], False, depth + 1,
-                       _add_node(nodes, node, (winner,)) if record_tree else None]
+                       _add_node(nodes, node, (winner,)) if record else None]
             left = False
             continue
         if flip is None:
@@ -367,9 +347,9 @@ def run_cri(
         rm: list = []
         for uid in members:
             (lm if flip(uid, depth) else rm).append(uid)
-        rnode = _add_node(nodes, node, rm) if record_tree else None
+        rnode = _add_node(nodes, node, rm) if record else None
         pending.append([rm, saves_collisions, depth + 1, rnode])
-        current = [lm, False, depth + 1, _add_node(nodes, node, lm) if record_tree else None]
+        current = [lm, False, depth + 1, _add_node(nodes, node, lm) if record else None]
         left = True
 
     decoded = sorted([pid for pid, _ in decoded_order])
@@ -395,10 +375,10 @@ def export_tree(trace: CriTrace) -> str:
 
     Consumed nodes are solid and carry their slot number; derived and
     pruned nodes (skipped slots) are dashed.  Requires a trace produced
-    with ``record_tree=True``.
+    with ``record=True``.
     """
     if not trace.nodes:
-        raise ValueError("trace has no tree nodes; rerun with record_tree=True")
+        raise ValueError("trace has no tree nodes; rerun with record=True")
     out = ["digraph cri {", '  node [shape=ellipse, fontname="monospace"];']
     for node in trace.nodes:
         attrs = [f'label="{_node_label(node.members, node.slot)}"']

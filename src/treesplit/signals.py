@@ -1,11 +1,11 @@
 """Exact symbolic model of the collision channel.
 
 A received waveform is represented as a multiset of packet identifiers.
-Superposition is multiset union, interference cancellation is multiset
-difference, and slot classification is a function of the multiset
-cardinality alone.  Because the channel is noiseless and cancellation is
-exact, set algebra is a faithful model and every decode decision made on
-top of it is deterministic.
+Superposition is multiset union and interference cancellation is
+multiset difference.  Because the channel is noiseless and cancellation
+is exact, set algebra is a faithful model and every decode decision made
+on top of it is deterministic; the engines therefore decide on plain int
+sets, and the tests check this algebra with :class:`Signal`.
 
 Slot signals produced by well-behaved protocols are plain sets (each
 active user contributes its own id exactly once).  The multiset
@@ -16,7 +16,7 @@ is detectable instead of silently clamping at zero.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable
 
 # Packet identifiers are plain non-negative integers, minted by a monotone
 # counter at arrival time.  The integer order doubles as the arbitration
@@ -47,13 +47,6 @@ class Signal:
     def of(cls, *ids: PacketId) -> "Signal":
         return cls(ids)
 
-    @property
-    def degree(self) -> int:
-        return len(self.components)
-
-    def counts(self) -> Counter:
-        return Counter(self.components)
-
     def __len__(self) -> int:
         return len(self.components)
 
@@ -73,36 +66,6 @@ class Signal:
         if not self.components:
             return "Signal()"
         return f"Signal({list(self.components)!r})"
-
-
-NULL_SIGNAL = Signal()
-
-
-class SlotOutcome(NamedTuple):
-    """Classified slot result: ``idle``, ``singleton`` or ``collision``.
-
-    ``degree`` always equals the cardinality of the classified signal, and
-    ``packet`` is set exactly when the outcome is a singleton.
-    """
-
-    kind: str
-    packet: Optional[PacketId] = None
-    degree: int = 0
-
-    @property
-    def is_idle(self) -> bool:
-        return self.kind == "idle"
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.kind == "singleton"
-
-    @property
-    def is_collision(self) -> bool:
-        return self.kind == "collision"
-
-
-IDLE_OUTCOME = SlotOutcome("idle", None, 0)
 
 
 def superpose(components: Iterable[Signal]) -> Signal:
@@ -133,13 +96,3 @@ def cancel(minuend: Signal, subtrahend: Signal) -> Signal:
             f"cannot cancel {sorted(bad)}: not contained in minuend {minuend!r}"
         )
     return Signal(remaining.elements())
-
-
-def classify(s: Signal) -> SlotOutcome:
-    """Map a slot signal to its channel-level outcome."""
-    d = len(s.components)
-    if d == 0:
-        return IDLE_OUTCOME
-    if d == 1:
-        return SlotOutcome("singleton", s.components[0], 1)
-    return SlotOutcome("collision", None, d)

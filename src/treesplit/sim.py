@@ -304,8 +304,7 @@ def _serve_batch(report, kind, p, coins_base, batch, start) -> int:
         report.decoded_per_cri.append(0)
         report.ap_memory_highwater.append(0)
         return start
-    trace = run_cri(kind, batch.ids, p, stream_seed(coins_base, report.cri_count),
-                    record_slots=False)
+    trace = run_cri(kind, batch.ids, p, stream_seed(coins_base, report.cri_count))
     return _fold_trace(report, trace, batch, start)
 
 

@@ -26,7 +26,7 @@ from treesplit.analytics import (
 from treesplit.engines import run_cri
 from treesplit.reports import render_csv, render_json
 from treesplit.rng import CoinSource
-from treesplit.signals import Signal, cancel, classify, superpose
+from treesplit.signals import Signal, cancel, superpose
 from treesplit.sim import (
     Gated,
     Windowed,
@@ -146,8 +146,7 @@ def test_criterion_04_engine_matches_length_law(announce):
         total_sq = 0.0
         base = 10_000 * n
         for s in range(trials):
-            length = run_cri("atic", range(n), 0.5, base + s,
-                             record_slots=False).length
+            length = run_cri("atic", range(n), 0.5, base + s).length
             total += length
             total_sq += length * length
             if n == 2:
@@ -295,7 +294,7 @@ def test_criterion_11_property_bundle(announce):
         b = Signal(rng.sample(range(50, 99), rng.randint(0, 8)))
         total = superpose([a, b])
         assert cancel(total, a) == b and cancel(total, b) == a
-        assert classify(total).degree == len(a) + len(b)
+        assert len(total) == len(a) + len(b)
     # trace conservation and no-double-decode
     for _ in range(150):
         n = rng.randint(0, 25)

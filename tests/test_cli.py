@@ -181,6 +181,30 @@ class TestCommands:
         assert f"error: config field '{field}'" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_windowed_scan_follows_config_protocol(self, tmp_path):
+        config = tmp_path / "sicta.json"
+        config.write_text(json.dumps({"protocols": ["sicta"]}))
+        assert run_cli("windowed-scan", "--load-min", "0.5", "--load-max", "100",
+                       "--points", "12", "--config", str(config),
+                       "--outdir", str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "windowed_scan.csv")
+        # sicta's stable rate approaches ln 2; atic's exceeds 0.9
+        assert max(float(r["stable_rate"]) for r in rows) < 0.70
+
+    @pytest.mark.parametrize("command,protocols", [
+        ("windowed-scan", ["atic", "sicta"]),
+        ("windowed-scan", ["atic_left"]),
+        ("asymptote", ["sicta"]),
+    ])
+    def test_analytic_commands_reject_protocols_without_their_law(
+            self, tmp_path, capsys, command, protocols):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"protocols": protocols}))
+        outdir = tmp_path / "out"
+        assert run_cli(command, "--config", str(config), "--outdir", str(outdir)) == 1
+        assert "error: config field 'protocols'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_analytic_rejects_n_max_below_one(self, tmp_path, capsys, n_max):
         outdir = tmp_path / "out"

@@ -19,7 +19,6 @@ from scipy.special import gammaln
 from treesplit.analytics import CriLengthTable, SplitParams
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import CoinSource, scripted_coins
-from treesplit.signals import Signal
 
 HALF = SplitParams(0.5)
 PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
@@ -30,8 +29,7 @@ TRIPLE_ONE_VS_TWO = {(1, 0): True, (2, 0): False, (3, 0): False}
 def mean_length(protocol, n, trials, base_seed, p=0.5):
     total = 0
     for s in range(trials):
-        total += run_cri(protocol, range(1, n + 1), p, base_seed + s,
-                         record_slots=False).length
+        total += run_cri(protocol, range(1, n + 1), p, base_seed + s).length
     return total / trials
 
 
@@ -96,21 +94,21 @@ class TestFeedbackReplay:
         tree (a node with one child) comes right after a broadcast of its
         parent's members."""
         z_on_collision, z_on_success = BROADCASTS[protocol]
-        trace = run_cri(protocol, range(n), p, seed, record_tree=True)
+        trace = run_cri(protocol, range(n), p, seed, record=True)
         decoded_in: dict = {}
         for pid, slot in trace.decoded_order:
             decoded_in.setdefault(slot, []).append(pid)
         memory: list = []
         for rec, nxt in zip(trace.slots, trace.slots[1:] + [None]):
             z: set = set()
-            if rec.outcome.is_collision:
-                assert rec.feedback.kind == "collision"
+            if rec.kind == "collision":
+                assert len(rec.transmitters) >= 2
                 if protocol in SIC_PROTOCOLS:
                     memory.append((rec.index, set(rec.transmitters)))
                 if z_on_collision:
                     z = set(rec.transmitters)
-            elif rec.outcome.is_singleton:
-                assert rec.feedback.kind == "success"
+            elif rec.kind == "success":
+                assert len(rec.transmitters) == 1
                 pid = rec.transmitters[0]
                 resolved, memory = cancel_to_fixpoint(memory, pid)
                 decoded = decoded_in.pop(rec.index)
@@ -119,9 +117,9 @@ class TestFeedbackReplay:
                 if z_on_success and memory:
                     z = memory[-1][1]
             else:
-                assert rec.feedback.kind == "idle"
+                assert rec.kind == "idle" and rec.transmitters == ()
             assert rec.memory_size == len(memory)
-            assert rec.feedback.z == Signal(z)
+            assert rec.z == tuple(sorted(z))
             if len(z) == 2:
                 assert nxt is not None and nxt.transmitters == (max(z),)
         assert decoded_in == {} and memory == []
@@ -133,7 +131,7 @@ class TestFeedbackReplay:
             if len(kids) == 1:
                 slot = kids[0].slot
                 assert slot is not None and slot >= 2
-                assert trace.slots[slot - 2].feedback.z == Signal(trace.nodes[parent].members)
+                assert trace.slots[slot - 2].z == trace.nodes[parent].members
 
 
 class TestScriptedFixtures:
@@ -143,10 +141,10 @@ class TestScriptedFixtures:
 
     def test_atic_triple_split_one_vs_two(self):
         trace = run_cri("atic", [1, 2, 3], 0.5, scripted_coins(TRIPLE_ONE_VS_TWO),
-                        record_tree=True)
+                        record=True)
         assert trace.length == 3
-        fb = trace.slots[1].feedback
-        assert fb.kind == "success" and fb.z == Signal.of(2, 3)
+        rec = trace.slots[1]
+        assert rec.kind == "success" and rec.z == (2, 3)
         # slot 3: the remaining pair resolves via arbitration, both decode
         assert sorted(p for p, _ in trace.decoded_order) == [1, 2, 3]
         assert trace.decoded_order[1] == (3, 3)
@@ -158,14 +156,14 @@ class TestScriptedFixtures:
                   (1, 2): True, (2, 2): True, (3, 2): False,
                   (1, 3): True, (2, 3): False}
         trace = run_cri("sicta", [1, 2, 3, 4], 0.5, scripted_coins(script),
-                        record_tree=True)
+                        record=True)
         assert trace.length == 5
         assert trace.skipped_slots == 4
-        assert [s.outcome.kind for s in trace.slots] == [
-            "collision", "collision", "idle", "collision", "singleton"]
+        assert [s.kind for s in trace.slots] == [
+            "collision", "collision", "idle", "collision", "success"]
         assert [s.memory_size for s in trace.slots] == [1, 2, 2, 3, 0]
         assert trace.memory_highwater == 3
-        assert trace.slots[-1].feedback.skip_k == 4
+        assert trace.slots[-1].skip_k == 4
         assert [p for p, _ in trace.decoded_order] == [1, 2, 3, 4]
         assert len(trace.nodes) == 9
         assert sum(1 for n in trace.nodes if n.style != "slot") == 4
@@ -176,7 +174,7 @@ class TestScriptedFixtures:
                   (1, 2): True, (2, 2): True, (3, 2): False,
                   (1, 3): True, (2, 3): False}
         trace = run_cri("sicta", [1, 2, 3, 4], 0.5, scripted_coins(script),
-                        record_tree=True)
+                        record=True)
         dot = export_tree(trace)
         assert dot.count("dashed") == 4
         assert dot.count("slot ") == 5
@@ -187,13 +185,13 @@ class TestScriptedFixtures:
             export_tree(trace)
 
     def test_empty_and_singleton_intervals(self):
-        empty = run_cri("bta", [], 0.5, 1, record_tree=True)
+        empty = run_cri("bta", [], 0.5, 1, record=True)
         assert empty.length == 1 and empty.idles == 1 and len(empty.nodes) == 1
         lone = run_cri("atic", [5], 0.5, 1)
         assert lone.length == 1 and lone.decoded_order == [(5, 1)]
 
     def test_atic_pair_tree_has_two_nodes(self):
-        trace = run_cri("atic", [10, 20], 0.5, 3, record_tree=True)
+        trace = run_cri("atic", [10, 20], 0.5, 3, record=True)
         assert len(trace.nodes) == 2
         assert trace.nodes[1].members == (20,)
 
@@ -278,9 +276,10 @@ class TestRunnerContract:
     @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(PROTOCOLS))
     @settings(max_examples=150)
     def test_slot_records_do_not_change_the_statistics(self, n, seed, protocol):
-        recorded = run_cri(protocol, range(n), 0.5, seed, record_slots=True)
-        bare = run_cri(protocol, range(n), 0.5, seed, record_slots=False)
-        assert len(recorded.slots) == recorded.length and bare.slots == []
+        recorded = run_cri(protocol, range(n), 0.5, seed, record=True)
+        bare = run_cri(protocol, range(n), 0.5, seed)
+        assert len(recorded.slots) == recorded.length
+        assert bare.slots == [] and bare.nodes == []
         for name in ("length", "collisions", "successes", "skipped_slots",
                      "decoded_order", "k_values", "collision_degrees",
                      "z_success_slots", "memory_highwater"):
@@ -289,16 +288,13 @@ class TestRunnerContract:
     @given(st.integers(2, 24), st.integers(0, 5_000))
     @settings(max_examples=80)
     def test_slot_accounting_consistent(self, n, seed):
-        trace = run_cri("sicta", range(n), 0.5, seed)
+        trace = run_cri("sicta", range(n), 0.5, seed, record=True)
         assert trace.length == len(trace.slots)
-        assert trace.collisions == sum(
-            1 for s in trace.slots if s.outcome.is_collision)
-        assert trace.successes == sum(
-            1 for s in trace.slots if s.outcome.is_singleton
-            or s.feedback.kind == "success")
+        assert trace.collisions == sum(1 for s in trace.slots if s.kind == "collision")
+        assert trace.successes == sum(1 for s in trace.slots if s.kind == "success")
         assert trace.idles == trace.length - trace.collisions - trace.successes
         assert len(trace.k_values) == len(
-            [s for s in trace.slots if s.feedback.kind == "success"])
+            [s for s in trace.slots if s.kind == "success"])
 
 
 def _pinned_cases():
@@ -316,17 +312,19 @@ def _pinned_cases():
 
 
 # sha256 over the repr of every CriTrace field, slots and tree included,
-# of the 1,500 intervals of _pinned_cases; recorded before the engine's
-# groups became flat lists, so any change to coins, rules or accounting
-# shows up here.
-PINNED_TRACES = "4d23e2c9126ac5d3d91262e024c1d9e718bcaa3b806cc50e19afb94de435e914"
+# of the 1,500 intervals of _pinned_cases, each slot hashed as its plain
+# tuple; recorded before slot feedback became one flat record (the old
+# records projected to that tuple), so any change to coins, rules or
+# accounting shows up here.
+PINNED_TRACES = "2dd70909597be3cbd096eda947ee540dd5cf9b879767bdb82ca2b3bede51f0f4"
 
 
 class TestTracePinned:
     def test_traces_pinned(self):
         digest = hashlib.sha256()
         for protocol, ids, p, coins in _pinned_cases():
-            trace = run_cri(protocol, ids, p, coins, record_slots=True, record_tree=True)
-            fields = [(f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace)]
+            trace = run_cri(protocol, ids, p, coins, record=True)
+            fields = [(f.name, [tuple(rec) for rec in trace.slots] if f.name == "slots"
+                       else getattr(trace, f.name)) for f in dataclasses.fields(trace)]
             digest.update(repr(fields).encode())
         assert digest.hexdigest() == PINNED_TRACES

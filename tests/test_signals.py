@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treesplit.signals import (
-    NULL_SIGNAL,
-    NotContainedError,
-    Signal,
-    cancel,
-    classify,
-    superpose,
-)
+from treesplit.signals import NotContainedError, Signal, cancel, superpose
 
 ids = st.integers(min_value=0, max_value=40)
 id_lists = st.lists(ids, max_size=12)
@@ -23,8 +16,8 @@ def sig(items) -> Signal:
 
 class TestConstruction:
     def test_empty_is_null(self):
-        assert Signal() == NULL_SIGNAL
-        assert len(NULL_SIGNAL) == 0
+        assert Signal() == Signal([])
+        assert len(Signal()) == 0
 
     def test_order_irrelevant(self):
         assert Signal.of(3, 1, 2) == Signal.of(1, 2, 3)
@@ -44,33 +37,16 @@ class TestConstruction:
         assert 2 in Signal.of(1, 2)
 
 
-class TestClassify:
-    def test_idle(self):
-        out = classify(NULL_SIGNAL)
-        assert out.is_idle and out.degree == 0 and out.packet is None
-
-    def test_singleton(self):
-        out = classify(Signal.of(9))
-        assert out.is_singleton and out.packet == 9 and out.degree == 1
-
-    def test_collision(self):
-        out = classify(Signal.of(1, 2, 3))
-        assert out.is_collision and out.packet is None and out.degree == 3
-
-    def test_duplicate_ids_still_collide(self):
-        assert classify(Signal([4, 4])).is_collision
-
-
 class TestCancel:
     def test_exact_peel(self):
         assert cancel(Signal.of(1, 2, 3), Signal.of(2)) == Signal.of(1, 3)
 
     def test_cancel_null_is_identity(self):
         s = Signal.of(1, 2)
-        assert cancel(s, NULL_SIGNAL) == s
+        assert cancel(s, Signal()) == s
 
     def test_full_cancellation_yields_null(self):
-        assert cancel(Signal.of(1, 2), Signal.of(1, 2)) == NULL_SIGNAL
+        assert cancel(Signal.of(1, 2), Signal.of(1, 2)) == Signal()
 
     def test_not_contained_raises(self):
         with pytest.raises(NotContainedError):
@@ -101,17 +77,14 @@ class TestAlgebraProperties:
 
     @given(id_lists)
     def test_null_is_identity(self, a):
-        assert superpose([sig(a), NULL_SIGNAL]) == sig(a)
-        assert superpose([]) == NULL_SIGNAL
+        assert superpose([sig(a), Signal()]) == sig(a)
+        assert superpose([]) == Signal()
 
     @given(id_lists)
     def test_self_cancellation(self, a):
-        assert cancel(sig(a), sig(a)) == NULL_SIGNAL
+        assert cancel(sig(a), sig(a)) == Signal()
 
     @given(st.lists(st.integers(0, 1000), min_size=0, max_size=30, unique=True))
     def test_degree_counts_distinct_users(self, users):
         total = superpose([Signal.of(u) for u in users])
-        out = classify(total)
-        assert out.degree == len(users)
-        kinds = {0: "idle", 1: "singleton"}
-        assert out.kind == kinds.get(len(users), "collision")
+        assert len(total) == len(users)

@@ -333,7 +333,7 @@ def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
     start, p, coins_base = 31, 0.5, derive_seed(4, "coins")
     folded = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
     served = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
-    trace = run_cri(protocol, (), p, stream_seed(coins_base, 3), record_slots=False)
+    trace = run_cri(protocol, (), p, stream_seed(coins_base, 3))
     assert sim._fold_trace(folded, trace, batch, start) == start
     assert sim._serve_batch(served, ProtocolKind(protocol), p, coins_base,
                             batch, start) == start

@@ -114,7 +114,8 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("tree",
                          help="resolve one interval and export its tree as DOT")
     _add_common(sp)
-    sp.add_argument("--protocol", default="sicta")
+    sp.add_argument("--protocol",
+                    help="protocol name (default: the config's one protocol)")
     sp.add_argument("--users", type=int, default=4)
     sp.add_argument("--seed", type=int, help="coin seed (required)")
     sp.add_argument("--script", help="forced splits, e.g. '1:0=l,4:0=r'")
@@ -341,6 +342,9 @@ def _parse_script(text: str) -> dict:
 
 def _cmd_tree(args, cfg: ExperimentConfig) -> int:
     seed = cfg.require_seed()
+    if len(cfg.protocols) != 1:
+        raise ConfigError("protocols", "tree draws one protocol's tree; "
+                          f"got {','.join(cfg.protocols)}")
     proto = cfg.protocols[0]
     if args.users < 0:
         raise ConfigError("users", "user count must be >= 0")

@@ -8,16 +8,19 @@ or not the (i-1)-th was run, and split coins are a pure function of
 automatically identical across protocols driven from the same seed, which
 is what the cross-protocol slot-count comparisons rely on.
 
-Arrival streams are numpy PCG64 streams seeded exactly as
-``np.random.default_rng(stream_seed(base, i))``.  :class:`ArrivalStreams`
-reproduces that seeding itself, since building a ``SeedSequence`` and a
-``Generator`` per interval would cost more than the interval's own draws.
-It also computes each stream's first double, which decides a zero Poisson
-count without numpy: for a mean below 10, numpy multiplies uniform doubles
-until the product falls to ``exp(-lam)`` or below, so the count is zero
-exactly when the first double is at most ``exp(-lam)``.  Any other count
-is drawn by numpy after fully reseeding one generator object to the
-stream's start.
+Arrival streams are numpy PCG64 streams: every draw equals the matching
+draw of ``np.random.default_rng(stream_seed(base, i))``.  Building a
+``SeedSequence`` and a ``Generator`` per interval would cost more than the
+interval's own draws, so :class:`ArrivalStreams` reproduces the seeding
+itself, for a block of streams at once in numpy uint64 limbs, together with
+each stream's first double.  For a mean below 10, numpy multiplies uniform
+doubles until the product falls to ``exp(-lam)`` or below, so the count is
+zero exactly when the first double is at most ``exp(-lam)``.  Any other
+count of such a mean, and the arrival draws after it, are drawn by a
+:class:`StreamCursor` that steps the stream's 128-bit state in Python ints
+as numpy's PCG64 would.  Only a mean of 10 or more, where numpy switches to
+transformed rejection, reseeds one generator object to the stream's start
+and lets numpy draw.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ _SS_POOL = 4
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Consecutive stream indices whose seeds are hashed in one vectorized pass.
-_SEED_BLOCK = 256
+_SEED_BLOCK = 1024
 # numpy's random_poisson (numpy/random/src/distributions/distributions.c)
 # draws a mean below this by multiplying uniforms (random_poisson_mult)
 # and a larger one by transformed rejection (random_poisson_ptrs).
@@ -163,24 +166,56 @@ def _hashmix(value: np.ndarray, key) -> np.ndarray:
     return value ^ (value >> _SS_SHIFT)
 
 
-def _pcg64_states(seeds: np.ndarray) -> list:
-    """``(state, inc, first)`` of ``np.random.PCG64(s)`` for each uint64
-    seed ``s``: its LCG state and increment, and ``first``, the first
+_U32 = np.uint64(32)
+_LOW32 = np.uint64(_MASK32)
+# PCG64's multiplier as uint64 limbs, with the low limb's 32-bit halves.
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
+_MULT_LO_0 = np.uint64(_PCG_MULT & _MASK32)
+_MULT_LO_1 = np.uint64((_PCG_MULT >> 32) & _MASK32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    """(hi, lo) uint64 limbs of a + b mod 2^128."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple:
+    """One PCG64 LCG step, ``state * _PCG_MULT + inc`` mod 2^128, on
+    (hi, lo) uint64 limb arrays; uint64 wrap-around stands in for the masks.
+
+    The full 128-bit product of the low limbs is built from 32-bit halves;
+    the cross terms only reach the high limb, where they wrap.
+    """
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p01, p10 = a0 * _MULT_LO_1, a1 * _MULT_LO_0
+    mid = ((a0 * _MULT_LO_0) >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = (a1 * _MULT_LO_1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+          + hi * _MULT_LO + lo * _MULT_HI)
+    return _add128(hi, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple:
+    """Lists ``(state_hi, state_lo, inc_hi, inc_lo, first)`` over the uint64
+    seeds: the 64-bit limbs of the LCG state and increment that
+    ``np.random.PCG64(s)`` starts with, and ``first``, the first
     ``random()`` double its generator draws.
 
     Vectorizes numpy's ``SeedSequence`` over the seeds: the entropy words
     are the seed's low and high 32 bits (a seed below 2^32 has one word,
     and SeedSequence hashes zeros into the rest of its pool of four, as for
-    a zero high word).  PCG64 then seeds its LCG with two steps.  Numpy's
-    own ``SeedSequence(s).generate_state(4, np.uint64)`` costs about as much
+    a zero high word).  PCG64 then seeds its LCG with two steps (the first
+    from a zero state, so it only adds the increment).  Numpy's own
+    ``SeedSequence(s).generate_state(4, np.uint64)`` costs about as much
     per seed as ``default_rng(s)`` does, so calling it per stream would
-    save next to nothing.  The first double is one LCG step followed by
-    PCG64's XSL-RR output, whose top 53 bits are scaled to [0, 1).
+    save next to nothing.  The first double is one more LCG step followed
+    by PCG64's XSL-RR output, whose top 53 bits are scaled to [0, 1).
     """
     zero = np.zeros(len(seeds), dtype=np.uint32)
     keys = iter(_POOL_KEYS)
     pool = [_hashmix(word, next(keys)) for word in (
-        seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32),
+        seeds.astype(np.uint32), (seeds >> _U32).astype(np.uint32),
         zero, zero)]
     for src in range(_SS_POOL):
         for dst in range(_SS_POOL):
@@ -189,52 +224,141 @@ def _pcg64_states(seeds: np.ndarray) -> list:
                 pool[dst] = mixed ^ (mixed >> _SS_SHIFT)
     words = [_hashmix(pool[i % _SS_POOL], key).astype(np.uint64)
              for i, key in enumerate(_STATE_KEYS)]
-    # Little-endian pairs of words form state words s0, s1, i0, i1.
-    s0, s1, i0, i1 = ((words[k] | (words[k + 1] << np.uint64(32))).tolist()
-                      for k in range(0, len(words), 2))
-    states = []
-    for a, b, c, d in zip(s0, s1, i0, i1):
-        inc = (((c << 64) | d) << 1 | 1) & _MASK128
-        state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128
-        step = (state * _PCG_MULT + inc) & _MASK128
-        x = ((step >> 64) ^ step) & _MASK64
-        rot = step >> 122
-        out = ((x >> rot) | (x << (64 - rot))) & _MASK64
-        states.append((state, inc, (out >> 11) * _INV53))
-    return states
+    # Little-endian pairs of words form the seed's state limbs s_hi, s_lo
+    # and the stream limbs i_hi, i_lo; inc = (i_hi:i_lo << 1) | 1.
+    s_hi, s_lo, i_hi, i_lo = (words[k] | (words[k + 1] << _U32)
+                              for k in range(0, len(words), 2))
+    one = np.uint64(1)
+    inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
+    inc_lo = (i_lo << one) | one
+    hi, lo = _lcg_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    step_hi, step_lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    x = step_hi ^ step_lo
+    rot = step_hi >> np.uint64(58)
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    first = (out >> np.uint64(11)).astype(np.float64) * _INV53
+    return (hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist(),
+            first.tolist())
+
+
+class StreamCursor:
+    """A PCG64 stream continued in Python, drawing exactly as numpy's
+    ``Generator`` does from the same state.
+
+    ``random()`` is numpy's ``next_double``: the top 53 bits of one 64-bit
+    XSL-RR output.  ``integers(lo, hi, size)`` is ``Generator.integers``
+    with int64 output: a range of one value consumes nothing; a range of
+    at most 2^32 takes Lemire's bounded draw on 32-bit words, the low half
+    of each 64-bit output first and the high half kept for the next word,
+    even across calls; a wider range takes it on whole 64-bit outputs.
+    ``uniform(lo, hi, size)`` is ``lo + (hi - lo) * random()``.  Draws are
+    returned as lists of Python numbers.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, state: int, inc: int):
+        self._state = state
+        self._inc = inc
+        self._half = None  # buffered high half of the last 64-bit output
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        return ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        out = self._next64()
+        self._half = out >> 32
+        return out & _MASK32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * _INV53
+
+    def integers(self, lo: int, hi: int, size: int) -> list:
+        n = hi - lo
+        if n < 1:
+            raise ValueError(f"empty range [{lo}, {hi})")
+        if n == 1:
+            return [lo] * size
+        draw, bits = (self._next32, 32) if n <= 1 << 32 else (self._next64, 64)
+        mask = (1 << bits) - 1
+        threshold = (1 << bits) % n
+        out = []
+        for _ in range(size):
+            m = draw() * n
+            while m & mask < threshold:
+                m = draw() * n
+            out.append(lo + (m >> bits))
+        return out
+
+    def uniform(self, lo: float, hi: float, size: int) -> list:
+        span = hi - lo
+        return [lo + span * self.random() for _ in range(size)]
+
+
+class _GeneratorDraws:
+    """A numpy Generator's ``integers`` and ``uniform``, returned as lists
+    like :class:`StreamCursor`'s."""
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def integers(self, lo: int, hi: int, size: int) -> list:
+        return self._rng.integers(lo, hi, size=size).tolist()
+
+    def uniform(self, lo: float, hi: float, size: int) -> list:
+        return self._rng.uniform(lo, hi, size=size).tolist()
 
 
 class ArrivalStreams:
-    """Generators equal to ``np.random.default_rng(stream_seed(base, i))``.
+    """Arrival draws equal to ``np.random.default_rng(stream_seed(base, i))``'s.
 
-    ``generator(i)`` returns one shared Generator, reseeded to the exact
-    state that call starts in; it is valid until the next call.
     ``draw_count(i, lam)`` draws stream ``i``'s Poisson count of mean
-    ``lam``.  Below 10, numpy's multiplication branch, a first double at
-    most ``exp(-lam)`` is a zero count, returned without a reseed; any
-    other draw reseeds through ``generator(i)`` and lets numpy draw.  The
-    seeds of a block of consecutive indices are hashed together, so a run
-    that walks the indices in order hashes each seed once; a jump
-    backwards or past the block rehashes from the requested index.
+    ``lam`` and returns the stream positioned after it.  Below a mean of
+    10, numpy's multiplication branch, the draw never touches numpy: a
+    first double at most ``exp(-lam)`` is a zero count, and any other count
+    is drawn by a :class:`StreamCursor` started at the stream's state.  A
+    larger mean reseeds one shared Generator through ``generator(i)`` and
+    lets numpy's transformed rejection draw.  The seeds of a block of
+    consecutive indices are hashed together, so a run that walks the
+    indices in order hashes each seed once; a jump backwards or past the
+    block rehashes from the requested index.
     """
 
     def __init__(self, base: int):
         self.base = int(base)
         self._bitgen = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bitgen)
-        self._first = 0
-        self._states: list = []
+        self._start = 0
+        self._block: tuple = ((), (), (), (), ())
 
-    def _entry(self, index: int) -> tuple:
-        offset = index - self._first
-        if not 0 <= offset < len(self._states):
+    def _offset(self, index: int) -> int:
+        """Offset of stream ``index`` in the block, hashing a new block
+        from ``index`` on when it lies outside the current one."""
+        offset = index - self._start
+        if not 0 <= offset < len(self._block[4]):
             indices = np.arange(index, index + _SEED_BLOCK, dtype=np.uint64)
-            self._states = _pcg64_states(stream_seed(self.base, indices))
-            self._first, offset = index, 0
-        return self._states[offset]
+            self._block = _pcg64_states(stream_seed(self.base, indices))
+            self._start, offset = index, 0
+        return offset
+
+    def _state(self, offset: int) -> tuple:
+        """``(state, inc)`` of the block's stream at ``offset``, as ints."""
+        s_hi, s_lo, i_hi, i_lo, _ = self._block
+        return s_hi[offset] << 64 | s_lo[offset], i_hi[offset] << 64 | i_lo[offset]
 
     def generator(self, index: int) -> np.random.Generator:
-        state, inc, _ = self._entry(index)
+        """The shared Generator, reseeded to stream ``index``'s start; it
+        is valid until the next call."""
+        state, inc = self._state(self._offset(index))
         # Setting the whole state also clears the buffered 32-bit half word.
         self._bitgen.state = {"bit_generator": "PCG64",
                               "state": {"state": state, "inc": inc},
@@ -242,10 +366,23 @@ class ArrivalStreams:
         return self._generator
 
     def draw_count(self, index: int, lam: float) -> tuple:
-        """``(count, generator)``: stream ``index``'s Poisson draw of mean
-        ``lam``, and its generator positioned after the draw, or None when
-        the first double alone decided a zero count."""
-        if lam < _POISSON_MULT_MAX and self._entry(index)[2] <= math.exp(-lam):
+        """``(count, draws)``: stream ``index``'s Poisson draw of mean
+        ``lam``, and the stream positioned after it, whose ``integers``
+        and ``uniform`` return lists; ``draws`` is None when the first
+        double alone decided a zero count."""
+        if lam >= _POISSON_MULT_MAX:
+            rng = self.generator(index)
+            return int(rng.poisson(lam)), _GeneratorDraws(rng)
+        # numpy's random_poisson_mult: multiply doubles until the product
+        # is at most exp(-lam); the count is the number of factors before.
+        limit = math.exp(-lam)
+        offset = self._offset(index)
+        if self._block[4][offset] <= limit:
             return 0, None
-        rng = self.generator(index)
-        return int(rng.poisson(lam)), rng
+        cursor = StreamCursor(*self._state(offset))
+        prod = cursor.random()
+        count = 0
+        while prod > limit:
+            count += 1
+            prod *= cursor.random()
+        return count, cursor

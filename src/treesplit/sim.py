@@ -17,10 +17,11 @@ arrival counts, arrival positions, and split coins all come from
 counter-derived sub-streams of the master seed, so replications are
 order-independent and reports are bit-identical across reruns.  The
 arrivals of interval (or window) ``i`` come from the numpy PCG64 stream
-``np.random.default_rng(stream_seed(arrivals_base, i))``; one generator
-object is fully reseeded to that stream's start for each interval that
-draws packets, while a zero count is read off the stream's first double
-(:class:`~treesplit.rng.ArrivalStreams`).  An empty interval is the one
+``np.random.default_rng(stream_seed(arrivals_base, i))``, draw for draw
+(:class:`~treesplit.rng.ArrivalStreams`): a zero count is read off the
+stream's first double, a count of mean below 10 and its arrival draws
+continue the stream in Python, and only a larger mean reseeds one shared
+numpy generator object and draws with numpy.  An empty interval is the one
 idle slot every protocol's engine would give it, folded by the simulator
 itself without an engine call or a coin seed.
 
@@ -159,26 +160,20 @@ class _Batch(NamedTuple):
     arrivals: list  # arrival (first-eligible) slot per id, same order
 
 
-def _slot_arrivals(rng: np.random.Generator, span_start: int, span_len: int,
-                   count: int) -> list:
+def _slot_arrivals(draws, span_start: int, span_len: int, count: int) -> list:
     """Sorted arrival slots of ``count`` packets generated in uniform
     slots of [span_start, span_start + span_len - 1], each first eligible
     in the slot after.  numpy draws the same offsets for ranges of equal
     length, so this equals drawing the generation slots and adding one.
-    One packet takes numpy's unsized draw, which yields the same value and
-    skips the sized path's fixed cost."""
-    lo, hi = span_start + 1, span_start + span_len + 1
-    if count == 1:
-        return [int(rng.integers(lo, hi))]
-    return sorted(rng.integers(lo, hi, size=count).tolist())
+    ``draws`` is the stream :meth:`ArrivalStreams.draw_count` returned."""
+    return sorted(draws.integers(span_start + 1, span_start + span_len + 1, count))
 
 
-def _instant_arrivals(rng: np.random.Generator, lo: float, hi: float,
-                      count: int) -> list:
+def _instant_arrivals(draws, lo: float, hi: float, count: int) -> list:
     """Sorted arrival slots of ``count`` packets generated at uniform real
     instants in [lo, hi), each first eligible in the first slot whose
     start lies at or after its instant."""
-    instants = sorted(rng.uniform(lo, hi, size=count).tolist())
+    instants = sorted(draws.uniform(lo, hi, count))
     return [math.ceil(u + 1.0 - 1e-9) for u in instants]
 
 
@@ -340,12 +335,12 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
     def draw_batch(cri_index: int, span_start: int, span_len: int) -> _Batch:
         """Arrivals generated during [span_start, span_start+span_len-1]."""
         nonlocal next_id
-        count, rng = streams.draw_count(cri_index, rate * span_len)
+        count, draws = streams.draw_count(cri_index, rate * span_len)
         ids = range(next_id, next_id + count)
         if count == 0:
             return _Batch(ids, [])
         next_id += count
-        return _Batch(ids, _slot_arrivals(rng, span_start, span_len, count))
+        return _Batch(ids, _slot_arrivals(draws, span_start, span_len, count))
 
     # Bootstrap: the first interval serves arrivals of a single slot-0 epoch.
     batch = draw_batch(0, 0, 1)
@@ -374,12 +369,12 @@ def _run_windowed(report, kind, rules, rate, budget, p,
     def draw_window(j: int) -> _Batch:
         """Arrivals of window j, spanning real time [j*delta, (j+1)*delta)."""
         nonlocal next_id
-        count, rng = streams.draw_count(j, rate * delta)
+        count, draws = streams.draw_count(j, rate * delta)
         ids = range(next_id, next_id + count)
         if count == 0:
             return _Batch(ids, [])
         next_id += count
-        return _Batch(ids, _instant_arrivals(rng, j * delta, (j + 1) * delta, count))
+        return _Batch(ids, _instant_arrivals(draws, j * delta, (j + 1) * delta, count))
 
     queue: deque = deque()  # windows drawn but not yet served, in index order
     drawn = 0               # windows drawn so far

@@ -291,6 +291,22 @@ class TestCommands:
         assert dot.startswith("// seed=7 config_sha256=")
         assert dot.splitlines()[0].endswith(f" version={__version__}")
 
+    def test_tree_rejects_several_protocols(self, tmp_path, capsys):
+        config = tmp_path / "two.json"
+        config.write_text(json.dumps({"protocols": ["sicta", "atic"]}))
+        outdir = tmp_path / "out"
+        assert run_cli("tree", "--users", "4", "--seed", "7", "--config", str(config),
+                       "--outdir", str(outdir)) == 1
+        assert "error: config field 'protocols'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.dot"))
+
+    def test_tree_follows_config_protocol(self, tmp_path):
+        config = tmp_path / "atic.json"
+        config.write_text(json.dumps({"protocols": ["atic"]}))
+        assert run_cli("tree", "--users", "3", "--seed", "7", "--config", str(config),
+                       "--outdir", str(tmp_path)) == 0
+        assert (tmp_path / "tree_atic_n3.dot").exists()
+
     def test_compare_superset_of_simulate(self, tmp_path):
         assert run_cli("compare", "--protocols", "bta,atic", "--rates", "0.3",
                        "--budget", "3000", "--seed", "3",

@@ -10,6 +10,7 @@ from treesplit.rng import (
     _SEED_BLOCK,
     ArrivalStreams,
     CoinSource,
+    StreamCursor,
     _pcg64_states,
     coin_uniform,
     derive_seed,
@@ -22,6 +23,22 @@ BASES = (0, 1, derive_seed(42, "arrivals"), (1 << 63) - 1)
 
 def _reference_state(base, index):
     return np.random.default_rng(stream_seed(base, index)).bit_generator.state
+
+
+def _cursor_and_reference(seed):
+    """A cursor and a numpy Generator, both at the start of PCG64 stream ``seed``."""
+    ref = np.random.default_rng(seed)
+    state = ref.bit_generator.state["state"]
+    return StreamCursor(state["state"], state["inc"]), ref
+
+
+def _assert_same_position(cursor, ref):
+    """The cursor's 128-bit state and buffered half word equal numpy's."""
+    state = ref.bit_generator.state
+    assert cursor._state == state["state"]["state"]
+    assert (cursor._half is not None) == bool(state["has_uint32"])
+    if state["has_uint32"]:
+        assert cursor._half == state["uinteger"]
 
 
 class TestArrivalStreams:
@@ -53,7 +70,9 @@ class TestArrivalStreams:
         1 << 32, (1 << 32) + 1, (1 << 63) - 1, (1 << 64) - 1,
     ])
     def test_pcg64_seeding_matches_numpy(self, seed):
-        [(state, inc, first)] = _pcg64_states(np.array([seed], dtype=np.uint64))
+        (s_hi,), (s_lo,), (i_hi,), (i_lo,), (first,) = _pcg64_states(
+            np.array([seed], dtype=np.uint64))
+        state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
         expected = np.random.default_rng(seed).bit_generator.state["state"]
         assert {"state": state, "inc": inc} == expected
         assert first == np.random.default_rng(seed).random()
@@ -61,7 +80,7 @@ class TestArrivalStreams:
     @pytest.mark.parametrize("base", BASES)
     def test_first_double_matches_numpy(self, base):
         seeds = stream_seed(base, np.arange(2000, dtype=np.uint64))
-        firsts = [first for _, _, first in _pcg64_states(seeds)]
+        firsts = _pcg64_states(seeds)[4]
         assert firsts == [np.random.default_rng(s).random() for s in seeds.tolist()]
 
     # Both sides of numpy's switch from multiplication (lam < 10) to PTRS.
@@ -73,7 +92,8 @@ class TestArrivalStreams:
         # Streams whose first double is below exp(-10): numpy draws them a
         # zero count just below its switch and a PTRS count at or above it.
         small_first = (4950, 45193, 71439)
-        assert all(streams._entry(i)[2] <= math.exp(-10) for i in small_first)
+        firsts = _pcg64_states(stream_seed(base, np.array(small_first, dtype=np.uint64)))[4]
+        assert all(first <= math.exp(-10) for first in firsts)
         for index in (*range(2000), *small_first):
             count, rng = streams.draw_count(index, lam)
             ref = np.random.default_rng(stream_seed(base, index))
@@ -82,7 +102,7 @@ class TestArrivalStreams:
                 # A zero count below the switch never reseeds.
                 assert (rng is None) == (count == 0), index
             if count:
-                drawn = rng.integers(1, 5001, size=count).tolist()
+                drawn = rng.integers(1, 5001, count)
                 assert drawn == ref.integers(1, 5001, size=count).tolist(), index
 
     def test_buffered_half_word_does_not_leak_into_next_stream(self):
@@ -98,6 +118,77 @@ class TestArrivalStreams:
             ref = np.random.default_rng(stream_seed(base, index))
             assert drawn == ref.integers(0, 1000, size=k).tolist()
             assert rng.random() == ref.random()
+
+    # Seeds on both sides of the one-word/two-word entropy switch, and at
+    # both ends of the uint64 range, 2,000 each.
+    @pytest.mark.parametrize("anchor", [0, (1 << 32) - 1, 1 << 32, (1 << 64) - 1])
+    def test_limb_seeding_matches_numpy_near(self, anchor):
+        low = min(max(anchor - 1000, 0), (1 << 64) - 2000)
+        seeds = [low + k for k in range(2000)]
+        assert anchor in seeds
+        s_hi, s_lo, i_hi, i_lo, firsts = _pcg64_states(np.array(seeds, dtype=np.uint64))
+        for k, seed in enumerate(seeds):
+            ref = np.random.default_rng(seed)
+            assert ref.bit_generator.state["state"] == {
+                "state": s_hi[k] << 64 | s_lo[k], "inc": i_hi[k] << 64 | i_lo[k]}, seed
+            assert firsts[k] == ref.random(), seed
+
+    @pytest.mark.parametrize("lam", [1e-9, 0.1, 1.0, 3.0, 9.999])
+    def test_cursor_count_leaves_the_stream_where_numpy_does(self, lam):
+        base = derive_seed(8, "arrivals")
+        streams = ArrivalStreams(base)
+        for index in range(2000):
+            count, cursor = streams.draw_count(index, lam)
+            ref = np.random.default_rng(stream_seed(base, index))
+            assert count == ref.poisson(lam), index
+            if count:
+                _assert_same_position(cursor, ref)
+                assert cursor.random() == ref.random(), index
+
+    # One value (consumes nothing), the smallest real range, a slot span,
+    # a power of two (no rejection), and a range that rejects about half
+    # of its 32-bit words.
+    @pytest.mark.parametrize("span", [1, 2, 40, 1 << 31, (1 << 31) + 1])
+    def test_integers_carry_the_half_word_across_calls(self, span):
+        base = derive_seed(9, "arrivals")
+        for index in range(2000):
+            cursor, ref = _cursor_and_reference(stream_seed(base, index))
+            # An odd count leaves the high half of a 64-bit output buffered
+            # for the next call, unless a rejection drew one more word.
+            for lo, size in ((7, 3), (0, 1), (123, 2)):
+                drawn = cursor.integers(lo, lo + span, size)
+                assert drawn == ref.integers(lo, lo + span, size=size).tolist(), index
+                _assert_same_position(cursor, ref)
+            assert cursor.random() == ref.random(), index
+
+    def test_uniform_then_further_draws(self):
+        base = derive_seed(10, "arrivals")
+        for index in range(2000):
+            cursor, ref = _cursor_and_reference(stream_seed(base, index))
+            lo, hi = index * 1.5, (index + 1) * 1.5
+            size = index % 4 + 1
+            assert cursor.uniform(lo, hi, size) == ref.uniform(lo, hi, size=size).tolist()
+            # A 32-bit draw after doubles, then doubles with its half word buffered.
+            assert cursor.integers(0, 40, 1) == ref.integers(0, 40, size=1).tolist()
+            assert cursor.uniform(0.0, 2.0, 2) == ref.uniform(0.0, 2.0, size=2).tolist()
+            assert cursor.integers(0, 40, 1) == ref.integers(0, 40, size=1).tolist()
+            _assert_same_position(cursor, ref)
+
+    def test_integers_beyond_32_bits(self):
+        base = derive_seed(12, "arrivals")
+        for index in range(500):
+            cursor, ref = _cursor_and_reference(stream_seed(base, index))
+            # The widest 32-bit range, a 64-bit one, and one that rejects
+            # about half of its 64-bit outputs.
+            for lo, hi in ((0, 1 << 32), (5, (1 << 40) + 5), (-(1 << 62), 1 << 62),
+                           (-(1 << 63), 1)):
+                assert cursor.integers(lo, hi, 3) == ref.integers(lo, hi, size=3).tolist()
+                _assert_same_position(cursor, ref)
+
+    def test_cursor_rejects_an_empty_range(self):
+        cursor, _ = _cursor_and_reference(1)
+        with pytest.raises(ValueError):
+            cursor.integers(5, 5, 1)
 
 
 class TestCoinSource:

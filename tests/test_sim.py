@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import treesplit.sim as sim
 from treesplit.engines import ProtocolKind, run_cri
-from treesplit.rng import CoinSource, derive_seed, stream_seed
+from treesplit.rng import CoinSource, StreamCursor, _GeneratorDraws, derive_seed, stream_seed
 from treesplit.sim import (
     EmptySampleError,
     Gated,
@@ -340,6 +340,14 @@ def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
     assert served.to_dict() == folded.to_dict()
 
 
+def _stream_draws(base, index):
+    """Both kinds of draws ``ArrivalStreams.draw_count`` hands out, each at
+    the start of stream ``index``: a Python cursor and numpy's own."""
+    ref = np.random.default_rng(stream_seed(base, index))
+    state = ref.bit_generator.state["state"]
+    return StreamCursor(state["state"], state["inc"]), _GeneratorDraws(ref)
+
+
 # Few packets, as in most intervals, and a few hundred, as in overloaded ones.
 COUNTS = st.one_of(st.integers(0, 3), st.integers(100, 900))
 
@@ -353,8 +361,10 @@ def test_slot_arrivals_match_sorted_draws(index, span_start, span_len, count):
     rng = np.random.default_rng(stream_seed(base, index))
     drawn = np.sort(rng.integers(span_start, span_start + span_len, size=count))
     expected = [int(g) + 1 for g in drawn]
-    rng = np.random.default_rng(stream_seed(base, index))
-    assert sim._slot_arrivals(rng, span_start, span_len, count) == expected
+    for draws in _stream_draws(base, index):
+        slots = sim._slot_arrivals(draws, span_start, span_len, count)
+        assert slots == expected
+        assert all(type(slot) is int for slot in slots)
 
 
 @given(st.integers(0, 1 << 40), st.integers(0, 10**5),
@@ -368,5 +378,5 @@ def test_instant_arrivals_match_sorted_draws(index, window, delta, count):
     rng = np.random.default_rng(stream_seed(base, index))
     drawn = np.sort(rng.uniform(lo, hi, size=count))
     expected = [math.ceil(float(u) + 1.0 - 1e-9) for u in drawn]
-    rng = np.random.default_rng(stream_seed(base, index))
-    assert sim._instant_arrivals(rng, lo, hi, count) == expected
+    for draws in _stream_draws(base, index):
+        assert sim._instant_arrivals(draws, lo, hi, count) == expected

@@ -34,8 +34,8 @@ def main():
     common = ["--outdir", str(out)]
 
     # conditional throughput tables for every splitting discipline
-    run(["analytic", "--protocols", "bta,mta,sicta,atic", "--n-max", "40",
-         *common])
+    run(["analytic", "--protocols", "bta,mta,sicta,atic,atic_left",
+         "--n-max", "40", *common])
     # split-bias scan around the symmetric point
     run(["asymptote", "--p-grid", "0.40:0.60:0.005", *common])
     # stable-rate curve for windowed access over a log grid of loads

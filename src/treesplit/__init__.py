@@ -7,17 +7,15 @@ Poisson-traffic experiments under gated or windowed channel access.
 """
 
 from .signals import NotContainedError, Signal, cancel, superpose
-from .rng import CoinSource, coin_uniform, derive_seed, scripted_coins, stream_seed
+from .rng import CoinSource, coin_uniform, derive_seed, stream_seed
 from .analytics import (
     CollisionCountTable,
     CriLengthTable,
     SplitParams,
-    WindowedScan,
     asymptotic_throughput,
     cri_table_rows,
     expected_cri_closed,
     poisson_expected_cri,
-    scan_windowed_mst,
     windowed_stable_rate,
 )
 from .engines import (
@@ -55,10 +53,10 @@ from ._version import __version__
 
 __all__ = [
     "NotContainedError", "Signal", "cancel", "superpose",
-    "CoinSource", "coin_uniform", "derive_seed", "scripted_coins", "stream_seed",
-    "CollisionCountTable", "CriLengthTable", "SplitParams", "WindowedScan",
+    "CoinSource", "coin_uniform", "derive_seed", "stream_seed",
+    "CollisionCountTable", "CriLengthTable", "SplitParams",
     "asymptotic_throughput", "cri_table_rows", "expected_cri_closed",
-    "poisson_expected_cri", "scan_windowed_mst", "windowed_stable_rate",
+    "poisson_expected_cri", "windowed_stable_rate",
     "RULES", "CriTrace", "EngineInvariantError", "NonTerminationError",
     "ProtocolKind", "Rules", "SlotRecord", "TreeNode", "arbitrate", "export_tree",
     "run_cri",

@@ -10,15 +10,27 @@ an independent validator; its alternating terms cancel catastrophically
 in doubles as n grows, so it is summed in exact rational arithmetic.
 
 Length laws, conditioning on the binomial split count i of n colliders
-(left group size), with pi_i = C(n,i) p^i q^(n-i):
+(left group size), with pi_i = C(n,i) p^i q^(n-i).  Each protocol's law
+is read off its ``engines.RULES`` flags, one term per flag:
 
-  bta    L_n = 1 + sum_i pi_i (L_i + L_{n-i})           n >= 2
-  mta    as bta, but after an idle left child the right group is a
-          definite collision and its root slot is skipped
-  sicta  L_n = sum_i pi_i (L_i + L_{n-i})               n >= 2
-          (every right root slot is derived by cancellation)
-  atic   as sicta for n >= 3, with L_2 = 2 exactly (degree-2 collisions
-          resolve in one extra slot via the id-arbitration shortcut)
+  (none)            L_n = 1 + sum_i pi_i (L_i + L_{n-i})            n >= 2
+                    (bta: every tree node costs one slot)
+  skips_definite    after an idle left child (i = 0) the right group is
+                    a definite collision and its root slot is skipped:
+                    the i = 0 term loses its 1 (mta)
+  saves_collisions  every right root slot is derived by cancellation and
+                    skipped, which cancels the row's own 1:
+                    L_n = sum_i pi_i (L_i + L_{n-i}) (sicta)
+  z_on_collision    a received pair resolves by id arbitration, so the
+                    table starts from L_2 = 2 exactly (atic, atic_left)
+  z_on_success      a derived pair arbitrates too (atic).  Under the two
+                    flags above without it (atic_left) a derived pair
+                    is split, at cost
+                    D_2 = (q^2 L_0 + 2pq L_1 + p^2 L_2) / (1 - q^2)
+                    instead of L_2 - 1, which adds pi_{n-2} (D_2 - L_2 + 1)
+
+The collision-count tables follow the same flags with the weights of
+received collision slots (see :class:`CollisionCountTable`).
 
 Each row sums only over the split counts 1 <= i <= n-1 with
 |i - n p| <= t_n = sqrt(n ln(2/eps) / 2) + 1, eps = 2^-64, plus the
@@ -33,22 +45,18 @@ the integers, grown with the length table.  It reproduces cephes
 package needs no scipy: ln of the exact factorial for k <= 12, and for
 k >= 13 the Stirling series with cephes' coefficients, switch point at
 1000 and operation order, taking ln k from libm through ``math.log``.
-
-There is no analytic length law here for the left-broadcast variant
-(``atic_left``); its throughput constant is checked by simulation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
-_LENGTH_LAWS = ("bta", "mta", "sicta", "atic")
+from .engines import RULES, ProtocolKind
+
 # Poisson tail mass a mixture over the length table may leave out.
 _POISSON_TOL = 1e-12
 # Binomial mass a recursion row may leave out.  Rows sum only over split
@@ -127,29 +135,37 @@ class SplitParams:
         return 2.0 - 4.0 * p * q - 3.0 * (p * p + q * q)
 
 
-def _protocol_name(protocol) -> str:
-    """A protocol's law name, given as a string or a string-valued enum.
-
-    ``str()`` of a ``(str, Enum)`` member gives 'ProtocolKind.ATIC' on
-    Python 3.11 and later, so an enum member contributes its value.
-    """
-    return protocol.value if isinstance(protocol, Enum) else str(protocol)
-
-
 class _SplitTable:
     """Values over collider counts n, grown row by row by a recursion that
     conditions on the Binomial(n, p) split of the n colliders.
 
-    ``_values[:_size]`` holds the finished rows; its capacity and the
-    log-gamma table ``_gl`` (``_gl[k]`` = ln Gamma(k), one entry longer)
-    grow together, doubling, and ``_gl`` computes only its new entries.
-    Each subclass writes its law as ``_extend(n_max)``, which fills rows
-    up to n_max.
+    The protocol's ``RULES`` flags pick the terms of each row (see the
+    module docstring).  ``_values[:_size]`` holds the finished rows; its
+    capacity and the log-gamma table ``_gl`` (``_gl[k]`` = ln Gamma(k),
+    one entry longer) grow together, doubling, and ``_gl`` computes only
+    its new entries.  Each subclass gives its base values V_0, V_1 and
+    the received-pair value V_2 as ``_BASE`` (a table starts from V_2
+    only under ``z_on_collision``) and writes its law as
+    ``_extend(n_max)``, which fills rows up to n_max.
     """
 
-    def __init__(self, params: SplitParams, protocol: str, base: list):
+    _BASE: tuple
+
+    def __init__(self, params: SplitParams, protocol: str = "atic"):
+        kind = ProtocolKind(protocol)
         self.params = params
-        self.protocol = protocol
+        self.protocol = kind.value
+        self._rules = RULES[kind]
+        saves, _, z_on_collision, z_on_success = self._rules
+        base = self._BASE if z_on_collision else self._BASE[:2]
+        # Extra cost of a derived pair that cannot arbitrate and is split:
+        # D_2 - (V_2 - 1), D_2 solving D_2 = q^2 (V_0 + D_2) + 2pq V_1 + p^2 V_2.
+        self._pair = 0.0
+        if saves and z_on_collision and not z_on_success:
+            p, q = params.p, params.q
+            v_0, v_1, v_2 = base
+            d_2 = (q * q * v_0 + 2.0 * p * q * v_1 + p * p * v_2) / (1.0 - q * q)
+            self._pair = d_2 - (v_2 - 1.0)
         self._log_p = math.log(params.p)
         self._log_q = math.log(params.q)
         self._values = np.array(base, dtype=float)
@@ -195,31 +211,25 @@ class CriLengthTable(_SplitTable):
     (throughput curves, Poisson mixtures) share one table.
     """
 
-    def __init__(self, params: SplitParams, protocol: str = "atic"):
-        protocol = _protocol_name(protocol)
-        if protocol not in _LENGTH_LAWS:
-            raise ValueError(
-                f"no analytic length law for {protocol!r}; "
-                f"choose one of {_LENGTH_LAWS} or estimate by simulation"
-            )
-        super().__init__(params, protocol, [1.0, 1.0, 2.0] if protocol == "atic" else [1.0, 1.0])
+    _BASE = (1.0, 1.0, 2.0)
 
     def _extend(self, n_max: int) -> None:
         if n_max < self._size:
             return
         self._reserve(n_max)
         L = self._values
+        saves, skips = self._rules.saves_collisions, self._rules.skips_definite
+        own = 0.0 if saves else 1.0
+        keeps_pi_0 = saves or not skips
+        pair = self._pair
         for n in range(self._size, n_max + 1):
             lo, pmf, pi_0, pi_n = self._window(n)
             hi = lo + len(pmf) - 1
             mid = float(np.dot(pmf, L[lo:hi + 1] + L[n - hi:n - lo + 1][::-1]))
-            if self.protocol in ("sicta", "atic"):
-                # self terms i=0 and i=n contribute pi*(1 + L_n); extract L_n
-                num = mid + pi_0 + pi_n
-            elif self.protocol == "bta":
-                num = 1.0 + mid + pi_0 + pi_n
-            else:  # mta: i=0 leaves a definite right group, root slot skipped
-                num = 1.0 + mid + pi_n
+            if pair and n - 2 <= hi:
+                mid += pmf[n - 2 - lo] * pair
+            # the self terms i=0 and i=n hold L_n; solve the row for it
+            num = own + mid + (pi_0 if keeps_pi_0 else 0.0) + pi_n
             L[n] = num / (1.0 - pi_0 - pi_n)
         self._size = n_max + 1
 
@@ -305,71 +315,52 @@ def windowed_stable_rate(load: float, table: CriLengthTable) -> float:
     For window size delta and arrival rate lam, the batch load is
     lam * delta and stability requires the expected interval length to fit
     inside the window; the boundary rate is load / E[L(Poisson(load))],
-    with L the lengths of ``table``'s protocol.  The rate climbs towards
-    the protocol's asymptote as the load grows; a small log-periodic
-    ripple (order 1e-6 after Poisson smoothing) survives on top of that
-    trend, so the climb is not strictly monotone at fine resolution.
+    with L the lengths of ``table``'s protocol.  For atic the rate climbs
+    towards the protocol's asymptote as the load grows; a small
+    log-periodic ripple (order 1e-6 after Poisson smoothing) survives on
+    top of that trend, so the climb is not strictly monotone at fine
+    resolution.  atic_left's rate overshoots its limit (6/5) ln 2 = 0.832
+    at small loads (0.843 near load 3.4), where the two-slot received
+    pairs weigh most.
     """
     if not (math.isfinite(load) and load > 0.0):
         raise ValueError(f"load must be positive and finite, got {load}")
     return load / poisson_expected_cri(load, table)
 
 
-class WindowedScan(NamedTuple):
-    best_load: float
-    rate: float
-
-
-def scan_windowed_mst(grid: Iterable[float], table: CriLengthTable) -> WindowedScan:
-    """Maximize the windowed stable rate over a grid of loads.
-
-    Returns the argmax load and the supremum rate for ``table``'s
-    protocol.  The supremum tracks the protocol's asymptote from below up
-    to the residual ripple of a few 1e-6, so window tuning cannot beat
-    unwindowed (gated) operation by more than that ripple at any finite
-    window.
-    """
-    loads = [float(x) for x in grid]
-    if not loads:
-        raise ValueError("grid must be non-empty")
-    if min(loads) <= 0.0:
-        raise ValueError("grid loads must be positive")
-    best_load, best_rate = loads[0], -math.inf
-    for load in loads:
-        rate = windowed_stable_rate(load, table)
-        if rate > best_rate:
-            best_load, best_rate = load, rate
-    return WindowedScan(best_load, best_rate)
-
-
 class CollisionCountTable(_SplitTable):
-    """Expected received-collision counts per interval, given n colliders.
+    """Expected received-collision counts C_n per interval, given n colliders.
 
     Counts only collision slots actually consumed on the channel (derived
-    or skipped collisions cost nothing).  Supported for the cancellation
-    protocols where the count feeds memory sizing: sicta and atic.
+    or skipped collisions cost nothing).  The row is the length law's with
+    collision weights: the root collision counts 1 for n >= 2;
+    ``skips_definite`` drops the definite right root after an idle left
+    child (-pi_0); ``saves_collisions`` drops the root collision of every
+    derived right group of two or more; ``z_on_collision`` starts from
+    C_2 = 1 (a received pair collides once, then arbitrates); and a
+    derived pair that cannot arbitrate adds pi_{n-2} p^2 / (1 - q^2).
     """
 
-    def __init__(self, params: SplitParams, protocol: str = "atic"):
-        protocol = _protocol_name(protocol)
-        if protocol not in ("sicta", "atic"):
-            raise ValueError(f"collision-count law implemented for sicta/atic, got {protocol!r}")
-        # an atic received pair is exactly one collision slot
-        super().__init__(params, protocol, [0.0, 0.0, 1.0] if protocol == "atic" else [0.0, 0.0])
+    _BASE = (0.0, 0.0, 1.0)
 
     def _extend(self, n_max: int) -> None:
         if n_max < self._size:
             return
         self._reserve(n_max)
         C = self._values
+        saves, skips = self._rules.saves_collisions, self._rules.skips_definite
+        pair = self._pair
         for n in range(self._size, n_max + 1):
             lo, pmf, pi_0, pi_n = self._window(n)
             hi = lo + len(pmf) - 1
-            right = np.arange(n - lo, n - hi - 1, -1)
-            # A derived right group of size m >= 2 saves its root collision.
-            derived = C[right] - (right >= 2)
-            mid = float(np.dot(pmf, C[lo:hi + 1] + derived))
-            C[n] = (1.0 - pi_0 + mid) / (1.0 - pi_0 - pi_n)
+            right = C[n - hi:n - lo + 1][::-1]
+            if saves:
+                # A derived right group of size m >= 2 saves its root collision.
+                right = right - (np.arange(n - lo, n - hi - 1, -1) >= 2)
+            mid = float(np.dot(pmf, C[lo:hi + 1] + right))
+            if pair and n - 2 <= hi:
+                mid += pmf[n - 2 - lo] * pair
+            C[n] = (1.0 - (pi_0 if skips else 0.0) + mid) / (1.0 - pi_0 - pi_n)
         self._size = n_max + 1
 
 

@@ -24,7 +24,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .analytics import (
-    _LENGTH_LAWS,
     SplitParams,
     asymptotic_throughput,
     cri_table_rows,
@@ -39,7 +38,7 @@ from .config import (
 )
 from .engines import export_tree, run_cri
 from .reports import IoError, emit_report, provenance_header
-from .rng import derive_seed, scripted_coins
+from .rng import CoinSource, derive_seed
 from .sim import EmptySampleError, delay_stats, simulate, throughput_estimate
 
 
@@ -71,8 +70,7 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("analytic",
                          help="emit n, L_n, T_n tables")
     _add_common(sp)
-    sp.add_argument("--protocols",
-                    help=f"comma list (length laws exist for {','.join(_LENGTH_LAWS)})")
+    sp.add_argument("--protocols", help="comma list of protocols")
     sp.add_argument("--n-max", type=int, default=24, dest="n_max")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(handler=_cmd_analytic)
@@ -182,10 +180,6 @@ def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("n_max", f"need n_max >= 1, got {args.n_max}")
     params = SplitParams(cfg.p)
     for proto in cfg.protocols:
-        if proto not in _LENGTH_LAWS:
-            raise ConfigError(
-                "protocols", f"no closed length law for {proto!r}; "
-                f"choices here: {_LENGTH_LAWS}")
         rows = [
             {"n": n, "L_n": length, "T_n": thr}
             for n, length, thr in cri_table_rows(args.n_max, params, proto)
@@ -230,9 +224,9 @@ def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("load_min", "need 0 < load_min < load_max")
     if args.points < 2:
         raise ConfigError("points", "need at least 2 grid points")
-    if len(cfg.protocols) != 1 or cfg.protocols[0] not in _LENGTH_LAWS:
-        raise ConfigError("protocols", "windowed-scan needs one protocol of "
-                          f"{','.join(_LENGTH_LAWS)}; got {','.join(cfg.protocols)}")
+    if len(cfg.protocols) != 1:
+        raise ConfigError("protocols", "windowed-scan scans one protocol; "
+                          f"got {','.join(cfg.protocols)}")
     table = CriLengthTable(SplitParams(cfg.p), cfg.protocols[0])
     loads = np.geomspace(args.load_min, args.load_max, args.points)
     rows = [
@@ -348,8 +342,7 @@ def _cmd_tree(args, cfg: ExperimentConfig) -> int:
     proto = cfg.protocols[0]
     if args.users < 0:
         raise ConfigError("users", "user count must be >= 0")
-    coins = scripted_coins(_parse_script(args.script), p=cfg.p, seed=seed) \
-        if args.script else seed
+    coins = CoinSource(seed, cfg.p, _parse_script(args.script)) if args.script else seed
     trace = run_cri(proto, range(1, args.users + 1), cfg.p, coins, record=True)
     dot = export_tree(trace)
     path = _outpath(cfg, f"tree_{proto}_n{args.users}.dot")

@@ -127,11 +127,6 @@ class CoinSource:
         return ((x ^ (x >> 31)) >> 11) < self._bound
 
 
-def scripted_coins(script: dict, p: float = 0.5, seed: int = 0) -> CoinSource:
-    """CoinSource with forced outcomes for the given (uid, depth) keys."""
-    return CoinSource(seed=seed, p=p, script=script)
-
-
 def stream_seed(base: int, index):
     """Cheap counter-based child seed for the ``index``-th sub-stream.
 

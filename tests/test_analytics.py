@@ -20,7 +20,6 @@ from treesplit.analytics import (
     cri_table_rows,
     expected_cri_closed,
     poisson_expected_cri,
-    scan_windowed_mst,
     windowed_stable_rate,
     _log_gamma,
 )
@@ -49,8 +48,17 @@ class TestHandValues:
         got = CriLengthTable(HALF, protocol).expected(n)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_atic_left_lengths(self):
+        """A derived pair is split under atic_left: L_3 = 11/3, L_4 = 101/21,
+        and T_n tends to (6/5) ln 2."""
+        table = CriLengthTable(HALF, "atic_left")
+        assert table.expected(2) == 2.0
+        assert table.expected(3) == pytest.approx(11.0 / 3.0, abs=1e-12)
+        assert table.expected(4) == pytest.approx(101.0 / 21.0, abs=1e-12)
+        assert abs(table.throughput(5000) - 1.2 * math.log(2.0)) < 1e-5
+
     def test_degenerate_cases(self):
-        for protocol in ("bta", "mta", "sicta", "atic"):
+        for protocol in ("bta", "mta", "sicta", "atic", "atic_left"):
             table = CriLengthTable(HALF, protocol)
             assert table.expected(0) == 1.0
             assert table.expected(1) == 1.0
@@ -58,14 +66,16 @@ class TestHandValues:
     def test_protocol_length_ordering(self):
         """Skipping, SIC, and the pair shortcut each only shorten intervals."""
         table = {
-            proto: CriLengthTable(HALF, proto) for proto in ("bta", "mta", "sicta", "atic")
+            proto: CriLengthTable(HALF, proto)
+            for proto in ("bta", "mta", "sicta", "atic_left", "atic")
         }
         for n in range(2, 40):
             bta = table["bta"].expected(n)
             mta = table["mta"].expected(n)
             sicta = table["sicta"].expected(n)
+            atic_left = table["atic_left"].expected(n)
             atic = table["atic"].expected(n)
-            assert bta >= mta >= sicta >= atic
+            assert bta >= mta >= sicta >= atic_left >= atic
 
     def test_biased_split_is_worse_at_half(self):
         for p in (0.3, 0.42, 0.61):
@@ -151,24 +161,28 @@ class TestPoissonAndWindowed:
             windowed_stable_rate(load, CriLengthTable(HALF, "atic"))
 
     def test_scan_finds_interior_optimum(self):
-        scan = scan_windowed_mst(np.geomspace(0.5, 100.0, 40), CriLengthTable(HALF, "atic"))
-        assert scan.rate == pytest.approx(LIMIT, abs=5e-5)
+        table = CriLengthTable(HALF, "atic")
+        rate, best_load = max(
+            (windowed_stable_rate(x, table), x) for x in np.geomspace(0.5, 100.0, 40))
+        assert rate == pytest.approx(LIMIT, abs=5e-5)
         # the near-limit ripple peaks recur log-periodically, so the grid
         # argmax may land on any of them, but never at the grid edges
-        assert 5.0 < scan.best_load < 100.0
+        assert 5.0 < best_load < 100.0
 
     def test_windowed_never_beats_limit_materially(self):
         """Window tuning tracks the asymptote from below up to a ripple
         of a few parts in 1e6 (it can exceed the limit by that ripple)."""
-        scan = scan_windowed_mst(np.geomspace(0.1, 1e3, 120), CriLengthTable(HALF, "atic"))
-        assert scan.rate < LIMIT + 1e-5
+        table = CriLengthTable(HALF, "atic")
+        rate = max(windowed_stable_rate(x, table) for x in np.geomspace(0.1, 1e3, 120))
+        assert rate < LIMIT + 1e-5
 
     def test_scan_follows_table_protocol(self):
         """A sicta table scans sicta's windowed rates, which approach ln 2."""
         grid = np.geomspace(0.5, 100.0, 40)
-        sicta = scan_windowed_mst(grid, CriLengthTable(HALF, "sicta"))
-        assert sicta.rate == pytest.approx(math.log(2.0), abs=5e-5)
-        assert sicta.rate < scan_windowed_mst(grid, CriLengthTable(HALF, "atic")).rate
+        sicta, atic = CriLengthTable(HALF, "sicta"), CriLengthTable(HALF, "atic")
+        sicta_rate = max(windowed_stable_rate(x, sicta) for x in grid)
+        assert sicta_rate == pytest.approx(math.log(2.0), abs=5e-5)
+        assert sicta_rate < max(windowed_stable_rate(x, atic) for x in grid)
 
 
 class TestCollisionCounts:
@@ -212,8 +226,10 @@ class TestTableMechanics:
 
     @pytest.mark.parametrize("cls,kind", [
         (CriLengthTable, ProtocolKind.ATIC), (CriLengthTable, ProtocolKind.BTA),
+        (CriLengthTable, ProtocolKind.ATIC_LEFT),
         (CollisionCountTable, ProtocolKind.ATIC),
         (CollisionCountTable, ProtocolKind.SICTA),
+        (CollisionCountTable, ProtocolKind.MTA),
     ])
     def test_protocol_enum_accepted(self, cls, kind):
         table = cls(HALF, kind)
@@ -276,12 +292,19 @@ def _full_rows(kind: str, protocol: str, p: float, n_max: int) -> np.ndarray:
     """The length (or collision-count) laws summed over every split count.
 
     The oracle for the windowed tables: each row evaluates the whole
-    Binomial(n, p) pmf, O(n) per row.
+    Binomial(n, p) pmf, O(n) per row.  Each protocol's law is written out
+    by name here, apart from the rule flags the tables read.
     """
+    q = 1.0 - p
+    pair_arbitrates = protocol in ("atic", "atic_left")
     if kind == "lengths":
-        values = [1.0, 1.0, 2.0] if protocol == "atic" else [1.0, 1.0]
+        values = [1.0, 1.0, 2.0] if pair_arbitrates else [1.0, 1.0]
+        # atic_left splits a derived pair: (1 + p^2) / (1 - q^2) slots, not 1
+        pair_extra = (1.0 + p * p) / (1.0 - q * q) - 1.0
     else:
-        values = [0.0, 0.0, 1.0] if protocol == "atic" else [0.0, 0.0]
+        values = [0.0, 0.0, 1.0] if pair_arbitrates else [0.0, 0.0]
+        # ... and receives its collision whenever both go left first
+        pair_extra = p * p / (1.0 - q * q)
     out = np.zeros(n_max + 1)
     out[: len(values)] = values
     gl = gammaln(np.arange(n_max + 2))
@@ -292,16 +315,27 @@ def _full_rows(kind: str, protocol: str, p: float, n_max: int) -> np.ndarray:
         left, right = out[1:n], out[n - 1:0:-1]
         pi_0, pi_n = pmf[0], pmf[n]
         if kind == "collisions":
-            mid = np.dot(pmf[1:n], left + right - (np.arange(n - 1, 0, -1) >= 2))
-            out[n] = (1.0 - pi_0 + mid) / (1.0 - pi_0 - pi_n)
-            continue
-        mid = np.dot(pmf[1:n], left + right)
-        num = {
-            "bta": 1.0 + mid + pi_0 + pi_n,
-            "mta": 1.0 + mid + pi_n,
-            "sicta": mid + pi_0 + pi_n,
-            "atic": mid + pi_0 + pi_n,
-        }[protocol]
+            received = np.dot(pmf[1:n], left + right)
+            # a derived right group of two or more skips its root collision
+            derived = np.dot(pmf[1:n], left + right - (np.arange(n - 1, 0, -1) >= 2))
+            num = {
+                "bta": 1.0 + received,
+                "mta": 1.0 - pi_0 + received,
+                "sicta": 1.0 - pi_0 + derived,
+                "atic": 1.0 - pi_0 + derived,
+                "atic_left": 1.0 - pi_0 + derived,
+            }[protocol]
+        else:
+            mid = np.dot(pmf[1:n], left + right)
+            num = {
+                "bta": 1.0 + mid + pi_0 + pi_n,
+                "mta": 1.0 + mid + pi_n,
+                "sicta": mid + pi_0 + pi_n,
+                "atic": mid + pi_0 + pi_n,
+                "atic_left": mid + pi_0 + pi_n,
+            }[protocol]
+        if protocol == "atic_left":
+            num += pmf[n - 2] * pair_extra
         out[n] = num / (1.0 - pi_0 - pi_n)
     return out
 
@@ -315,14 +349,14 @@ class TestWindowedRows:
     summed over every split count agree to double precision."""
 
     @pytest.mark.parametrize("p", ORACLE_PS)
-    @pytest.mark.parametrize("protocol", ["bta", "mta", "sicta", "atic"])
+    @pytest.mark.parametrize("protocol", ["bta", "mta", "sicta", "atic", "atic_left"])
     def test_lengths_match_full_rows(self, protocol, p):
         got = CriLengthTable(SplitParams(p), protocol).lengths_up_to(ORACLE_N)
         want = _full_rows("lengths", protocol, p, ORACLE_N)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("p", ORACLE_PS)
-    @pytest.mark.parametrize("protocol", ["sicta", "atic"])
+    @pytest.mark.parametrize("protocol", ["bta", "mta", "sicta", "atic", "atic_left"])
     def test_collision_counts_match_full_rows(self, protocol, p):
         table = CollisionCountTable(SplitParams(p), protocol)
         table.expected(ORACLE_N)

@@ -149,10 +149,11 @@ class TestCommands:
             assert float(row["L_n"]) == pytest.approx(table.expected(n), rel=1e-11)
             assert float(row["T_n"]) == pytest.approx(n / table.expected(n), rel=1e-11)
 
-    def test_analytic_rejects_protocol_without_length_law(self, tmp_path, capsys):
-        assert run_cli("analytic", "--protocols", "atic_left",
-                       "--outdir", str(tmp_path)) == 1
-        assert "protocols" in capsys.readouterr().err
+    def test_analytic_writes_atic_left_law(self, tmp_path):
+        assert run_cli("analytic", "--protocols", "atic_left", "--n-max", "4",
+                       "--outdir", str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "analytic_atic_left.csv")
+        assert float(rows[2]["L_n"]) == pytest.approx(11.0 / 3.0, rel=1e-11)
 
     def test_asymptote_reports_argmax(self, tmp_path):
         assert run_cli("asymptote", "--p-grid", "0.45:0.55:0.01",
@@ -191,9 +192,23 @@ class TestCommands:
         # sicta's stable rate approaches ln 2; atic's exceeds 0.9
         assert max(float(r["stable_rate"]) for r in rows) < 0.70
 
+    def test_windowed_scan_atic_left_peaks_below_atic(self, tmp_path):
+        peaks = {}
+        for protocol in ("atic_left", "atic"):
+            config, outdir = tmp_path / f"{protocol}.json", tmp_path / protocol
+            config.write_text(json.dumps({"protocols": [protocol]}))
+            assert run_cli("windowed-scan", "--load-min", "0.5", "--load-max", "100",
+                           "--points", "12", "--config", str(config),
+                           "--outdir", str(outdir)) == 0
+            _, rows = read_csv(outdir / "windowed_scan.csv")
+            peaks[protocol] = max(float(r["stable_rate"]) for r in rows)
+        # atic_left's pairs still cost two slots, so its windowed rate peaks
+        # (0.843 near load 3.4) above its gated limit (6/5) ln 2 = 0.832,
+        # yet below atic's, which tracks (4/3) ln 2 = 0.924
+        assert 0.84 < peaks["atic_left"] < 0.85 < 0.92 < peaks["atic"]
+
     @pytest.mark.parametrize("command,protocols", [
         ("windowed-scan", ["atic", "sicta"]),
-        ("windowed-scan", ["atic_left"]),
         ("asymptote", ["sicta"]),
     ])
     def test_analytic_commands_reject_protocols_without_their_law(

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from treesplit.analytics import CriLengthTable, SplitParams
+from treesplit.analytics import CollisionCountTable, CriLengthTable, SplitParams
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
-from treesplit.rng import CoinSource, scripted_coins
+from treesplit.rng import CoinSource
 
 HALF = SplitParams(0.5)
 PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
@@ -140,7 +140,7 @@ class TestScriptedFixtures:
         assert lengths == {2}
 
     def test_atic_triple_split_one_vs_two(self):
-        trace = run_cri("atic", [1, 2, 3], 0.5, scripted_coins(TRIPLE_ONE_VS_TWO),
+        trace = run_cri("atic", [1, 2, 3], 0.5, CoinSource(0, 0.5, TRIPLE_ONE_VS_TWO),
                         record=True)
         assert trace.length == 3
         rec = trace.slots[1]
@@ -155,7 +155,7 @@ class TestScriptedFixtures:
                   (1, 1): False, (2, 1): False, (3, 1): False,
                   (1, 2): True, (2, 2): True, (3, 2): False,
                   (1, 3): True, (2, 3): False}
-        trace = run_cri("sicta", [1, 2, 3, 4], 0.5, scripted_coins(script),
+        trace = run_cri("sicta", [1, 2, 3, 4], 0.5, CoinSource(0, 0.5, script),
                         record=True)
         assert trace.length == 5
         assert trace.skipped_slots == 4
@@ -173,7 +173,7 @@ class TestScriptedFixtures:
                   (1, 1): False, (2, 1): False, (3, 1): False,
                   (1, 2): True, (2, 2): True, (3, 2): False,
                   (1, 3): True, (2, 3): False}
-        trace = run_cri("sicta", [1, 2, 3, 4], 0.5, scripted_coins(script),
+        trace = run_cri("sicta", [1, 2, 3, 4], 0.5, CoinSource(0, 0.5, script),
                         record=True)
         dot = export_tree(trace)
         assert dot.count("dashed") == 4
@@ -223,6 +223,32 @@ class TestLengthLaws:
     def test_left_skipping_saturation_constant(self):
         lt, _ = aleft_length_tables(4000, 0.5)
         assert 4000 / lt[4000] == pytest.approx(6 * math.log(2) / 5, abs=1e-3)
+
+    @pytest.mark.parametrize("protocol,length_ns,count_ns", [
+        ("atic_left", range(3, 10), range(2, 9)),
+        ("bta", (), range(2, 9)),
+        ("mta", (), range(2, 9)),
+    ], ids=("atic_left", "bta", "mta"))
+    def test_sample_means_match_both_tables(self, protocol, length_ns, count_ns):
+        """Engine means lie within 3 SE of the length and collision-count
+        rows the protocol's rule flags give."""
+        trials = 5000
+        checks = [("length", CriLengthTable(HALF, protocol), set(length_ns)),
+                  ("collisions", CollisionCountTable(HALF, protocol), set(count_ns))]
+        failures = []
+        for n in sorted(set(length_ns) | set(count_ns)):
+            base = 3_000_000 + 100_000 * (10 * PROTOCOLS.index(protocol) + n)
+            traces = [run_cri(protocol, range(n), 0.5, base + s) for s in range(trials)]
+            for name, table, ns in checks:
+                if n not in ns:
+                    continue
+                values = np.array([getattr(t, name) for t in traces], dtype=float)
+                se = values.std() / math.sqrt(trials)
+                want = table.expected(n)
+                if abs(values.mean() - want) > 3.0 * se:
+                    failures.append(f"{name} n={n}: {values.mean():.4f} vs {want:.4f}, "
+                                    f"se {se:.4f}")
+        assert not failures, failures
 
     def test_slot_count_ordering_under_shared_coins(self):
         for seed in range(150):

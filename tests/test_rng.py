@@ -14,7 +14,6 @@ from treesplit.rng import (
     _pcg64_states,
     coin_uniform,
     derive_seed,
-    scripted_coins,
     stream_seed,
 )
 
@@ -218,6 +217,6 @@ class TestCoinSource:
         natural = {(uid, d): coin_uniform(seed, uid, d) < p
                    for uid in range(4) for d in range(3)}
         script = {key: not value for key, value in natural.items() if key[1] == 1}
-        coins = scripted_coins(script, p=p, seed=seed)
+        coins = CoinSource(seed, p, script)
         for key, value in natural.items():
             assert coins.flip(*key) == (not value if key in script else value)

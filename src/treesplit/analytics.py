@@ -140,13 +140,19 @@ class _SplitTable:
     conditions on the Binomial(n, p) split of the n colliders.
 
     The protocol's ``RULES`` flags pick the terms of each row (see the
-    module docstring).  ``_values[:_size]`` holds the finished rows; its
-    capacity and the log-gamma table ``_gl`` (``_gl[k]`` = ln Gamma(k),
-    one entry longer) grow together, doubling, and ``_gl`` computes only
-    its new entries.  Each subclass gives its base values V_0, V_1 and
-    the received-pair value V_2 as ``_BASE`` (a table starts from V_2
-    only under ``z_on_collision``) and writes its law as
-    ``_extend(n_max)``, which fills rows up to n_max.
+    module docstring).  ``_values[:_size]`` holds the finished rows.  Its
+    capacity grows by doubling, and with it grow the log-gamma table
+    ``_gl`` (``_gl[k]`` = ln Gamma(k), one entry longer; only its new
+    entries are computed), ``_ilp[k] = k ln p``, ``_ilq[k] = k ln q`` and
+    the self-term probabilities ``_p_pow[k] = p^k``, ``_q_pow[k] = q^k``.
+    Row n reads its binomial window as slices of these arrays (reversed
+    views for the n - i side), so it builds no index arrays and costs a
+    few passes over its O(sqrt(n)) split counts.
+
+    Each subclass gives its base values V_0, V_1 and the received-pair
+    value V_2 as ``_BASE`` (a table starts from V_2 only under
+    ``z_on_collision``) and writes its law as ``_extend(n_max)``, which
+    fills rows up to n_max.
     """
 
     _BASE: tuple
@@ -166,11 +172,11 @@ class _SplitTable:
             v_0, v_1, v_2 = base
             d_2 = (q * q * v_0 + 2.0 * p * q * v_1 + p * p * v_2) / (1.0 - q * q)
             self._pair = d_2 - (v_2 - 1.0)
-        self._log_p = math.log(params.p)
-        self._log_q = math.log(params.q)
-        self._values = np.array(base, dtype=float)
+        self._values = self._gl = np.empty(0)
+        self._size = 0
+        self._reserve(len(base) - 1)
+        self._values[: len(base)] = base
         self._size = len(base)
-        self._gl = _log_gamma(0, len(base) + 1)
 
     def _reserve(self, n_max: int) -> None:
         if n_max < len(self._values):
@@ -180,6 +186,11 @@ class _SplitTable:
         values[: self._size] = self._values[: self._size]
         self._values = values
         self._gl = np.concatenate((self._gl, _log_gamma(len(self._gl), capacity + 1)))
+        k = np.arange(capacity)
+        self._ilp = k * math.log(self.params.p)
+        self._ilq = k * math.log(self.params.q)
+        self._p_pow = np.exp(self._ilp)
+        self._q_pow = np.exp(self._ilq)
 
     def _window(self, n: int) -> tuple[int, np.ndarray, float, float]:
         """The Binomial(n, p) split probabilities row n of a recursion needs.
@@ -188,13 +199,14 @@ class _SplitTable:
         the interior split counts 1 <= i <= n-1 with |i - n p| <= t_n, and
         ``pi_0 = q^n``, ``pi_n = p^n`` are the exact self-term probabilities.
         """
-        log_p, log_q, gl = self._log_p, self._log_q, self._gl
+        gl, ilp, ilq = self._gl, self._ilp, self._ilq
         half_width = math.sqrt(n * _WINDOW_LOG_TERM) + 1.0
         lo = max(1, math.ceil(n * self.params.p - half_width))
         hi = min(n - 1, math.floor(n * self.params.p + half_width))
-        i = np.arange(lo, hi + 1)
-        pmf = np.exp(gl[n + 1] - gl[i + 1] - gl[n - i + 1] + i * log_p + (n - i) * log_q)
-        return lo, pmf, float(np.exp(n * log_q)), float(np.exp(n * log_p))
+        # i runs over lo..hi; the n - i side is the reversed slice over n-hi..n-lo
+        pmf = np.exp(gl[n + 1] - gl[lo + 1:hi + 2] - gl[n - hi + 1:n - lo + 2][::-1]
+                     + ilp[lo:hi + 1] + ilq[n - hi:n - lo + 1][::-1])
+        return lo, pmf, float(self._q_pow[n]), float(self._p_pow[n])
 
     def expected(self, n: int) -> float:
         if n < 0:
@@ -355,8 +367,11 @@ class CollisionCountTable(_SplitTable):
             hi = lo + len(pmf) - 1
             right = C[n - hi:n - lo + 1][::-1]
             if saves:
-                # A derived right group of size m >= 2 saves its root collision.
-                right = right - (np.arange(n - lo, n - hi - 1, -1) >= 2)
+                # A derived right group of size m >= 2 saves its root
+                # collision; only i = n - 1 leaves a group of one.
+                right = right - 1.0
+                if hi == n - 1:
+                    right[-1] = C[1]
             mid = float(np.dot(pmf, C[lo:hi + 1] + right))
             if pair and n - 2 <= hi:
                 mid += pmf[n - 2 - lo] * pair

@@ -46,6 +46,8 @@ def parse_grid(text: str, field_name: str = "grid") -> tuple[float, ...]:
             start, stop, step = (float(x) for x in parts)
         except ValueError:
             raise ConfigError(field_name, f"non-numeric bound in {text!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(field_name, f"non-finite bound in {text!r}")
         if step <= 0:
             raise ConfigError(field_name, f"step must be > 0, got {step}")
         if stop < start:

@@ -1,5 +1,6 @@
 """Tests for the expected-length recursions, closed form, and asymptotics."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -277,6 +278,8 @@ class TestLogGammaTable:
         whole.expected(len(grown._gl) - 2)
         assert np.array_equal(grown._gl, whole._gl)
         assert np.array_equal(grown._gl, gammaln(np.arange(len(grown._gl))))
+        for name in ("_ilp", "_ilq", "_p_pow", "_q_pow"):
+            assert np.array_equal(getattr(grown, name), getattr(whole, name))
         assert np.array_equal(grown._values[:3001], whole._values[:3001])
 
     def test_import_loads_no_scipy(self):
@@ -380,6 +383,24 @@ class TestWindowedRows:
         dropped = np.r_[log_pmf[1:lo], log_pmf[hi + 1:n]]
         if len(dropped):
             assert logsumexp(dropped) <= -64.0 * math.log(2.0)
+
+    # sha256 over the rows' bytes: lengths, then collision counts, for each
+    # protocol in turn.  The tolerance oracles above let a row's last bits
+    # move; these digests pin them, so a change that reorders a row's float
+    # operations shows here.
+    @pytest.mark.parametrize("p,n_max,digest", [
+        (0.3, 4000, "e9e9b2c53f2032d3d2f186d9993a27a1249d458258dfdc982a90b5c71a082c58"),
+        (0.5, 6000, "dec010bcd505b62c4e0b177cd26238a61cab38246310bb9e9b036935532c64ea"),
+        (0.7, 4000, "d5d4dd744003bb292cd76c2d7634ec16eb99c2d5c37517ef1c5e9cca3fbae841"),
+    ], ids=["p0.3", "p0.5", "p0.7"])
+    def test_rows_pinned_bit_for_bit(self, p, n_max, digest):
+        sha = hashlib.sha256()
+        for protocol in ("bta", "mta", "sicta", "atic", "atic_left"):
+            sha.update(CriLengthTable(SplitParams(p), protocol).lengths_up_to(n_max).tobytes())
+            counts = CollisionCountTable(SplitParams(p), protocol)
+            counts.expected(n_max)
+            sha.update(counts._values[: n_max + 1].tobytes())
+        assert sha.hexdigest() == digest
 
     def test_returned_lengths_are_a_copy(self):
         table = CriLengthTable(HALF, "atic")

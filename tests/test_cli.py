@@ -69,6 +69,7 @@ class TestConfig:
         ({"rates": [float("inf")]}, "rates"),
         ({"policy": "windowed:nan"}, "policy"),
         ({"policy": "windowed:inf"}, "policy"),
+        ({"rates": "0.1:0.5:nan"}, "rates"),
     ])
     def test_validation_names_offending_field(self, payload, field):
         with pytest.raises(ConfigError) as err:
@@ -95,6 +96,11 @@ class TestConfig:
             parse_grid("0.3:0.1:0.1")
         with pytest.raises(ConfigError):
             parse_grid("a:b:c")
+        for text in ("0.1:0.5:nan", "0.4:inf:0.1", "0.4:0.6:inf", "nan:0.5:0.1",
+                     "-inf:0.5:0.1"):
+            with pytest.raises(ConfigError) as err:
+                parse_grid(text, "rates")
+            assert err.value.field == "rates"
 
     def test_merged_override_wins(self):
         cfg = ExperimentConfig(p=0.3).merged(p=0.7)
@@ -218,6 +224,17 @@ class TestCommands:
         outdir = tmp_path / "out"
         assert run_cli(command, "--config", str(config), "--outdir", str(outdir)) == 1
         assert "error: config field 'protocols'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        (("sweep", "--rates", "0.1:0.5:nan", "--seed", "7"), "rates"),
+        (("asymptote", "--p-grid", "0.4:inf:0.1"), "p_grid"),
+        (("asymptote", "--p-grid", "0.4:0.6:inf"), "p_grid"),
+    ])
+    def test_range_grids_reject_non_finite(self, tmp_path, capsys, argv, field):
+        outdir = tmp_path / "out"
+        assert run_cli(*argv, "--outdir", str(outdir)) == 1
+        assert f"error: config field '{field}'" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])

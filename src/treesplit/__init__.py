@@ -11,7 +11,6 @@ from .rng import CoinSource, coin_uniform, derive_seed, stream_seed
 from .analytics import (
     CollisionCountTable,
     CriLengthTable,
-    SplitParams,
     asymptotic_throughput,
     cri_table_rows,
     expected_cri_closed,
@@ -45,7 +44,6 @@ from .sim import (
     feedback_cost,
     feedback_value_histogram,
     simulate,
-    throughput_estimate,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_grid
 from .reports import IoError, config_digest, emit_report, render_csv, render_json
@@ -54,7 +52,7 @@ from ._version import __version__
 __all__ = [
     "NotContainedError", "Signal", "cancel", "superpose",
     "CoinSource", "coin_uniform", "derive_seed", "stream_seed",
-    "CollisionCountTable", "CriLengthTable", "SplitParams",
+    "CollisionCountTable", "CriLengthTable",
     "asymptotic_throughput", "cri_table_rows", "expected_cri_closed",
     "poisson_expected_cri", "windowed_stable_rate",
     "RULES", "CriTrace", "EngineInvariantError", "NonTerminationError",
@@ -63,7 +61,7 @@ __all__ = [
     "CollisionCdf", "DelayStats", "EmptySampleError", "FeedbackCostStats",
     "Gated", "MetricsReport", "ProtocolError", "Windowed",
     "collisions_per_cri_cdf", "delay_stats", "feedback_cost",
-    "feedback_value_histogram", "simulate", "throughput_estimate",
+    "feedback_value_histogram", "simulate",
     "ConfigError", "ExperimentConfig", "load_config", "parse_grid",
     "IoError", "config_digest", "emit_report", "render_csv", "render_json",
     "__version__",

@@ -1,8 +1,12 @@
 """Exact and asymptotic performance math for splitting-tree protocols.
 
+Every law takes the split bias p, the probability that a collider joins
+the left group, as a float in (0, 1), with q = 1 - p; an out-of-range p
+raises ValueError, as in the engines and the simulator.
+
 The length laws are reached through their tables: ``CriLengthTable``
 grows the bottom-up probabilistic recursion (all-positive terms,
-numerically stable) for one protocol and split probability, and the
+numerically stable) for one protocol and split bias, and the
 Poisson mixtures and windowed stable rates read a table passed to them,
 so they follow whichever protocol it was built for.  The
 alternating-binomial closed form for the full-broadcast law is kept as
@@ -50,7 +54,6 @@ k >= 13 the Stirling series with cephes' coefficients, switch point at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -111,28 +114,9 @@ def _log_gamma(lo: int, hi: int) -> np.ndarray:
     return np.concatenate((head, q + series / x))
 
 
-@dataclass(frozen=True)
-class SplitParams:
-    """Splitting probability and the derived constants used by the math.
-
-    ``q = 1 - p`` and ``r = 2 - 4pq - 3(p^2 + q^2)``; r is exactly -1/2
-    at p = 1/2.
-    """
-
-    p: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"split probability must lie in (0,1), got {self.p}")
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    @property
-    def r(self) -> float:
-        p, q = self.p, self.q
-        return 2.0 - 4.0 * p * q - 3.0 * (p * p + q * q)
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"split probability must lie in (0,1), got {p}")
 
 
 class _SplitTable:
@@ -157,9 +141,10 @@ class _SplitTable:
 
     _BASE: tuple
 
-    def __init__(self, params: SplitParams, protocol: str = "atic"):
+    def __init__(self, p: float, protocol: str = "atic"):
+        _check_p(p)
         kind = ProtocolKind(protocol)
-        self.params = params
+        self.p = p
         self.protocol = kind.value
         self._rules = RULES[kind]
         saves, _, z_on_collision, z_on_success = self._rules
@@ -168,7 +153,7 @@ class _SplitTable:
         # D_2 - (V_2 - 1), D_2 solving D_2 = q^2 (V_0 + D_2) + 2pq V_1 + p^2 V_2.
         self._pair = 0.0
         if saves and z_on_collision and not z_on_success:
-            p, q = params.p, params.q
+            q = 1.0 - p
             v_0, v_1, v_2 = base
             d_2 = (q * q * v_0 + 2.0 * p * q * v_1 + p * p * v_2) / (1.0 - q * q)
             self._pair = d_2 - (v_2 - 1.0)
@@ -187,8 +172,8 @@ class _SplitTable:
         self._values = values
         self._gl = np.concatenate((self._gl, _log_gamma(len(self._gl), capacity + 1)))
         k = np.arange(capacity)
-        self._ilp = k * math.log(self.params.p)
-        self._ilq = k * math.log(self.params.q)
+        self._ilp = k * math.log(self.p)
+        self._ilq = k * math.log(1.0 - self.p)
         self._p_pow = np.exp(self._ilp)
         self._q_pow = np.exp(self._ilq)
 
@@ -201,8 +186,8 @@ class _SplitTable:
         """
         gl, ilp, ilq = self._gl, self._ilp, self._ilq
         half_width = math.sqrt(n * _WINDOW_LOG_TERM) + 1.0
-        lo = max(1, math.ceil(n * self.params.p - half_width))
-        hi = min(n - 1, math.floor(n * self.params.p + half_width))
+        lo = max(1, math.ceil(n * self.p - half_width))
+        hi = min(n - 1, math.floor(n * self.p + half_width))
         # i runs over lo..hi; the n - i side is the reversed slice over n-hi..n-lo
         pmf = np.exp(gl[n + 1] - gl[lo + 1:hi + 2] - gl[n - hi + 1:n - lo + 2][::-1]
                      + ilp[lo:hi + 1] + ilq[n - hi:n - lo + 1][::-1])
@@ -256,7 +241,7 @@ class CriLengthTable(_SplitTable):
         return self._values[: n_max + 1].copy()
 
 
-def expected_cri_closed(n: int, params: SplitParams) -> float:
+def expected_cri_closed(n: int, p: float) -> float:
     """Closed-form expected interval length (full-broadcast law).
 
     The alternating binomial sum loses all double precision before n = 30,
@@ -265,7 +250,8 @@ def expected_cri_closed(n: int, params: SplitParams) -> float:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    pf = Fraction(params.p)
+    _check_p(p)
+    pf = Fraction(p)
     qf = 1 - pf
     rf = 2 - 4 * pf * qf - 3 * (pf * pf + qf * qf)
     total = Fraction(1)
@@ -279,12 +265,15 @@ def expected_cri_closed(n: int, params: SplitParams) -> float:
     return float(total)
 
 
-def asymptotic_throughput(params: SplitParams) -> float:
+def asymptotic_throughput(p: float) -> float:
     """Limiting throughput of the full-broadcast protocol for a given p.
 
-    Equals (4/3) ln 2 at p = 1/2, where it is also maximized.
+    With q = 1 - p and r = 2 - 4pq - 3(p^2 + q^2) (exactly -1/2 at
+    p = 1/2), it equals (4/3) ln 2 at p = 1/2, where it is also maximized.
     """
-    p, q, r = params.p, params.q, params.r
+    _check_p(p)
+    q = 1.0 - p
+    r = 2.0 - 4.0 * p * q - 3.0 * (p * p + q * q)
     entropy = -p * math.log(p) - q * math.log(q)
     return entropy / (1.0 + r / 2.0)
 
@@ -379,8 +368,8 @@ class CollisionCountTable(_SplitTable):
         self._size = n_max + 1
 
 
-def cri_table_rows(n_max: int, params: SplitParams, protocol: str = "atic"):
+def cri_table_rows(n_max: int, p: float, protocol: str = "atic"):
     """(n, L_n, T_n) rows for n = 1..n_max, suitable for CSV emission."""
-    table = CriLengthTable(params, protocol)
+    table = CriLengthTable(p, protocol)
     table.lengths_up_to(n_max)
     return [(n, table.expected(n), table.throughput(n)) for n in range(1, n_max + 1)]

@@ -24,7 +24,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .analytics import (
-    SplitParams,
     asymptotic_throughput,
     cri_table_rows,
     windowed_stable_rate,
@@ -33,13 +32,14 @@ from .analytics import (
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _as_str_tuple,
     load_config,
     parse_grid,
 )
 from .engines import export_tree, run_cri
-from .reports import IoError, emit_report, provenance_header
+from .reports import IoError, emit_report, provenance_header, write_text
 from .rng import CoinSource, derive_seed
-from .sim import EmptySampleError, delay_stats, simulate, throughput_estimate
+from .sim import EmptySampleError, delay_stats, simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,16 +130,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args, **extra) -> ExperimentConfig:
+def _merge_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = dict(extra)
-    for name in ("outdir", "p", "seed", "budget", "policy", "packet_bits",
-                 "protocols", "replications"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    if isinstance(overrides.get("protocols"), str):
-        overrides["protocols"] = tuple(
-            x.strip() for x in overrides["protocols"].split(",") if x.strip())
+    overrides = {name: getattr(args, name, None) for name in (
+        "outdir", "p", "seed", "budget", "policy", "packet_bits", "replications")}
+    if getattr(args, "protocols", None) is not None:
+        overrides["protocols"] = _as_str_tuple(args.protocols, "protocols")
     if getattr(args, "rates", None) is not None:
         overrides["rates"] = parse_grid(args.rates, "rates")
     if getattr(args, "rate", None) is not None:
@@ -178,11 +174,10 @@ def _policy_tag(policy: str) -> str:
 def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
     if args.n_max < 1:
         raise ConfigError("n_max", f"need n_max >= 1, got {args.n_max}")
-    params = SplitParams(cfg.p)
     for proto in cfg.protocols:
         rows = [
             {"n": n, "L_n": length, "T_n": thr}
-            for n, length, thr in cri_table_rows(args.n_max, params, proto)
+            for n, length, thr in cri_table_rows(args.n_max, cfg.p, proto)
         ]
         path = _outpath(cfg, f"analytic_{proto}.{args.format}")
         emit_report(rows, args.format, path, seed=cfg.seed, config=_hashable(cfg))
@@ -198,8 +193,8 @@ def _cmd_asymptote(args, cfg: ExperimentConfig) -> int:
     for value in grid:
         if not 0.0 < value < 1.0:
             raise ConfigError("p_grid", f"split bias {value} outside (0,1)")
-    value_here = asymptotic_throughput(SplitParams(cfg.p))
-    scan = [(p, asymptotic_throughput(SplitParams(p))) for p in grid]
+    value_here = asymptotic_throughput(cfg.p)
+    scan = [(p, asymptotic_throughput(p)) for p in grid]
     best_p, best_val = max(scan, key=lambda item: item[1])
     payload = {
         "p": cfg.p,
@@ -227,7 +222,7 @@ def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
     if len(cfg.protocols) != 1:
         raise ConfigError("protocols", "windowed-scan scans one protocol; "
                           f"got {','.join(cfg.protocols)}")
-    table = CriLengthTable(SplitParams(cfg.p), cfg.protocols[0])
+    table = CriLengthTable(cfg.p, cfg.protocols[0])
     loads = np.geomspace(args.load_min, args.load_max, args.points)
     rows = [
         {"load": float(x), "stable_rate": windowed_stable_rate(float(x), table)}
@@ -254,6 +249,15 @@ def _run_one(cfg: ExperimentConfig, proto: str, lam: float, seed: int):
                     p=cfg.p, packet_bits=cfg.packet_bits)
 
 
+def _grid_runs(cfg: ExperimentConfig, seed: int):
+    """Yield ``(protocol, rate, run_seed, report)`` for every protocol and
+    rate of the grid, each run seeded by (seed, protocol, rate index)."""
+    for proto in cfg.protocols:
+        for idx, lam in enumerate(cfg.rates):
+            run_seed = derive_seed(seed, proto, idx)
+            yield proto, lam, run_seed, _run_one(cfg, proto, lam, run_seed)
+
+
 def _report_name(proto: str, policy: str, lam: float, rep: int, reps: int) -> str:
     stem = f"sim_{proto}_{_policy_tag(policy)}_{_fmt_rate(lam)}"
     if reps > 1:
@@ -277,7 +281,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
                 except EmptySampleError:
                     mean_delay = "n/a"
                 print(f"simulate {proto} {cfg.policy} rate={lam:g} seed={seed} "
-                      f"budget={cfg.budget}: thr={throughput_estimate(report):.4f} "
+                      f"budget={cfg.budget}: thr={report.throughput:.4f} "
                       f"delay={mean_delay} unstable={report.unstable}; wrote {path}")
     return 0
 
@@ -300,12 +304,8 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     if not cfg.rates:
         raise ConfigError("rates", "sweep needs an arrival-rate grid (--rates)")
     seed = cfg.require_seed()
-    rows = []
-    for proto in cfg.protocols:
-        for idx, lam in enumerate(cfg.rates):
-            run_seed = derive_seed(seed, proto, idx)
-            report = _run_one(cfg, proto, lam, run_seed)
-            rows.append(_delay_row(proto, lam, report))
+    rows = [_delay_row(proto, lam, report)
+            for proto, lam, _, report in _grid_runs(cfg, seed)]
     path = _outpath(cfg, "delay.csv")
     emit_report(rows, "csv", path, seed=seed, config=_hashable(cfg))
     print(f"sweep {','.join(cfg.protocols)} {cfg.policy} "
@@ -346,13 +346,7 @@ def _cmd_tree(args, cfg: ExperimentConfig) -> int:
     trace = run_cri(proto, range(1, args.users + 1), cfg.p, coins, record=True)
     dot = export_tree(trace)
     path = _outpath(cfg, f"tree_{proto}_n{args.users}.dot")
-    header = provenance_header("//", seed, _hashable(cfg))
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + dot)
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
+    write_text(path, provenance_header("//", seed, _hashable(cfg)) + dot)
     solid = sum(1 for node in trace.nodes if node.style == "slot")
     dashed = len(trace.nodes) - solid
     print(f"tree {proto} n={args.users} seed={seed}: length={trace.length} "
@@ -373,19 +367,16 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("rates", "compare needs at least one arrival rate")
     seed = cfg.require_seed()
     rows = []
-    for proto in cfg.protocols:
-        for idx, lam in enumerate(cfg.rates):
-            run_seed = derive_seed(seed, proto, idx)
-            report = _run_one(cfg, proto, lam, run_seed)
-            payload = report.to_dict()
-            name = _report_name(proto, cfg.policy, lam, 0, 1)
-            emit_report(payload, "json", _outpath(cfg, name),
-                        seed=run_seed, config=_hashable(cfg))
-            row = {key: payload[key] for key in _COMPARE_SCALARS}
-            row["ap_memory_peak"] = max(report.ap_memory_highwater, default=0)
-            row.update({k: v for k, v in _delay_row(proto, lam, report).items()
-                        if k not in ("lambda", "protocol")})
-            rows.append(row)
+    for proto, lam, run_seed, report in _grid_runs(cfg, seed):
+        payload = report.to_dict()
+        name = _report_name(proto, cfg.policy, lam, 0, 1)
+        emit_report(payload, "json", _outpath(cfg, name),
+                    seed=run_seed, config=_hashable(cfg))
+        row = {key: payload[key] for key in _COMPARE_SCALARS}
+        row["ap_memory_peak"] = max(report.ap_memory_highwater, default=0)
+        row.update({k: v for k, v in _delay_row(proto, lam, report).items()
+                    if k not in ("lambda", "protocol")})
+        rows.append(row)
     path = _outpath(cfg, "compare.csv")
     emit_report(rows, "csv", path, seed=seed, config=_hashable(cfg))
     print(f"compare {','.join(cfg.protocols)} {cfg.policy} "

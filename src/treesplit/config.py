@@ -21,6 +21,8 @@ _PROTOCOLS = tuple(kind.value for kind in ProtocolKind)
 
 _DEFAULT_BUDGET = 100_000
 _DEFAULT_BITS = 256
+# Most points a start:stop:step grid may expand to.
+_GRID_MAX_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -52,8 +54,10 @@ def parse_grid(text: str, field_name: str = "grid") -> tuple[float, ...]:
             raise ConfigError(field_name, f"step must be > 0, got {step}")
         if stop < start:
             raise ConfigError(field_name, f"stop {stop} below start {start}")
-        count = int((stop - start) / step + 0.5)
-        values = tuple(start + i * step for i in range(count + 1))
+        count = (stop - start) / step + 0.5
+        if not count < _GRID_MAX_POINTS:
+            raise ConfigError(field_name, f"{text!r} spans more than {_GRID_MAX_POINTS} points")
+        values = tuple(start + i * step for i in range(int(count) + 1))
         return tuple(v for v in values if v <= stop + step * 1e-9)
     try:
         values = tuple(float(x) for x in text.split(",") if x.strip())

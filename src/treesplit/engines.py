@@ -164,10 +164,10 @@ class _SicCore:
     __slots__ = ("entries",)
 
     def __init__(self):
-        self.entries: list = []          # (slot index, set remainder), non-empty
+        self.entries: list = []          # set remainders, non-empty
 
-    def save(self, slot: int, members) -> None:
-        self.entries.append((slot, set(members)))
+    def save(self, members) -> None:
+        self.entries.append(set(members))
 
     def decode(self, pid: int, done: set) -> list:
         """Cancel ``pid`` everywhere and cascade, adding every resolved
@@ -179,7 +179,7 @@ class _SicCore:
         entries = self.entries
         while stack:
             x = stack.pop()
-            for _, rem in entries:
+            for rem in entries:
                 if x in rem:
                     rem.remove(x)
                     if len(rem) == 1:
@@ -190,7 +190,7 @@ class _SicCore:
                             done.add(y)
                             cascaded.append(y)
                             stack.append(y)
-        self.entries = [entry for entry in entries if entry[1]]
+        self.entries = [rem for rem in entries if rem]
         return cascaded
 
 
@@ -313,14 +313,14 @@ def run_cri(
                             nodes[drained[3]][3] = "pruned"
                     k_values.append(skip_k)
                     if z_on_success and sic.entries:
-                        z = sic.entries[-1][1]   # the freshest stored remainder
+                        z = sic.entries[-1]   # the freshest stored remainder
                         z_successes += 1
             else:
                 fb_kind, skip_k, z = "collision", 0, members if z_on_collision else ()
                 collisions += 1
                 collision_degrees.append(n_here)
                 if sic is not None:
-                    sic.save(t, members)
+                    sic.save(members)
                     if len(sic.entries) > highwater:
                         highwater = len(sic.entries)
 

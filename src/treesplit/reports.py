@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, is_dataclass
 
 from ._version import __version__
 
@@ -49,15 +48,9 @@ def _normalize(value):
     return value
 
 
-def config_digest(config) -> str:
-    """Stable sha256 hex digest of a config-like object."""
-    if is_dataclass(config) and not isinstance(config, type):
-        payload = asdict(config)
-    elif isinstance(config, dict):
-        payload = config
-    else:
-        payload = {"repr": repr(config)}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+def config_digest(config: dict) -> str:
+    """Stable sha256 hex digest of a config mapping."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -101,19 +94,30 @@ def render_csv(rows, *, seed=None, config=None) -> str:
 
 
 def render_json(payload, *, seed=None, config=None) -> str:
-    """Render a report object to deterministic JSON text.
+    """Render a report dict or a list of row dicts to deterministic JSON text.
 
     One line with sorted keys: without ``indent`` the json module's C
     encoder writes it, which matters for reports of thousands of samples.
     """
-    if is_dataclass(payload) and not isinstance(payload, type):
-        payload = asdict(payload)
     body = {"meta": _provenance(seed, config), "data": _normalize(payload)}
     return json.dumps(body, sort_keys=True) + "\n"
 
 
+def write_text(path: str, text: str) -> str:
+    """Write ``text`` to ``path``, creating its directory.  Returns the
+    path; raises IoError when the destination cannot be created or written.
+    """
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(path, str(exc)) from None
+    return path
+
+
 def emit_report(payload, fmt: str, path: str, *, seed=None, config=None) -> str:
-    """Write a table (iterable of dicts) or report object to ``path``.
+    """Write a table (iterable of dicts) or a report dict to ``path``.
 
     fmt is ``csv`` or ``json``.  Returns the path.  Raises IoError when
     the destination cannot be created or written.
@@ -124,11 +128,4 @@ def emit_report(payload, fmt: str, path: str, *, seed=None, config=None) -> str:
         text = render_json(payload, seed=seed, config=config)
     else:
         raise ValueError(f"unknown report format {fmt!r} (want csv or json)")
-    parent = os.path.dirname(os.path.abspath(path))
-    try:
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
-    return path
+    return write_text(path, text)

@@ -109,7 +109,8 @@ class MetricsReport:
     Histograms map value to count; per-interval lists are aligned with
     interval completion order.  ``arrivals_total`` counts every packet
     generated inside the simulated horizon, so it always equals
-    ``packets_decoded + terminal_backlog``.
+    ``packets_decoded + terminal_backlog``, and ``throughput`` is
+    ``packets_decoded / slots_simulated`` (0.0 when no slot ran).
     """
 
     protocol: str
@@ -491,10 +492,3 @@ def feedback_cost(report: MetricsReport) -> FeedbackCostStats:
         return FeedbackCostStats(0.0, 0, {})
     mean = sum(b * c for b, c in hist.items()) / total
     return FeedbackCostStats(mean, max(hist), dict(sorted(hist.items())))
-
-
-def throughput_estimate(report: MetricsReport) -> float:
-    """Decoded packets per simulated slot."""
-    if report.slots_simulated < 1:
-        raise EmptySampleError("no slots simulated: throughput undefined")
-    return report.packets_decoded / report.slots_simulated

@@ -18,7 +18,6 @@ import pytest
 
 from treesplit.analytics import (
     CriLengthTable,
-    SplitParams,
     asymptotic_throughput,
     expected_cri_closed,
     windowed_stable_rate,
@@ -34,10 +33,9 @@ from treesplit.sim import (
     delay_stats,
     feedback_value_histogram,
     simulate,
-    throughput_estimate,
 )
 
-HALF = SplitParams(0.5)
+HALF = 0.5
 LIMIT = 4.0 * math.log(2.0) / 3.0
 
 # Conditional throughput values for n = 1..24 at p = 1/2, as displayed in
@@ -87,10 +85,9 @@ def test_criterion_01_closed_form_vs_recursion(announce):
     start = time.perf_counter()
     worst = 0.0
     for p in (0.3, 0.5, 0.7):
-        params = SplitParams(p)
-        table = CriLengthTable(params, "atic")
+        table = CriLengthTable(p, "atic")
         for n in range(0, 31):
-            diff = abs(expected_cri_closed(n, params) - table.expected(n))
+            diff = abs(expected_cri_closed(n, p) - table.expected(n))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 1.0
@@ -122,7 +119,7 @@ def test_criterion_03_asymptote(announce):
     table.lengths_up_to(2000)
     worst_dev = max(abs(table.throughput(n) - LIMIT) for n in range(100, 2001))
     grid = [round(0.40 + 0.005 * i, 3) for i in range(41)]
-    argmax = max(grid, key=lambda p: asymptotic_throughput(SplitParams(p)))
+    argmax = max(grid, key=asymptotic_throughput)
     elapsed = time.perf_counter() - start
     ok = (abs(value - 0.9241962407) <= 1e-9 and worst_dev < 2e-3
           and argmax == 0.5 and elapsed < 10.0)
@@ -177,7 +174,7 @@ def test_criterion_05_stability_bracketing(announce):
         if report.unstable == want_stable:
             problems.append(f"{proto}@{lam}: unstable={report.unstable}")
     sat = simulate("atic_left", Gated(), 2.0, 1_000_000, 31)
-    sat_thr = throughput_estimate(sat)
+    sat_thr = sat.throughput
     if abs(sat_thr - 0.832) > 0.01:
         problems.append(f"atic_left saturation {sat_thr:.4f} not within 0.832±0.01")
     elapsed = time.perf_counter() - start
@@ -318,8 +315,8 @@ def test_criterion_11_property_bundle(announce):
     r2 = simulate("atic", Gated(), 0.5, 15_000, 99)
     json_same = (render_json(r1.to_dict(), seed=99, config={"case": "rerun"})
                  == render_json(r2.to_dict(), seed=99, config={"case": "rerun"}))
-    csv_same = (render_csv([{"thr": throughput_estimate(r1)}], seed=99, config={})
-                == render_csv([{"thr": throughput_estimate(r2)}], seed=99, config={}))
+    csv_same = (render_csv([{"thr": r1.throughput}], seed=99, config={})
+                == render_csv([{"thr": r2.throughput}], seed=99, config={}))
     ok = order_ok and json_same and csv_same
     announce(f"[criterion 11] {'PASS' if ok else 'FAIL'}: algebra round "
              f"trips, conservation, shared-coin ordering, byte-identical "

@@ -16,7 +16,6 @@ import treesplit
 from treesplit.analytics import (
     CollisionCountTable,
     CriLengthTable,
-    SplitParams,
     asymptotic_throughput,
     cri_table_rows,
     expected_cri_closed,
@@ -26,7 +25,7 @@ from treesplit.analytics import (
 )
 from treesplit.engines import ProtocolKind
 
-HALF = SplitParams(0.5)
+HALF = 0.5
 
 LIMIT = 4.0 * math.log(2.0) / 3.0  # 0.9241962407465937
 
@@ -80,7 +79,7 @@ class TestHandValues:
 
     def test_biased_split_is_worse_at_half(self):
         for p in (0.3, 0.42, 0.61):
-            assert asymptotic_throughput(SplitParams(p)) < asymptotic_throughput(HALF)
+            assert asymptotic_throughput(p) < asymptotic_throughput(HALF)
 
     def test_bta_large_n_throughput(self):
         # binary tree algorithm without skipping settles near 0.3466
@@ -98,10 +97,9 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("p", [0.3, 0.7])
     def test_matches_recursion_biased(self, p):
-        params = SplitParams(p)
-        table = CriLengthTable(params, "atic")
+        table = CriLengthTable(p, "atic")
         for n in range(2, 31):
-            assert expected_cri_closed(n, params) == pytest.approx(
+            assert expected_cri_closed(n, p) == pytest.approx(
                 table.expected(n), abs=1e-9
             )
 
@@ -122,7 +120,7 @@ class TestAsymptote:
 
     def test_argmax_is_balanced_split(self):
         grid = [0.40 + 0.005 * i for i in range(41)]
-        best = max(grid, key=lambda p: asymptotic_throughput(SplitParams(p)))
+        best = max(grid, key=asymptotic_throughput)
         assert best == pytest.approx(0.5, abs=1e-12)
 
     def test_oscillation_amplitude_is_tiny(self):
@@ -141,10 +139,10 @@ class TestPoissonAndWindowed:
         assert poisson_expected_cri(1e-6, table) == pytest.approx(1.0, abs=1e-4)
 
     def test_grown_table_gives_fresh_value(self):
-        table = CriLengthTable(SplitParams(0.3), "sicta")
+        table = CriLengthTable(0.3, "sicta")
         table.expected(80)
         assert poisson_expected_cri(4.0, table) == (
-            poisson_expected_cri(4.0, CriLengthTable(SplitParams(0.3), "sicta")))
+            poisson_expected_cri(4.0, CriLengthTable(0.3, "sicta")))
 
     def test_windowed_rate_positive_and_bounded(self):
         table = CriLengthTable(HALF, "atic")
@@ -219,7 +217,9 @@ class TestTableMechanics:
     def test_invalid_p_rejected(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
-                SplitParams(bad)
+                CriLengthTable(bad)
+            with pytest.raises(ValueError):
+                asymptotic_throughput(bad)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
@@ -248,7 +248,7 @@ class TestTableMechanics:
     def test_recursion_finite_and_at_least_n(self, p, n):
         """Any interval must spend at least one slot per packet resolved
         beyond the shortcut floor; lengths are finite and >= 2 for n >= 2."""
-        value = CriLengthTable(SplitParams(p), "atic").expected(n)
+        value = CriLengthTable(p, "atic").expected(n)
         assert math.isfinite(value)
         assert value >= 2.0 - 1e-12
 
@@ -354,14 +354,14 @@ class TestWindowedRows:
     @pytest.mark.parametrize("p", ORACLE_PS)
     @pytest.mark.parametrize("protocol", ["bta", "mta", "sicta", "atic", "atic_left"])
     def test_lengths_match_full_rows(self, protocol, p):
-        got = CriLengthTable(SplitParams(p), protocol).lengths_up_to(ORACLE_N)
+        got = CriLengthTable(p, protocol).lengths_up_to(ORACLE_N)
         want = _full_rows("lengths", protocol, p, ORACLE_N)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("p", ORACLE_PS)
     @pytest.mark.parametrize("protocol", ["bta", "mta", "sicta", "atic", "atic_left"])
     def test_collision_counts_match_full_rows(self, protocol, p):
-        table = CollisionCountTable(SplitParams(p), protocol)
+        table = CollisionCountTable(p, protocol)
         table.expected(ORACLE_N)
         got = np.array([table.expected(n) for n in range(ORACLE_N + 1)])
         want = _full_rows("collisions", protocol, p, ORACLE_N)
@@ -370,7 +370,7 @@ class TestWindowedRows:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.7])
     @pytest.mark.parametrize("n", [2, 50, 400, 3000, 10_000])
     def test_dropped_mass_below_two_to_minus_64(self, n, p):
-        table = CriLengthTable(SplitParams(p), "atic")
+        table = CriLengthTable(p, "atic")
         table._reserve(n)
         lo, pmf, pi_0, pi_n = table._window(n)
         hi = lo + len(pmf) - 1
@@ -396,8 +396,8 @@ class TestWindowedRows:
     def test_rows_pinned_bit_for_bit(self, p, n_max, digest):
         sha = hashlib.sha256()
         for protocol in ("bta", "mta", "sicta", "atic", "atic_left"):
-            sha.update(CriLengthTable(SplitParams(p), protocol).lengths_up_to(n_max).tobytes())
-            counts = CollisionCountTable(SplitParams(p), protocol)
+            sha.update(CriLengthTable(p, protocol).lengths_up_to(n_max).tobytes())
+            counts = CollisionCountTable(p, protocol)
             counts.expected(n_max)
             sha.update(counts._values[: n_max + 1].tobytes())
         assert sha.hexdigest() == digest

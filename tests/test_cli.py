@@ -8,7 +8,7 @@ import pytest
 
 import treesplit
 from treesplit import __version__
-from treesplit.analytics import CriLengthTable, SplitParams
+from treesplit.analytics import CriLengthTable
 from treesplit.cli import entrypoint
 from treesplit.config import (
     ConfigError,
@@ -96,11 +96,15 @@ class TestConfig:
             parse_grid("0.3:0.1:0.1")
         with pytest.raises(ConfigError):
             parse_grid("a:b:c")
+        # The last four overflow the point count, would build 1e300 points,
+        # or pass the 100,000-point cap by one.
         for text in ("0.1:0.5:nan", "0.4:inf:0.1", "0.4:0.6:inf", "nan:0.5:0.1",
-                     "-inf:0.5:0.1"):
+                     "-inf:0.5:0.1", "0:1e308:1e-308", "-1e308:1e308:1", "0:1e300:1",
+                     "0:100000:1"):
             with pytest.raises(ConfigError) as err:
                 parse_grid(text, "rates")
             assert err.value.field == "rates"
+        assert len(parse_grid("0:99999:1")) == 100_000
 
     def test_merged_override_wins(self):
         cfg = ExperimentConfig(p=0.3).merged(p=0.7)
@@ -149,11 +153,27 @@ class TestCommands:
         header, rows = read_csv(tmp_path / "analytic_atic.csv")
         assert header.startswith("# seed=none config_sha256=")
         assert [r["n"] for r in rows] == ["1", "2", "3", "4", "5", "6"]
-        table = CriLengthTable(SplitParams(0.5), "atic")
+        table = CriLengthTable(0.5, "atic")
         for row in rows:
             n = int(row["n"])
             assert float(row["L_n"]) == pytest.approx(table.expected(n), rel=1e-11)
             assert float(row["T_n"]) == pytest.approx(n / table.expected(n), rel=1e-11)
+
+    def test_analytic_json_rows_match_csv(self, tmp_path):
+        protocols = ("bta", "mta", "sicta", "atic", "atic_left")
+        for fmt in ("csv", "json"):
+            assert run_cli("analytic", "--protocols", ",".join(protocols), "--n-max", "30",
+                           "--format", fmt, "--outdir", str(tmp_path / fmt)) == 0
+        for proto in protocols:
+            header, rows = read_csv(tmp_path / "csv" / f"analytic_{proto}.csv")
+            blob = json.loads((tmp_path / "json" / f"analytic_{proto}.json").read_text())
+            assert f"config_sha256={blob['meta']['config_sha256']} " in header
+            assert len(blob["data"]) == len(rows) == 30
+            for got, want in zip(blob["data"], rows):
+                assert got.keys() == want.keys()
+                assert str(got["n"]) == want["n"]
+                for key in ("L_n", "T_n"):
+                    assert format(got[key], ".12g") == want[key]
 
     def test_analytic_writes_atic_left_law(self, tmp_path):
         assert run_cli("analytic", "--protocols", "atic_left", "--n-max", "4",
@@ -230,6 +250,7 @@ class TestCommands:
         (("sweep", "--rates", "0.1:0.5:nan", "--seed", "7"), "rates"),
         (("asymptote", "--p-grid", "0.4:inf:0.1"), "p_grid"),
         (("asymptote", "--p-grid", "0.4:0.6:inf"), "p_grid"),
+        (("sweep", "--rates", "0:1e308:1e-308", "--seed", "7"), "rates"),
     ])
     def test_range_grids_reject_non_finite(self, tmp_path, capsys, argv, field):
         outdir = tmp_path / "out"

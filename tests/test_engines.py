@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from treesplit.analytics import CollisionCountTable, CriLengthTable, SplitParams
+from treesplit.analytics import CollisionCountTable, CriLengthTable
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import CoinSource
 
-HALF = SplitParams(0.5)
+HALF = 0.5
 PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
 SIC_PROTOCOLS = ["sicta", "atic", "atic_left"]
 TRIPLE_ONE_VS_TWO = {(1, 0): True, (2, 0): False, (3, 0): False}

@@ -23,7 +23,6 @@ from treesplit.sim import (
     feedback_cost,
     feedback_value_histogram,
     simulate,
-    throughput_estimate,
 )
 
 
@@ -79,7 +78,7 @@ class TestReportInvariants:
 
     def test_throughput_definition(self, atic_mid_load):
         r = atic_mid_load
-        assert throughput_estimate(r) == pytest.approx(
+        assert r.throughput == pytest.approx(
             r.packets_decoded / r.slots_simulated)
 
 
@@ -88,7 +87,7 @@ class TestValidation:
         r = simulate("bta", Gated(), 0.0, 500, 1)
         assert r.slots_simulated == 500
         assert r.idle_slots == 500
-        assert throughput_estimate(r) == 0.0
+        assert r.throughput == 0.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -246,8 +245,7 @@ class TestWindowedAccess:
     def test_saturation_cannot_beat_gated(self):
         gated = simulate("atic", Gated(), 2.0, 80000, 23)
         windowed = simulate("atic", Windowed(50.0), 2.0, 80000, 23)
-        assert (throughput_estimate(windowed)
-                <= throughput_estimate(gated) + 0.01)
+        assert windowed.throughput <= gated.throughput + 0.01
 
     def test_describe_tags(self):
         assert Gated().describe() == "gated"
@@ -268,7 +266,7 @@ class TestSaturatedStatistics:
 
     def test_left_variant_saturation_throughput(self):
         r = simulate("atic_left", Gated(), 2.0, 120000, 9)
-        assert throughput_estimate(r) == pytest.approx(6 * math.log(2) / 5, abs=0.01)
+        assert r.throughput == pytest.approx(6 * math.log(2) / 5, abs=0.01)
 
 
 # sha256 of the JSON of simulate(protocol, policy, 0.3, 4000, 2024).to_dict(),

@@ -35,10 +35,8 @@ from .sim import (
     DelayStats,
     EmptySampleError,
     FeedbackCostStats,
-    Gated,
     MetricsReport,
     ProtocolError,
-    Windowed,
     collisions_per_cri_cdf,
     delay_stats,
     feedback_cost,
@@ -59,7 +57,7 @@ __all__ = [
     "ProtocolKind", "Rules", "SlotRecord", "TreeNode", "arbitrate", "export_tree",
     "run_cri",
     "CollisionCdf", "DelayStats", "EmptySampleError", "FeedbackCostStats",
-    "Gated", "MetricsReport", "ProtocolError", "Windowed",
+    "MetricsReport", "ProtocolError",
     "collisions_per_cri_cdf", "delay_stats", "feedback_cost",
     "feedback_value_histogram", "simulate",
     "ConfigError", "ExperimentConfig", "load_config", "parse_grid",

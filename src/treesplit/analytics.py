@@ -58,10 +58,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engines import RULES, ProtocolKind
+from .engines import RULES, ProtocolKind, _split_bias
 
 # Poisson tail mass a mixture over the length table may leave out.
 _POISSON_TOL = 1e-12
+# Largest Poisson load a mixture accepts.  Above 2**53 doubles skip
+# integers, so the cutoff search counts inexactly, and near 1e32 its steps
+# vanish in the load's double spacing and it never ends.
+_MAX_LOAD = 2.0 ** 53
 # Binomial mass a recursion row may leave out.  Rows sum only over split
 # counts with |i - n p| <= t_n = sqrt(n ln(2 / eps) / 2) + 1; Hoeffding
 # bounds the mass outside by 2 exp(-2 t^2 / n) <= eps.
@@ -114,11 +118,6 @@ def _log_gamma(lo: int, hi: int) -> np.ndarray:
     return np.concatenate((head, q + series / x))
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"split probability must lie in (0,1), got {p}")
-
-
 class _SplitTable:
     """Values over collider counts n, grown row by row by a recursion that
     conditions on the Binomial(n, p) split of the n colliders.
@@ -142,7 +141,7 @@ class _SplitTable:
     _BASE: tuple
 
     def __init__(self, p: float, protocol: str = "atic"):
-        _check_p(p)
+        p = _split_bias(p)
         kind = ProtocolKind(protocol)
         self.p = p
         self.protocol = kind.value
@@ -250,8 +249,7 @@ def expected_cri_closed(n: int, p: float) -> float:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_p(p)
-    pf = Fraction(p)
+    pf = Fraction(_split_bias(p))
     qf = 1 - pf
     rf = 2 - 4 * pf * qf - 3 * (pf * pf + qf * qf)
     total = Fraction(1)
@@ -271,7 +269,7 @@ def asymptotic_throughput(p: float) -> float:
     With q = 1 - p and r = 2 - 4pq - 3(p^2 + q^2) (exactly -1/2 at
     p = 1/2), it equals (4/3) ln 2 at p = 1/2, where it is also maximized.
     """
-    _check_p(p)
+    p = _split_bias(p)
     q = 1.0 - p
     r = 2.0 - 4.0 * p * q - 3.0 * (p * p + q * q)
     entropy = -p * math.log(p) - q * math.log(q)
@@ -300,6 +298,8 @@ def poisson_expected_cri(load: float, table: CriLengthTable) -> float:
     probability when the collider count is Poisson(load)."""
     if not (math.isfinite(load) and load >= 0.0):
         raise ValueError(f"load must be finite and non-negative, got {load}")
+    if load > _MAX_LOAD:
+        raise ValueError(f"load must be at most 2**53, got {load:g}")
     if load == 0.0:
         return table.expected(0)
     m = _poisson_truncation(load)

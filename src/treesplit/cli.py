@@ -30,6 +30,7 @@ from .analytics import (
     CriLengthTable,
 )
 from .config import (
+    _GRID_MAX_POINTS,
     ConfigError,
     ExperimentConfig,
     _as_str_tuple,
@@ -172,8 +173,8 @@ def _policy_tag(policy: str) -> str:
 
 
 def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
-    if args.n_max < 1:
-        raise ConfigError("n_max", f"need n_max >= 1, got {args.n_max}")
+    if not 1 <= args.n_max <= _GRID_MAX_POINTS:
+        raise ConfigError("n_max", f"need 1 <= n_max <= {_GRID_MAX_POINTS}, got {args.n_max}")
     for proto in cfg.protocols:
         rows = [
             {"n": n, "L_n": length, "T_n": thr}
@@ -211,14 +212,17 @@ def _cmd_asymptote(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
+    # The length table grows to about the largest load in rows, so a load
+    # is bounded as a row count is.
     for name in ("load_min", "load_max"):
         value = getattr(args, name)
-        if not math.isfinite(value):
-            raise ConfigError(name, f"load must be finite, got {value}")
+        if not value <= _GRID_MAX_POINTS:
+            raise ConfigError(name, f"load must be finite and at most {_GRID_MAX_POINTS}, "
+                              f"got {value}")
     if args.load_min <= 0 or args.load_max <= args.load_min:
         raise ConfigError("load_min", "need 0 < load_min < load_max")
-    if args.points < 2:
-        raise ConfigError("points", "need at least 2 grid points")
+    if not 2 <= args.points <= _GRID_MAX_POINTS:
+        raise ConfigError("points", f"need 2 to {_GRID_MAX_POINTS} grid points, got {args.points}")
     if len(cfg.protocols) != 1:
         raise ConfigError("protocols", "windowed-scan scans one protocol; "
                           f"got {','.join(cfg.protocols)}")

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .engines import ProtocolKind
-from .sim import _coerce_policy
+from .sim import _window_length
 
 ENV_OUTDIR = "TREESPLIT_OUTDIR"
 
@@ -90,8 +90,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     "protocols", f"unknown protocol {name!r}; choices: {_PROTOCOLS}"
                 )
+        if len(set(self.protocols)) != len(self.protocols):
+            raise ConfigError("protocols", f"repeated protocol in {self.protocols}")
         try:
-            _coerce_policy(self.policy)
+            _window_length(self.policy)
         except ValueError as exc:
             raise ConfigError("policy", str(exc)) from None
         if not 0.0 < self.p < 1.0:
@@ -99,6 +101,8 @@ class ExperimentConfig:
         for lam in self.rates:
             if not (math.isfinite(lam) and lam >= 0):
                 raise ConfigError("rates", f"arrival rate must be finite and >= 0, got {lam}")
+        if len(set(self.rates)) != len(self.rates):
+            raise ConfigError("rates", f"repeated rate in {self.rates}")
         if self.budget < 1:
             raise ConfigError("budget", f"slot budget must be >= 1, got {self.budget}")
         if self.seed is not None and self.seed < 0:

@@ -52,7 +52,10 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .rng import CoinSource
 
-DEFAULT_SLOT_CAP = 1_000_000
+# Slots an interval may consume per packet (an empty interval counts as
+# one packet) before the engine declares a rule-table bug; every protocol
+# averages under 3 slots per packet.
+SLOT_CAP_PER_PACKET = 1_000_000
 
 
 class ProtocolKind(str, Enum):
@@ -85,7 +88,8 @@ _KINDS: dict = {kind.value: kind for kind in ProtocolKind}
 
 
 class NonTerminationError(RuntimeError):
-    """An interval exceeded the slot cap; indicates a rule-table bug."""
+    """An interval of n packets consumed more than
+    ``SLOT_CAP_PER_PACKET * max(1, n)`` slots; indicates a rule-table bug."""
 
 
 class EngineInvariantError(RuntimeError):
@@ -152,46 +156,42 @@ def arbitrate(a: int, b: int) -> int:
     return a if a > b else b
 
 
-class _SicCore:
-    """Cancellation over stored collision remainders.
+def _split_bias(p) -> float:
+    """``p`` as a float; ValueError unless it lies in (0, 1)."""
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"split probability must lie in (0,1), got {p}")
+    return p
 
-    Remainders are plain int sets in save order.  The non-empty ones lie
-    on the current root path, each a subset of the one saved before it,
-    so ``entries`` never holds more of them than the tree is deep and a
-    decode simply scans it.
+
+def _cancel(memory: list, pid: int, done: set) -> list:
+    """Cancel decoded ``pid`` out of the stored remainders and cascade,
+    adding every resolved packet to ``done``; returns the packets newly
+    resolved *beyond* pid itself, in resolution order.
+
+    ``memory`` holds the non-empty remainders as int sets in save order.
+    They lie on the current root path, each a subset of the one saved
+    before it, so there are never more of them than the tree is deep and
+    a decode simply scans them; drained ones are dropped in place.
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: list = []          # set remainders, non-empty
-
-    def save(self, members) -> None:
-        self.entries.append(set(members))
-
-    def decode(self, pid: int, done: set) -> list:
-        """Cancel ``pid`` everywhere and cascade, adding every resolved
-        packet to ``done``; returns packets newly resolved *beyond* pid
-        itself (in resolution order)."""
-        cascaded: list = []
-        done.add(pid)
-        stack = [pid]
-        entries = self.entries
-        while stack:
-            x = stack.pop()
-            for rem in entries:
-                if x in rem:
-                    rem.remove(x)
-                    if len(rem) == 1:
-                        y = rem.pop()  # remainder drains: y is decodable
-                        # Two stored signals can expose the same packet (equal
-                        # groups at different depths); resolve it only once.
-                        if y not in done:
-                            done.add(y)
-                            cascaded.append(y)
-                            stack.append(y)
-        self.entries = [rem for rem in entries if rem]
-        return cascaded
+    cascaded: list = []
+    done.add(pid)
+    stack = [pid]
+    while stack:
+        x = stack.pop()
+        for rem in memory:
+            if x in rem:
+                rem.remove(x)
+                if len(rem) == 1:
+                    y = rem.pop()  # remainder drains: y is decodable
+                    # Two stored signals can expose the same packet (equal
+                    # groups at different depths); resolve it only once.
+                    if y not in done:
+                        done.add(y)
+                        cascaded.append(y)
+                        stack.append(y)
+    memory[:] = [rem for rem in memory if rem]
+    return cascaded
 
 
 def _add_node(nodes: list, parent, members) -> int:
@@ -206,7 +206,6 @@ def run_cri(
     p: float,
     rng: Union[int, CoinSource],
     *,
-    cap: int = DEFAULT_SLOT_CAP,
     record: bool = False,
 ) -> CriTrace:
     """Resolve one interval and return its trace.
@@ -224,24 +223,24 @@ def run_cri(
     sorted ids, whether everyone can derive its composition, its depth
     and its ``nodes`` row (None unless the trace is recorded).
 
-    Raises :class:`NonTerminationError` when the interval exceeds ``cap``
-    consumed slots, which can only happen through a rule-table bug.
+    Raises :class:`NonTerminationError` when an interval of n packets
+    consumes more than ``SLOT_CAP_PER_PACKET * max(1, n)`` slots, which
+    can only happen through a rule-table bug.
     """
     try:
         kind = _KINDS[protocol]
     except (KeyError, TypeError):
         raise ValueError(f"{protocol!r} is not a valid ProtocolKind") from None
     saves_collisions, skips_definite, z_on_collision, z_on_success = RULES[kind]
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"split probability must lie in (0,1), got {p}")
+    p = _split_bias(p)
     if isinstance(rng, CoinSource):
         flip, seed = rng.flip, None
     else:
         flip, seed = None, int(rng)
 
     ids = sorted(set(map(int, initial)))
-    sic = _SicCore() if saves_collisions else None
+    cap = SLOT_CAP_PER_PACKET * max(1, len(ids))
+    memory: list = []          # stored collision remainders (cancellation protocols)
     pending: list = []         # stack of parked right siblings
     done: set = set()          # packets decoded so far (cancellation protocols)
     nodes: list = []           # [node_id, parent, members, style, slot] rows
@@ -301,8 +300,8 @@ def run_cri(
                 fb_kind, skip_k, z = "success", 0, ()
                 successes += 1
                 decoded_order.append((pid, t))
-                if sic is not None:
-                    for y in sic.decode(pid, done):
+                if saves_collisions:
+                    for y in _cancel(memory, pid, done):
                         decoded_order.append((y, t))
                     skip_k = 1
                     while pending and done.issuperset(pending[-1][0]):
@@ -312,21 +311,21 @@ def run_cri(
                         if record:
                             nodes[drained[3]][3] = "pruned"
                     k_values.append(skip_k)
-                    if z_on_success and sic.entries:
-                        z = sic.entries[-1]   # the freshest stored remainder
+                    if z_on_success and memory:
+                        z = memory[-1]        # the freshest stored remainder
                         z_successes += 1
             else:
                 fb_kind, skip_k, z = "collision", 0, members if z_on_collision else ()
                 collisions += 1
                 collision_degrees.append(n_here)
-                if sic is not None:
-                    sic.save(members)
-                    if len(sic.entries) > highwater:
-                        highwater = len(sic.entries)
+                if saves_collisions:
+                    memory.append(set(members))
+                    if len(memory) > highwater:
+                        highwater = len(memory)
 
             if record:
                 slots.append(SlotRecord(t, tuple(members), fb_kind, skip_k, tuple(sorted(z)),
-                                        len(sic.entries) if sic is not None else 0))
+                                        len(memory)))
             if n_here < 2:
                 continue
             shortcut = z_on_collision

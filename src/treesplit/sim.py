@@ -1,16 +1,18 @@
 """Slotted Poisson-traffic simulation over the tree protocols.
 
 One run strings collision-resolution intervals back to back under a
-channel access policy:
+channel access policy, given as a string:
 
-  gated     arrivals during an interval are blocked and jointly start
-            the next one (the first interval serves arrivals from one
-            bootstrap slot);
-  windowed  the arrival axis is cut into windows of ``delta`` slots and
-            the k-th window's batch starts its interval once both the
-            window has closed and the previous interval has finished.
-            Backlogged windows queue whole, first in first out; the
-            backlog counts the packets of closed, unserved windows.
+  "gated"             arrivals during an interval are blocked and jointly
+                      start the next one (the first interval serves
+                      arrivals from one bootstrap slot);
+  "windowed:<delta>"  the arrival axis is cut into windows of ``delta``
+                      slots (positive, finite, may be fractional) and
+                      the k-th window's batch starts its interval once
+                      both the window has closed and the previous interval
+                      has finished.  Backlogged windows queue whole, first
+                      in first out; the backlog counts the packets of
+                      closed, unserved windows.
 
 Every run is a pure function of (protocol, policy, rate, budget, seed):
 arrival counts, arrival positions, and split coins all come from
@@ -47,7 +49,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .engines import ProtocolKind, RULES, run_cri
+from .engines import ProtocolKind, RULES, _split_bias, run_cri
 from .rng import ArrivalStreams, derive_seed, stream_seed
 
 # Backlog drift (packets per slot) above which the trailing-half
@@ -65,41 +67,17 @@ class EmptySampleError(ValueError):
     """A statistic was requested over zero samples."""
 
 
-@dataclass(frozen=True)
-class Gated:
-    """Blocked access: each interval serves the arrivals of the previous one."""
-
-    def describe(self) -> str:
-        return "gated"
-
-
-@dataclass(frozen=True)
-class Windowed:
-    """Windowed access with window length ``delta`` (in slots, may be fractional)."""
-
-    delta: float
-
-    def __post_init__(self):
-        delta = float(self.delta)
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise ValueError(f"window length must be positive and finite, got {self.delta}")
-
-    def describe(self) -> str:
-        return f"windowed:{self.delta:g}"
-
-
-AccessPolicy = Union[Gated, Windowed]
-
-
-def _coerce_policy(policy) -> AccessPolicy:
-    if isinstance(policy, (Gated, Windowed)):
-        return policy
-    if isinstance(policy, str):
-        if policy == "gated":
-            return Gated()
-        if policy.startswith("windowed:"):
-            return Windowed(float(policy.split(":", 1)[1]))
-    raise ValueError(f"unrecognized access policy: {policy!r}")
+def _window_length(policy: str) -> Optional[float]:
+    """Parse an access policy: None for ``gated``, the window length in
+    slots for ``windowed:<delta>``."""
+    if policy == "gated":
+        return None
+    if not (isinstance(policy, str) and policy.startswith("windowed:")):
+        raise ValueError(f"unrecognized access policy: {policy!r}")
+    delta = float(policy.split(":", 1)[1])
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"window length must be positive and finite, got {delta}")
+    return delta
 
 
 @dataclass
@@ -147,13 +125,6 @@ class MetricsReport:
         for key in ("collision_degree_hist", "feedback_k_hist", "feedback_bits"):
             out[key] = {str(k): v for k, v in sorted(out[key].items())}
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        data = dict(data)
-        for key in ("collision_degree_hist", "feedback_k_hist", "feedback_bits"):
-            data[key] = {int(k): int(v) for k, v in data.get(key, {}).items()}
-        return cls(**data)
 
 
 class _Batch(NamedTuple):
@@ -238,7 +209,7 @@ def _detect_instability(report: MetricsReport, backlog_points: list) -> bool:
 
 def simulate(
     protocol: Union[ProtocolKind, str],
-    policy: Union[AccessPolicy, str],
+    policy: str,
     rate: float,
     budget: int,
     seed: int,
@@ -248,40 +219,39 @@ def simulate(
 ) -> MetricsReport:
     """Run intervals back to back until ``budget`` slots and report metrics.
 
-    ``rate`` is the Poisson arrival intensity in packets per slot (zero is
-    allowed and produces an all-idle run); ``p`` is the split bias handed
-    to the protocol engine.  Deterministic: identical arguments give an
-    identical report.
+    ``policy`` is ``"gated"`` or ``"windowed:<delta>"`` (see the module
+    docstring); ``rate`` is the Poisson arrival intensity in packets per
+    slot (zero is allowed and produces an all-idle run); ``p`` is the
+    split bias handed to the protocol engine.  Deterministic: identical
+    arguments give an identical report.
     """
     kind = ProtocolKind(protocol)
     rules = RULES[kind]
-    policy = _coerce_policy(policy)
+    delta = _window_length(policy)
     rate = float(rate)
     budget = int(budget)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"arrival rate must be finite and non-negative, got {rate}")
     if budget < 1:
         raise ValueError(f"slot budget must be at least 1, got {budget}")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"split probability must lie in (0,1), got {p}")
+    p = _split_bias(p)
     packet_bits = int(packet_bits)
     if packet_bits < 1:
         raise ValueError(f"packet_bits must be at least 1, got {packet_bits}")
 
     report = MetricsReport(
-        protocol=kind.value, policy=policy.describe(), rate=rate,
-        budget=budget, seed=int(seed), packet_bits=packet_bits,
+        protocol=kind.value, policy="gated" if delta is None else f"windowed:{delta:g}",
+        rate=rate, budget=budget, seed=int(seed), packet_bits=packet_bits,
     )
     master = int(seed)
     arrivals_base = derive_seed(master, "arrivals")
     coins_base = derive_seed(master, "coins")
 
-    if isinstance(policy, Gated):
+    if delta is None:
         _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base)
     else:
         _run_windowed(report, kind, rules, rate, budget, p,
-                      arrivals_base, coins_base, policy.delta)
+                      arrivals_base, coins_base, delta)
     return report
 
 

@@ -27,8 +27,6 @@ from treesplit.reports import render_csv, render_json
 from treesplit.rng import CoinSource
 from treesplit.signals import Signal, cancel, superpose
 from treesplit.sim import (
-    Gated,
-    Windowed,
     collisions_per_cri_cdf,
     delay_stats,
     feedback_value_histogram,
@@ -78,7 +76,7 @@ def sicta_windowed_run():
     and puts about 11% of its collision mass beyond degree 9, which the
     target histograms exclude entirely).
     """
-    return simulate("sicta", Windowed(5.0), 0.693, 500_000, 606)
+    return simulate("sicta", "windowed:5", 0.693, 500_000, 606)
 
 
 def test_criterion_01_closed_form_vs_recursion(announce):
@@ -170,10 +168,10 @@ def test_criterion_05_stability_bracketing(announce):
     problems = []
     for proto, lam, want_stable in [("atic", 0.90, True), ("atic", 0.95, False),
                                     ("sicta", 0.66, True), ("sicta", 0.72, False)]:
-        report = simulate(proto, Gated(), lam, 1_000_000, 31)
+        report = simulate(proto, "gated", lam, 1_000_000, 31)
         if report.unstable == want_stable:
             problems.append(f"{proto}@{lam}: unstable={report.unstable}")
-    sat = simulate("atic_left", Gated(), 2.0, 1_000_000, 31)
+    sat = simulate("atic_left", "gated", 2.0, 1_000_000, 31)
     sat_thr = sat.throughput
     if abs(sat_thr - 0.832) > 0.01:
         problems.append(f"atic_left saturation {sat_thr:.4f} not within 0.832±0.01")
@@ -211,12 +209,12 @@ def test_criterion_07_counter_distribution(announce, sicta_windowed_run):
 
 
 def test_criterion_08_collision_work(announce):
-    report = simulate("atic", Gated(), 0.693, 200_000, 77)
+    report = simulate("atic", "gated", 0.693, 200_000, 77)
     cdf = collisions_per_cri_cdf(report)
     at7 = cdf.at(7)
     ratios = {}
     for proto in ("atic", "sicta"):
-        sat = simulate(proto, Gated(), 2.0, 150_000, 55)
+        sat = simulate(proto, "gated", 2.0, 150_000, 55)
         big = [(c, n) for c, n in zip(sat.collisions_per_cri, sat.decoded_per_cri)
                if n >= 1000]
         ratios[proto] = sum(c for c, _ in big) / sum(n for _, n in big)
@@ -239,7 +237,7 @@ def test_criterion_09_delay_anchors(announce):
     ]
     misses = []
     for proto, lam, target, tol in anchors:
-        report = simulate(proto, Gated(), lam, 1_000_000, 414)
+        report = simulate(proto, "gated", lam, 1_000_000, 414)
         mean = delay_stats(report).mean
         hit = abs(mean - target) <= tol
         announce(f"[criterion 9]   {proto} λ={lam}: mean delay {mean:.3f} "
@@ -311,8 +309,8 @@ def test_criterion_11_property_bundle(announce):
             order_ok = False
             break
     # byte-identical reruns
-    r1 = simulate("atic", Gated(), 0.5, 15_000, 99)
-    r2 = simulate("atic", Gated(), 0.5, 15_000, 99)
+    r1 = simulate("atic", "gated", 0.5, 15_000, 99)
+    r2 = simulate("atic", "gated", 0.5, 15_000, 99)
     json_same = (render_json(r1.to_dict(), seed=99, config={"case": "rerun"})
                  == render_json(r2.to_dict(), seed=99, config={"case": "rerun"}))
     csv_same = (render_csv([{"thr": r1.throughput}], seed=99, config={})

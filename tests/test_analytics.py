@@ -159,6 +159,11 @@ class TestPoissonAndWindowed:
         with pytest.raises(ValueError, match="finite"):
             windowed_stable_rate(load, CriLengthTable(HALF, "atic"))
 
+    def test_windowed_rate_rejects_load_beyond_double_steps(self):
+        """At a load of 1e100 the Poisson cutoff search would never end."""
+        with pytest.raises(ValueError, match="at most"):
+            windowed_stable_rate(1e100, CriLengthTable(HALF, "atic"))
+
     def test_scan_finds_interior_optimum(self):
         table = CriLengthTable(HALF, "atic")
         rate, best_load = max(

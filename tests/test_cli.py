@@ -70,6 +70,8 @@ class TestConfig:
         ({"policy": "windowed:nan"}, "policy"),
         ({"policy": "windowed:inf"}, "policy"),
         ({"rates": "0.1:0.5:nan"}, "rates"),
+        ({"protocols": ["atic", "atic"]}, "protocols"),
+        ({"rates": [0.1, 0.1]}, "rates"),
     ])
     def test_validation_names_offending_field(self, payload, field):
         with pytest.raises(ConfigError) as err:
@@ -201,6 +203,8 @@ class TestCommands:
         (("--load-max", "nan"), "load_max"),
         (("--load-max", "1e400"), "load_max"),
         (("--load-min", "nan"), "load_min"),
+        (("--load-max", "1e300"), "load_max"),
+        (("--points", "100001"), "points"),
     ])
     def test_windowed_scan_rejects_non_finite(self, tmp_path, capsys, flags, field):
         outdir = tmp_path / "out"
@@ -246,6 +250,18 @@ class TestCommands:
         assert "error: config field 'protocols'" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("flags,field", [
+        (("--protocols", "atic,atic", "--rates", "0.2"), "protocols"),
+        (("--protocols", "atic", "--rates", "0.2,0.2"), "rates"),
+    ])
+    def test_compare_rejects_repeats(self, tmp_path, capsys, flags, field):
+        """A repeated protocol or rate would write one report file twice."""
+        outdir = tmp_path / "out"
+        assert run_cli("compare", *flags, "--seed", "1", "--budget", "300",
+                       "--outdir", str(outdir)) == 1
+        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("argv,field", [
         (("sweep", "--rates", "0.1:0.5:nan", "--seed", "7"), "rates"),
         (("asymptote", "--p-grid", "0.4:inf:0.1"), "p_grid"),
@@ -258,7 +274,7 @@ class TestCommands:
         assert f"error: config field '{field}'" in capsys.readouterr().err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    @pytest.mark.parametrize("n_max", ["0", "-3", "100001"])
     def test_analytic_rejects_n_max_below_one(self, tmp_path, capsys, n_max):
         outdir = tmp_path / "out"
         assert run_cli("analytic", "--n-max", n_max, "--outdir", str(outdir)) == 1

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import treesplit.engines as engines
 from treesplit.analytics import CollisionCountTable, CriLengthTable
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import CoinSource
@@ -277,9 +278,15 @@ class TestRunnerContract:
         with pytest.raises(ValueError):
             run_cri("aloha", [1], 0.5, 0)
 
-    def test_cap_triggers_nontermination_error(self):
-        with pytest.raises(NonTerminationError):
-            run_cri("bta", range(50), 0.5, 0, cap=5)
+    def test_cap_triggers_nontermination_error(self, monkeypatch):
+        monkeypatch.setattr(engines, "SLOT_CAP_PER_PACKET", 2)
+        with pytest.raises(NonTerminationError, match="6000 slots"):
+            run_cri("bta", range(3000), 0.5, 0)  # about 2.9 slots per packet
+
+    def test_cap_scales_with_packet_count(self, monkeypatch):
+        monkeypatch.setattr(engines, "SLOT_CAP_PER_PACKET", 2)
+        trace = run_cri("atic", range(3000), 0.5, 0)  # about 1.1 slots per packet
+        assert 2 < trace.length <= 6000
 
     def test_arbitration_needs_distinct_ids(self):
         assert arbitrate(3, 9) == 9

@@ -36,6 +36,7 @@ from .config import (
     _as_str_tuple,
     load_config,
     parse_grid,
+    rate_tag,
 )
 from .engines import export_tree, run_cri
 from .reports import IoError, emit_report, provenance_header, write_text
@@ -161,10 +162,6 @@ def _outpath(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.outdir, name)
 
 
-def _fmt_rate(lam: float) -> str:
-    return format(lam, "g").replace(".", "p")
-
-
 def _policy_tag(policy: str) -> str:
     return policy.replace(":", "-").replace(".", "p")
 
@@ -263,7 +260,7 @@ def _grid_runs(cfg: ExperimentConfig, seed: int):
 
 
 def _report_name(proto: str, policy: str, lam: float, rep: int, reps: int) -> str:
-    stem = f"sim_{proto}_{_policy_tag(policy)}_{_fmt_rate(lam)}"
+    stem = f"sim_{proto}_{_policy_tag(policy)}_{rate_tag(lam)}"
     if reps > 1:
         stem += f"_r{rep}"
     return stem + ".json"

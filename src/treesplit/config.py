@@ -25,6 +25,11 @@ _DEFAULT_BITS = 256
 _GRID_MAX_POINTS = 100_000
 
 
+def rate_tag(lam: float) -> str:
+    """The rate as report file names carry it: six significant digits."""
+    return format(lam, "g").replace(".", "p")
+
+
 class ConfigError(ValueError):
     """A config value is missing, malformed, or out of range.
 
@@ -101,8 +106,10 @@ class ExperimentConfig:
         for lam in self.rates:
             if not (math.isfinite(lam) and lam >= 0):
                 raise ConfigError("rates", f"arrival rate must be finite and >= 0, got {lam}")
-        if len(set(self.rates)) != len(self.rates):
-            raise ConfigError("rates", f"repeated rate in {self.rates}")
+        # Equal tags would name one report file twice; equal rates have them.
+        if len({rate_tag(lam) for lam in self.rates}) != len(self.rates):
+            raise ConfigError("rates", f"rates {self.rates} repeat a file tag "
+                                       f"(six significant digits)")
         if self.budget < 1:
             raise ConfigError("budget", f"slot budget must be >= 1, got {self.budget}")
         if self.seed is not None and self.seed < 0:

@@ -31,7 +31,12 @@ The engine is receiver-centric: it tracks the split tree explicitly
 air, each group a flat ``[members, known, depth, node]`` list) and keeps
 one set of decoded packets.  Split coins come from a :class:`CoinSource`;
 given an integer seed, the engine builds it only when a group first
-splits, so an interval of zero or one packet builds none.  Cancellation
+splits, so an interval of zero or one packet builds none.  At that first
+split, an interval of at least ``_WORDS_MIN`` packets takes the coin
+words of all its members (``CoinSource.words``, one numpy pass), and a
+split at depth d below ``WORD_DEPTHS`` reads bit d of each member's word;
+deeper splits, and smaller intervals, call ``CoinSource.flip`` per coin.
+Both give the same coins.  Cancellation
 scans the stored remainders directly: the live ones lie on the current
 root path, each a subset of the one above it, so there are never more of
 them than the tree is deep.  Slot feedback (idle, success with its jump
@@ -50,7 +55,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .rng import CoinSource
+from .rng import WORD_DEPTHS, CoinSource
+
+# Intervals of at least this many packets read their split coins from coin
+# words (``CoinSource.words``), computed for every member at the first
+# split; smaller ones flip each coin.  Measured crossover, median us per
+# run_cri("sicta", range(n), 0.5, seed) call over 31 interleaved rounds on
+# a 2-vCPU VM, flipping / with words: n = 6: 58.9 / 62.4, n = 7: 41.2 /
+# 41.5, n = 8: 50.1 / 47.6, n = 12: 114.8 / 87.0.
+_WORDS_MIN = 8
 
 # Slots an interval may consume per packet (an empty interval counts as
 # one packet) before the engine declares a rule-table bug; every protocol
@@ -214,7 +227,9 @@ def run_cri(
     split coins are keyed by (user id, depth), so two protocols driven
     from the same seed see identical split sequences.  An integer seed
     builds its coin source only when a group first splits, so an interval
-    that never splits (zero or one packet) builds none.  ``record=True``
+    that never splits (zero or one packet) builds none.  Either form
+    serves the coins of an interval of at least ``_WORDS_MIN`` packets
+    from coin words (see the module docstring).  ``record=True``
     also fills the trace's ``slots`` (one :class:`SlotRecord` per consumed
     slot) and ``nodes`` (the realized split tree); the scalar statistics
     are always filled in.
@@ -233,10 +248,7 @@ def run_cri(
         raise ValueError(f"{protocol!r} is not a valid ProtocolKind") from None
     saves_collisions, skips_definite, z_on_collision, z_on_success = RULES[kind]
     p = _split_bias(p)
-    if isinstance(rng, CoinSource):
-        flip, seed = rng.flip, None
-    else:
-        flip, seed = None, int(rng)
+    coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, int(rng))
 
     ids = sorted(set(map(int, initial)))
     cap = SLOT_CAP_PER_PACKET * max(1, len(ids))
@@ -250,6 +262,7 @@ def run_cri(
     collision_degrees: list = []
     collisions = successes = skipped = highwater = z_successes = consumed = 0
     current = [ids, False, 0, _add_node(nodes, None, ids) if record else None]
+    flip = words = None        # set at the first split
     left = False               # ``current`` is a left child, its sibling just parked
 
     while True:
@@ -341,11 +354,19 @@ def run_cri(
             left = False
             continue
         if flip is None:
-            flip = CoinSource(seed, p).flip
+            if coins is None:
+                coins = CoinSource(seed, p)
+            flip = coins.flip
+            words = dict(zip(ids, coins.words(ids))) if len(ids) >= _WORDS_MIN else {}
         lm: list = []
         rm: list = []
-        for uid in members:
-            (lm if flip(uid, depth) else rm).append(uid)
+        if words and depth < WORD_DEPTHS:
+            bit = 1 << depth
+            for uid in members:
+                (lm if words[uid] & bit else rm).append(uid)
+        else:
+            for uid in members:
+                (lm if flip(uid, depth) else rm).append(uid)
         rnode = _add_node(nodes, node, rm) if record else None
         pending.append([rm, saves_collisions, depth + 1, rnode])
         current = [lm, False, depth + 1, _add_node(nodes, node, lm) if record else None]

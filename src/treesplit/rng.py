@@ -8,6 +8,12 @@ or not the (i-1)-th was run, and split coins are a pure function of
 automatically identical across protocols driven from the same seed, which
 is what the cross-protocol slot-count comparisons rely on.
 
+A coin is drawn one at a time by :meth:`CoinSource.flip` (two splitmix64
+rounds in Python ints), or 32 at a time per user by
+:meth:`CoinSource.words`, which runs the same rounds over a block of
+users and depths 0..31 in numpy uint64 and packs each user's coins into
+one int; both give the same coin for every key.
+
 Arrival streams are numpy PCG64 streams: every draw equals the matching
 draw of ``np.random.default_rng(stream_seed(base, i))``.  Building a
 ``SeedSequence`` and a ``Generator`` per interval would cost more than the
@@ -53,6 +59,11 @@ _SEED_BLOCK = 1024
 # draws a mean below this by multiplying uniforms (random_poisson_mult)
 # and a larger one by transformed rejection (random_poisson_ptrs).
 _POISSON_MULT_MAX = 10.0
+# Depths a coin word covers: bit d of a word is the coin at depth d.
+WORD_DEPTHS = 32
+# Users whose coin words one numpy pass computes; bounds the temporaries
+# (WORD_DEPTHS uint64 per user) when a saturated interval holds millions.
+_WORD_ROWS = 4096
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -93,18 +104,47 @@ def coin_uniform(seed: int, uid: int, depth: int) -> float:
     return (x >> 11) * _INV53
 
 
+# The splitmix64 and coin_uniform keys as numpy scalars, and the depth
+# round's key of every depth a word covers: with Python-int constants,
+# which numpy converts on every operation, a 12-user pass took 10-20% longer.
+_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM_MULT_A = np.uint64(0xBF58476D1CE4E5B9)
+_SM_MULT_B = np.uint64(0x94D049BB133111EB)
+_SM_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31))
+_UID_KEY = np.uint64(0xA24BAED4963EE407)
+_DEPTH_KEYS = np.array([(d * 0x9FB21C651E98DF25) & _MASK64 for d in range(WORD_DEPTHS)],
+                       dtype=np.uint64)
+_U11 = np.uint64(11)
+
+
+def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` on a uint64 array, overwriting it."""
+    a, b, c = _SM_SHIFTS
+    x += _SM_GAMMA
+    x ^= x >> a
+    x *= _SM_MULT_A
+    x ^= x >> b
+    x *= _SM_MULT_B
+    x ^= x >> c
+    return x
+
+
 class CoinSource:
     """Bernoulli split coins keyed by (user id, depth).
 
     ``flip(uid, depth)`` returns True when the user joins the left group;
-    it equals ``coin_uniform(seed, uid, depth) < p``.  A scripted table of
-    forced outcomes can be layered on top for reproducing hand-constructed
-    split sequences.
+    it equals ``coin_uniform(seed, uid, depth) < p``.  ``words(uids)``
+    gives each user's coins at depths 0..``WORD_DEPTHS``-1 at once, bit d
+    of a word being ``flip(uid, d)``.  A scripted table of forced outcomes
+    can be layered on top for reproducing hand-constructed split
+    sequences; both methods apply it.
     """
 
     def __init__(self, seed: int, p: float, script: dict | None = None):
         self.seed = int(seed)
         self.p = float(p)
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"coin bias must lie in [0, 1], got {self.p}")
         self.script = dict(script) if script else None
         # m * 2^-53 < p  <=>  m < p * 2^53: scaling by a power of two is exact.
         self._bound = self.p * (1 << 53)
@@ -125,6 +165,42 @@ class CoinSource:
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
         return ((x ^ (x >> 31)) >> 11) < self._bound
+
+    def words(self, uids) -> list:
+        """One int per entry of ``uids`` whose bit d is ``flip(uid, d)``,
+        for every depth d below ``WORD_DEPTHS``.
+
+        Both splitmix64 rounds of :func:`coin_uniform` run in numpy
+        uint64, whose wrap-around stands in for the masks, over at most
+        ``_WORD_ROWS`` users a pass.  ``flip`` compares the int m = x >> 11
+        with the float p * 2^53 exactly; the pass compares it with the
+        integer ceil(p * 2^53) instead, so no uint64 is cast to a double
+        (for an integer m, m < b exactly when m < ceil(b)).
+        """
+        uids = list(uids)
+        if uids and (min(uids) < 0 or max(uids) > _MASK64):
+            keys = [uid & _MASK64 for uid in uids]
+        else:
+            keys = uids
+        bound = np.uint64(math.ceil(self._bound))
+        seed = np.uint64(self.seed & _MASK64)
+        out: list = []
+        for start in range(0, len(keys), _WORD_ROWS):
+            x = np.array(keys[start:start + _WORD_ROWS], dtype=np.uint64)
+            x *= _UID_KEY
+            x ^= seed
+            y = _splitmix64_inplace(x)[:, None] ^ _DEPTH_KEYS
+            _splitmix64_inplace(y)
+            y >>= _U11
+            out += np.packbits(y < bound, axis=1, bitorder="little").view("<u4").ravel().tolist()
+        if self.script:
+            for (uid, depth), value in self.script.items():
+                if 0 <= depth < WORD_DEPTHS:
+                    bit = 1 << depth
+                    for i, other in enumerate(uids):
+                        if other == uid:
+                            out[i] = out[i] | bit if value else out[i] & ~bit
+        return out
 
 
 def stream_seed(base: int, index):

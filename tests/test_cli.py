@@ -262,6 +262,14 @@ class TestCommands:
         assert f"error: config field '{field}'" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_compare_rejects_rates_sharing_a_file_tag(self, tmp_path, capsys):
+        """Rates equal to six significant digits would share one report file."""
+        outdir = tmp_path / "out"
+        assert run_cli("compare", "--protocols", "atic", "--rates", "0.1000001,0.1000002",
+                       "--seed", "1", "--budget", "300", "--outdir", str(outdir)) == 1
+        assert "error: config field 'rates'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("argv,field", [
         (("sweep", "--rates", "0.1:0.5:nan", "--seed", "7"), "rates"),
         (("asymptote", "--p-grid", "0.4:inf:0.1"), "p_grid"),

@@ -330,6 +330,39 @@ class TestRunnerContract:
             [s for s in trace.slots if s.kind == "success"])
 
 
+def _split_depths(trace):
+    """Depths of the recorded groups that split in two."""
+    depth, children = {}, {}
+    for node in trace.nodes:
+        depth[node.node_id] = 0 if node.parent is None else depth[node.parent] + 1
+        children[node.parent] = children.get(node.parent, 0) + 1
+    return [depth[node_id] for node_id, count in children.items()
+            if node_id is not None and count == 2]
+
+
+class TestCoinWords:
+    """Intervals of at least ``_WORDS_MIN`` packets read their coins from
+    coin words; every trace field must equal the one of the flip path."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_words_path_equals_flip_path(self, monkeypatch, protocol):
+        deepest = 0
+        for case, (p, n) in enumerate((p, n) for p in (0.02, 0.3, 0.7)
+                                      for n in (8, 20, 60)):
+            ids = list(range(1000 + 7 * case, 1000 + 7 * case + n))
+            for coins in (31 + case, CoinSource(77 + case, p)):
+                monkeypatch.setattr(engines, "_WORDS_MIN", 8)
+                fast = run_cri(protocol, ids, p, coins, record=True)
+                monkeypatch.setattr(engines, "_WORDS_MIN", n + 1)
+                slow = run_cri(protocol, ids, p, coins, record=True)
+                for f in dataclasses.fields(fast):
+                    assert getattr(fast, f.name) == getattr(slow, f.name), (p, n, f.name)
+                if p == 0.02:
+                    deepest = max(deepest, max(_split_depths(fast)))
+        # Splits below the words' depths fall back to flip.
+        assert deepest >= engines.WORD_DEPTHS
+
+
 def _pinned_cases():
     """300 fixed random intervals, each run under all five protocols."""
     rng = np.random.default_rng(20261018)

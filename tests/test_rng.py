@@ -8,6 +8,8 @@ import pytest
 from treesplit.rng import (
     _POISSON_MULT_MAX,
     _SEED_BLOCK,
+    _WORD_ROWS,
+    WORD_DEPTHS,
     ArrivalStreams,
     CoinSource,
     StreamCursor,
@@ -220,3 +222,54 @@ class TestCoinSource:
         coins = CoinSource(seed, p, script)
         for key, value in natural.items():
             assert coins.flip(*key) == (not value if key in script else value)
+
+
+def _assert_words_match_flip(coins, uids):
+    words = coins.words(uids)
+    assert len(words) == len(uids)
+    for uid, word in zip(uids, words):
+        assert 0 <= word < 1 << WORD_DEPTHS
+        for depth in range(WORD_DEPTHS):
+            assert bool(word >> depth & 1) == coins.flip(uid, depth), (uid, depth)
+
+
+class TestCoinWords:
+    """Bit d of ``CoinSource.words`` equals ``flip`` at every depth d < 32."""
+
+    UIDS = list(range(5)) + list(range((1 << 64) - 40, 1 << 64))
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.123, 1e-3])
+    @pytest.mark.parametrize("seed", [0, (1 << 63) - 1])
+    def test_words_match_flip(self, p, seed):
+        _assert_words_match_flip(CoinSource(seed, p), self.UIDS)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 63) - 1])
+    def test_words_at_the_exact_threshold(self, seed):
+        # p equal to a coin's variate must lose; the next double up must win.
+        for uid in (0, 3, (1 << 64) - 1):
+            for depth in (0, 13, WORD_DEPTHS - 1):
+                u = coin_uniform(seed, uid, depth)
+                for p, heads in ((u, False), (math.nextafter(u, 1.0), True)):
+                    coins = CoinSource(seed, p)
+                    assert coins.words([uid])[0] >> depth & 1 == heads
+                    _assert_words_match_flip(coins, self.UIDS)
+
+    def test_words_of_ids_beyond_uint64(self):
+        # flip keys a coin by the id's low 64 bits, so words must too.
+        _assert_words_match_flip(CoinSource(9, 0.5), [-1, -(1 << 70), 1 << 64, (1 << 64) + 5])
+
+    def test_bias_outside_the_unit_interval_is_rejected(self):
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                CoinSource(1, p)
+
+    def test_words_over_several_passes(self):
+        _assert_words_match_flip(CoinSource(derive_seed(3, "coins"), 0.3),
+                                 list(range(_WORD_ROWS + 300)))
+
+    def test_script_entry_sets_its_bit(self):
+        seed, p = 5, 0.5
+        script = {(2, 0): not coin_uniform(seed, 2, 0) < p,
+                  (3, 31): not coin_uniform(seed, 3, 31) < p,
+                  (3, 40): True}
+        _assert_words_match_flip(CoinSource(seed, p, script), list(range(6)))

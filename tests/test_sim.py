@@ -284,19 +284,24 @@ def test_report_pinned(protocol, policy):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[protocol, policy]
 
 
-# Coin flips of simulate(protocol, policy, 0.3, 4000, 2024), counted at
-# CoinSource.flip before the engine's loop was flattened.
-PINNED_FLIPS = {("atic", "gated"): 118, ("sicta", "windowed:40"): 6095}
+# Coins of simulate(protocol, policy, 0.3, 4000, 2024), counted at
+# CoinSource.flip (scalar flips) and CoinSource.words (one row per member
+# of an interval of at least engines._WORDS_MIN packets).  The gated run's
+# intervals all lie below that size, so it keeps the 118 flips counted
+# before the engine's loop was flattened; under windowed:40, the 6,095 flips
+# of the flip-only engine became 238 flips and 1,168 word rows.
+PINNED_COINS = {("atic", "gated"): (118, 0), ("sicta", "windowed:40"): (238, 1168)}
 
 
-@pytest.mark.parametrize("protocol,policy", sorted(PINNED_FLIPS))
+@pytest.mark.parametrize("protocol,policy", sorted(PINNED_COINS))
 def test_layer_call_counts(monkeypatch, protocol, policy):
     """The simulator calls ``sim.run_cri`` once per non-empty interval (an
-    empty one it folds itself) and the engine calls ``CoinSource.flip``
-    once per coin, so wrappers patched onto those names (as the
-    benchmark's tracer does) count every engine call and flip."""
-    counts = {"run_cri": 0, "flip": 0}
-    run_cri, flip = sim.run_cri, CoinSource.flip
+    empty one it folds itself) and the engine draws its coins through
+    ``CoinSource.flip`` and ``CoinSource.words``, so wrappers patched onto
+    those names (as the benchmark's tracer does for run_cri and flip)
+    count every engine call, flip and word row."""
+    counts = {"run_cri": 0, "flip": 0, "rows": 0}
+    run_cri, flip, words = sim.run_cri, CoinSource.flip, CoinSource.words
 
     def counted_run_cri(*args, **kwargs):
         counts["run_cri"] += 1
@@ -306,11 +311,17 @@ def test_layer_call_counts(monkeypatch, protocol, policy):
         counts["flip"] += 1
         return flip(self, uid, depth)
 
+    def counted_words(self, uids):
+        out = words(self, uids)
+        counts["rows"] += len(out)
+        return out
+
     monkeypatch.setattr(sim, "run_cri", counted_run_cri)
     monkeypatch.setattr(CoinSource, "flip", counted_flip)
+    monkeypatch.setattr(CoinSource, "words", counted_words)
     report = simulate(protocol, policy, 0.3, 4000, 2024)
     assert counts["run_cri"] == sum(1 for n in report.decoded_per_cri if n) > 0
-    assert counts["flip"] == PINNED_FLIPS[protocol, policy]
+    assert (counts["flip"], counts["rows"]) == PINNED_COINS[protocol, policy]
 
 
 @pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])

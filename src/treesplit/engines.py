@@ -33,10 +33,11 @@ one set of decoded packets.  Split coins come from a :class:`CoinSource`;
 given an integer seed, the engine builds it only when a group first
 splits, so an interval of zero or one packet builds none.  At that first
 split, an interval of at least ``_WORDS_MIN`` packets takes the coin
-words of all its members (``CoinSource.words``, one numpy pass), and a
-split at depth d below ``WORD_DEPTHS`` reads bit d of each member's word;
-deeper splits, and smaller intervals, call ``CoinSource.flip`` per coin.
-Both give the same coins.  Cancellation
+words of all its members (``CoinSource.words``, one numpy pass, or none
+when a prepared source already holds the words, as the windowed
+simulator's are), and a split at depth d below ``WORD_DEPTHS`` reads bit
+d of each member's word; deeper splits, and smaller intervals, call
+``CoinSource.flip`` per coin.  Both give the same coins.  Cancellation
 scans the stored remainders directly: the live ones lie on the current
 root path, each a subset of the one above it, so there are never more of
 them than the tree is deep.  Slot feedback (idle, success with its jump
@@ -229,7 +230,9 @@ def run_cri(
     builds its coin source only when a group first splits, so an interval
     that never splits (zero or one packet) builds none.  Either form
     serves the coins of an interval of at least ``_WORDS_MIN`` packets
-    from coin words (see the module docstring).  ``record=True``
+    from coin words (see the module docstring); a prepared source may
+    already hold them, and then ``CoinSource.words`` reads them without a
+    numpy pass.  ``record=True``
     also fills the trace's ``slots`` (one :class:`SlotRecord` per consumed
     slot) and ``nodes`` (the realized split tree); the scalar statistics
     are always filled in.

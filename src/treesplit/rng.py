@@ -9,10 +9,11 @@ automatically identical across protocols driven from the same seed, which
 is what the cross-protocol slot-count comparisons rely on.
 
 A coin is drawn one at a time by :meth:`CoinSource.flip` (two splitmix64
-rounds in Python ints), or 32 at a time per user by
-:meth:`CoinSource.words`, which runs the same rounds over a block of
-users and depths 0..31 in numpy uint64 and packs each user's coins into
-one int; both give the same coin for every key.
+rounds in Python ints), or 32 at a time per user by :func:`coin_words`,
+which runs the same rounds over the users of many (seed, users) groups
+and depths 0..31 in numpy uint64 and packs each user's coins into one
+int; both give the same coin for every key.  :meth:`CoinSource.words` is
+its one-group call, unless the source was handed the words already.
 
 Arrival streams are numpy PCG64 streams: every draw equals the matching
 draw of ``np.random.default_rng(stream_seed(base, i))``.  Building a
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,7 +64,8 @@ _POISSON_MULT_MAX = 10.0
 # Depths a coin word covers: bit d of a word is the coin at depth d.
 WORD_DEPTHS = 32
 # Users whose coin words one numpy pass computes; bounds the temporaries
-# (WORD_DEPTHS uint64 per user) when a saturated interval holds millions.
+# (WORD_DEPTHS uint64 per user, 1 MiB a pass) when a saturated interval
+# holds millions of users or a block of windows holds thousands.
 _WORD_ROWS = 4096
 
 
@@ -135,12 +138,15 @@ class CoinSource:
     ``flip(uid, depth)`` returns True when the user joins the left group;
     it equals ``coin_uniform(seed, uid, depth) < p``.  ``words(uids)``
     gives each user's coins at depths 0..``WORD_DEPTHS``-1 at once, bit d
-    of a word being ``flip(uid, d)``.  A scripted table of forced outcomes
-    can be layered on top for reproducing hand-constructed split
-    sequences; both methods apply it.
+    of a word being ``flip(uid, d)``; the constructor's ``words``, a
+    uid -> word dict that :func:`coin_words` computed for this seed and p,
+    lets it skip the pass.  A scripted table of forced outcomes can be
+    layered on top for reproducing hand-constructed split sequences; both
+    methods apply it.
     """
 
-    def __init__(self, seed: int, p: float, script: dict | None = None):
+    def __init__(self, seed: int, p: float, script: dict | None = None,
+                 words: dict | None = None):
         self.seed = int(seed)
         self.p = float(p)
         if not 0.0 <= self.p <= 1.0:
@@ -150,6 +156,8 @@ class CoinSource:
         self._bound = self.p * (1 << 53)
         # uid -> first splitmix round of coin_uniform, which ignores depth.
         self._uid_mix: dict = {}
+        # uid -> coin word, as computed ahead by coin_words.
+        self._words = words
 
     def flip(self, uid: int, depth: int) -> bool:
         if self.script is not None:
@@ -170,29 +178,15 @@ class CoinSource:
         """One int per entry of ``uids`` whose bit d is ``flip(uid, d)``,
         for every depth d below ``WORD_DEPTHS``.
 
-        Both splitmix64 rounds of :func:`coin_uniform` run in numpy
-        uint64, whose wrap-around stands in for the masks, over at most
-        ``_WORD_ROWS`` users a pass.  ``flip`` compares the int m = x >> 11
-        with the float p * 2^53 exactly; the pass compares it with the
-        integer ceil(p * 2^53) instead, so no uint64 is cast to a double
-        (for an integer m, m < b exactly when m < ceil(b)).
+        Words handed to the constructor are read when they cover every
+        entry; otherwise :func:`coin_words` computes them all.
         """
         uids = list(uids)
-        if uids and (min(uids) < 0 or max(uids) > _MASK64):
-            keys = [uid & _MASK64 for uid in uids]
+        known = self._words
+        if known and all(map(known.__contains__, uids)):
+            out = list(map(known.__getitem__, uids))
         else:
-            keys = uids
-        bound = np.uint64(math.ceil(self._bound))
-        seed = np.uint64(self.seed & _MASK64)
-        out: list = []
-        for start in range(0, len(keys), _WORD_ROWS):
-            x = np.array(keys[start:start + _WORD_ROWS], dtype=np.uint64)
-            x *= _UID_KEY
-            x ^= seed
-            y = _splitmix64_inplace(x)[:, None] ^ _DEPTH_KEYS
-            _splitmix64_inplace(y)
-            y >>= _U11
-            out += np.packbits(y < bound, axis=1, bitorder="little").view("<u4").ravel().tolist()
+            out = coin_words([(self.seed, uids)], self.p)[0]
         if self.script:
             for (uid, depth), value in self.script.items():
                 if 0 <= depth < WORD_DEPTHS:
@@ -201,6 +195,43 @@ class CoinSource:
                         if other == uid:
                             out[i] = out[i] | bit if value else out[i] & ~bit
         return out
+
+
+def coin_words(groups, p: float) -> list:
+    """The coin words of many ``(seed, uids)`` groups, one list per group:
+    entry i's bit d is ``CoinSource(seed, p).flip(uids[i], d)`` for every
+    depth d below ``WORD_DEPTHS`` (no script applies).
+
+    Both splitmix64 rounds of :func:`coin_uniform` run in numpy uint64,
+    whose wrap-around stands in for the masks, with each row keyed by its
+    group's seed, over at most ``_WORD_ROWS`` users a pass whatever the
+    groups' sizes.  ``flip`` compares the int m = x >> 11 with the float
+    p * 2^53 exactly; the pass compares it with the integer
+    ceil(p * 2^53) instead, so no uint64 is cast to a double (for an
+    integer m, m < b exactly when m < ceil(b)).
+    """
+    keys: list = []
+    seeds: list = []
+    sizes: list = []
+    for seed, uids in groups:
+        size = len(keys)
+        keys += uids
+        sizes.append(len(keys) - size)
+        seeds.append(seed & _MASK64)
+    if keys and (min(keys) < 0 or max(keys) > _MASK64):
+        keys = [uid & _MASK64 for uid in keys]
+    row_seeds = np.repeat(np.array(seeds, dtype=np.uint64), sizes)
+    bound = np.uint64(math.ceil(p * (1 << 53)))
+    flat: list = []
+    for start in range(0, len(keys), _WORD_ROWS):
+        x = np.array(keys[start:start + _WORD_ROWS], dtype=np.uint64)
+        x *= _UID_KEY
+        x ^= row_seeds[start:start + _WORD_ROWS]
+        y = _splitmix64_inplace(x)[:, None] ^ _DEPTH_KEYS
+        _splitmix64_inplace(y)
+        y >>= _U11
+        flat += np.packbits(y < bound, axis=1, bitorder="little").view("<u4").ravel().tolist()
+    return [flat[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
 
 def stream_seed(base: int, index):

@@ -58,6 +58,7 @@ class TestConfig:
         ({"p": "half"}, "p"),
         ({"protocols": ["aloha"]}, "protocols"),
         ({"policy": "windowed:0"}, "policy"),
+        ({"policy": "windowed:0.5"}, "policy"),
         ({"policy": "free"}, "policy"),
         ({"budget": 0}, "budget"),
         ({"seed": -1}, "seed"),
@@ -322,6 +323,18 @@ class TestCommands:
                        "--seed", "7", "--outdir", str(tmp_path)) == 1
         assert f"error: config field '{field}'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_simulate_window_of_at_least_one_slot(self, tmp_path, capsys):
+        # Windows under a slot would queue without bound: every interval
+        # takes a slot.  A window of exactly one slot runs.
+        argv = ("simulate", "--protocol", "atic", "--rate", "0.1", "--budget", "100",
+                "--seed", "7")
+        outdir = tmp_path / "short"
+        assert run_cli(*argv, "--policy", "windowed:0.5", "--outdir", str(outdir)) == 1
+        assert "error: config field 'policy'" in capsys.readouterr().err
+        assert not outdir.exists()
+        assert run_cli(*argv, "--policy", "windowed:1", "--outdir", str(tmp_path)) == 0
+        assert os.listdir(tmp_path) == ["sim_atic_windowed-1_0p1.json"]
 
     @pytest.mark.parametrize("policy", ["windowed_x:5", "windowed:abc", " Windowed:5"])
     @pytest.mark.parametrize("via", ["flag", "config"])

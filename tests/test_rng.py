@@ -15,6 +15,7 @@ from treesplit.rng import (
     StreamCursor,
     _pcg64_states,
     coin_uniform,
+    coin_words,
     derive_seed,
     stream_seed,
 )
@@ -266,6 +267,35 @@ class TestCoinWords:
     def test_words_over_several_passes(self):
         _assert_words_match_flip(CoinSource(derive_seed(3, "coins"), 0.3),
                                  list(range(_WORD_ROWS + 300)))
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.123])
+    def test_groups_match_one_group_words(self, p):
+        """Each group's words from one shared pass equal its own
+        ``CoinSource.words``, across seeds, pass boundaries and sizes."""
+        near = (1 << 63) - 1
+        groups = [
+            (0, [7]),
+            (near, list(range(5))),
+            (derive_seed(3, "coins"), list(range(100, _WORD_ROWS + 50))),  # straddles a pass
+            (near - 12345, [(1 << 64) - 1]),
+            (stream_seed(derive_seed(8, "coins"), 4), list(range(40, 52))),
+            (1 << 62, []),
+            (5, [3, 3, 9]),
+        ]
+        got = coin_words(groups, p)
+        assert len(got) == len(groups)
+        for (seed, uids), words in zip(groups, got):
+            assert words == CoinSource(seed, p).words(uids), seed
+
+    def test_no_groups(self):
+        assert coin_words([], 0.5) == []
+
+    def test_known_words_are_read(self):
+        # Words handed to the source are read as given when they cover the
+        # request; otherwise the source computes every word itself.
+        coins = CoinSource(9, 0.5, words={1: 5, 2: 6})
+        assert coins.words([2, 1, 2]) == [6, 5, 6]
+        assert coins.words([1, 3]) == CoinSource(9, 0.5).words([1, 3])
 
     def test_script_entry_sets_its_bit(self):
         seed, p = 5, 0.5

@@ -109,6 +109,10 @@ class TestValidation:
     def test_window_length_validated(self):
         with pytest.raises(ValueError):
             simulate("atic", "windowed:0", 0.4, 100, 1)
+        # Every interval takes a slot, so windows under a slot queue forever.
+        with pytest.raises(ValueError):
+            simulate("atic", "windowed:0.5", 0.1, 100, 1)
+        assert simulate("atic", "windowed:1", 0.1, 100, 1).slots_simulated >= 100
         for text in ("windowed:nan", "windowed:inf"):
             with pytest.raises(ValueError):
                 simulate("atic", text, 0.4, 100, 1)
@@ -237,6 +241,21 @@ class TestWindowedAccess:
         windowed = simulate("atic", "windowed:50", 2.0, 80000, 23)
         assert windowed.throughput <= gated.throughput + 0.01
 
+    @pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])
+    def test_reports_do_not_depend_on_the_lookahead(self, monkeypatch, protocol):
+        """Windows drawn ahead in blocks, with their coin words computed
+        per block, give the reports of windows drawn one at a time."""
+        runs = [(delta, rate, budget)
+                for delta in (1, 2.5, 7.5, 40, 1000)
+                for rate in (0.02, 0.3)
+                for budget in sorted({1, max(1, math.ceil(delta) - 1), 2999})]
+        runs.append((16, 1.2, 2999))  # unstable: the backlog grows
+        default = [simulate(protocol, f"windowed:{d}", r, b, 31).to_dict()
+                   for d, r, b in runs]
+        monkeypatch.setattr(sim, "_WINDOW_BLOCK", 1)
+        for (d, r, b), want in zip(runs, default):
+            assert simulate(protocol, f"windowed:{d}", r, b, 31).to_dict() == want, (d, r, b)
+
     def test_describe_tags(self):
         assert simulate("atic", "gated", 0.3, 10, 1).policy == "gated"
         assert simulate("atic", "windowed:5.0", 0.3, 10, 1).policy == "windowed:5"
@@ -285,23 +304,27 @@ def test_report_pinned(protocol, policy):
 
 
 # Coins of simulate(protocol, policy, 0.3, 4000, 2024), counted at
-# CoinSource.flip (scalar flips) and CoinSource.words (one row per member
-# of an interval of at least engines._WORDS_MIN packets).  The gated run's
-# intervals all lie below that size, so it keeps the 118 flips counted
-# before the engine's loop was flattened; under windowed:40, the 6,095 flips
-# of the flip-only engine became 238 flips and 1,168 word rows.
+# CoinSource.flip (scalar flips) and rng.coin_words (one row per member of
+# an interval of at least engines._WORDS_MIN packets, whether the engine's
+# CoinSource.words or the windowed run's block pass asked for it).  The
+# gated run's intervals all lie below that size, so it keeps the 118 flips
+# counted before the engine's loop was flattened; under windowed:40, the
+# 6,095 flips of the flip-only engine became 238 flips and 1,168 word rows.
+# That run serves exactly the 100 windows that close by its budget, so the
+# block pass computes no row the engine does not read.
 PINNED_COINS = {("atic", "gated"): (118, 0), ("sicta", "windowed:40"): (238, 1168)}
 
 
 @pytest.mark.parametrize("protocol,policy", sorted(PINNED_COINS))
 def test_layer_call_counts(monkeypatch, protocol, policy):
     """The simulator calls ``sim.run_cri`` once per non-empty interval (an
-    empty one it folds itself) and the engine draws its coins through
-    ``CoinSource.flip`` and ``CoinSource.words``, so wrappers patched onto
-    those names (as the benchmark's tracer does for run_cri and flip)
-    count every engine call, flip and word row."""
+    empty one it folds itself), the engine flips through
+    ``CoinSource.flip``, and every coin word comes from ``coin_words``,
+    called by ``CoinSource.words`` and by the windowed run's block pass,
+    so wrappers patched onto those names (as the benchmark's tracer does
+    for run_cri and flip) count every engine call, flip and word row."""
     counts = {"run_cri": 0, "flip": 0, "rows": 0}
-    run_cri, flip, words = sim.run_cri, CoinSource.flip, CoinSource.words
+    run_cri, flip, words = sim.run_cri, CoinSource.flip, sim.coin_words
 
     def counted_run_cri(*args, **kwargs):
         counts["run_cri"] += 1
@@ -311,17 +334,35 @@ def test_layer_call_counts(monkeypatch, protocol, policy):
         counts["flip"] += 1
         return flip(self, uid, depth)
 
-    def counted_words(self, uids):
-        out = words(self, uids)
-        counts["rows"] += len(out)
+    def counted_words(groups, p):
+        out = words(groups, p)
+        counts["rows"] += sum(map(len, out))
         return out
 
     monkeypatch.setattr(sim, "run_cri", counted_run_cri)
     monkeypatch.setattr(CoinSource, "flip", counted_flip)
-    monkeypatch.setattr(CoinSource, "words", counted_words)
+    monkeypatch.setattr("treesplit.rng.coin_words", counted_words)
+    monkeypatch.setattr(sim, "coin_words", counted_words)
     report = simulate(protocol, policy, 0.3, 4000, 2024)
     assert counts["run_cri"] == sum(1 for n in report.decoded_per_cri if n) > 0
     assert (counts["flip"], counts["rows"]) == PINNED_COINS[protocol, policy]
+
+
+def test_windowed_words_come_in_one_pass_per_block(monkeypatch):
+    """The 100 windows that close by the budget of the pinned windowed:40
+    run take their coin words from one pass per block of windows; no
+    interval computes its own."""
+    passes = []
+    words = sim.coin_words
+
+    def counted_words(groups, p):
+        passes.append(len(groups))
+        return words(groups, p)
+
+    monkeypatch.setattr("treesplit.rng.coin_words", counted_words)
+    monkeypatch.setattr(sim, "coin_words", counted_words)
+    simulate("sicta", "windowed:40", 0.3, 4000, 2024)
+    assert len(passes) == math.ceil(100 / sim._WINDOW_BLOCK)
 
 
 @pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])

@@ -58,7 +58,6 @@ class TestConfig:
         ({"p": "half"}, "p"),
         ({"protocols": ["aloha"]}, "protocols"),
         ({"policy": "windowed:0"}, "policy"),
-        ({"policy": "windowed:0.5"}, "policy"),
         ({"policy": "free"}, "policy"),
         ({"budget": 0}, "budget"),
         ({"seed": -1}, "seed"),
@@ -73,6 +72,7 @@ class TestConfig:
         ({"rates": "0.1:0.5:nan"}, "rates"),
         ({"protocols": ["atic", "atic"]}, "protocols"),
         ({"rates": [0.1, 0.1]}, "rates"),
+        ({"policy": "windowed:0.5"}, "policy"),
     ])
     def test_validation_names_offending_field(self, payload, field):
         with pytest.raises(ConfigError) as err:

@@ -32,22 +32,19 @@ air, each group a flat ``[members, known, depth, node]`` list) and keeps
 one set of decoded packets.  Split coins come from a :class:`CoinSource`;
 given an integer seed, the engine builds it only when a group first
 splits, so an interval of zero or one packet builds none.  At that first
-split, an interval of at least ``_WORDS_MIN`` packets takes the coin
-words of all its members (``CoinSource.words``, one numpy pass, or none
-when a prepared source already holds the words, as the windowed
-simulator's are), and a split at depth d below ``WORD_DEPTHS`` reads bit
-d of each member's word; deeper splits, and smaller intervals, call
-``CoinSource.flip`` per coin.  Both give the same coins.  Cancellation
-scans the stored remainders directly: the live ones lie on the current
-root path, each a subset of the one above it, so there are never more of
-them than the tree is deep.  Slot feedback (idle, success with its jump
-count, or collision, plus the broadcast members ``z``) is decided on int
-sets; ``record=True`` keeps it as :class:`SlotRecord` rows along with the
-split tree as :class:`TreeNode` rows.  No per-user model is kept: the
-feedback-replay test (``tests/test_engines.py::TestFeedbackReplay``)
-checks every recorded decode, memory size and broadcast against an
-independent cancellation oracle, and checks that users who see a pair
-broadcast could arbitrate it: the higher id alone transmits next.
+split the engine takes the interval's split function from
+``CoinSource.splitter``, which alone decides how the coins are computed.
+Cancellation scans the stored remainders directly: the live ones lie on
+the current root path, each a subset of the one above it, so there are
+never more of them than the tree is deep.  Slot feedback (idle, success
+with its jump count, or collision, plus the broadcast members ``z``) is
+decided on int sets; ``record=True`` keeps it as :class:`SlotRecord` rows
+along with the split tree as :class:`TreeNode` rows.  No per-user model
+is kept: the feedback-replay test
+(``tests/test_engines.py::TestFeedbackReplay``) checks every recorded
+decode, memory size and broadcast against an independent cancellation
+oracle, and checks that users who see a pair broadcast could arbitrate
+it: the higher id alone transmits next.
 """
 
 from __future__ import annotations
@@ -56,15 +53,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .rng import WORD_DEPTHS, CoinSource
-
-# Intervals of at least this many packets read their split coins from coin
-# words (``CoinSource.words``), computed for every member at the first
-# split; smaller ones flip each coin.  Measured crossover, median us per
-# run_cri("sicta", range(n), 0.5, seed) call over 31 interleaved rounds on
-# a 2-vCPU VM, flipping / with words: n = 6: 58.9 / 62.4, n = 7: 41.2 /
-# 41.5, n = 8: 50.1 / 47.6, n = 12: 114.8 / 87.0.
-_WORDS_MIN = 8
+from .rng import CoinSource
 
 # Slots an interval may consume per packet (an empty interval counts as
 # one packet) before the engine declares a rule-table bug; every protocol
@@ -224,18 +213,17 @@ def run_cri(
 ) -> CriTrace:
     """Resolve one interval and return its trace.
 
-    ``rng`` is either an integer seed or a prepared :class:`CoinSource`;
-    split coins are keyed by (user id, depth), so two protocols driven
-    from the same seed see identical split sequences.  An integer seed
-    builds its coin source only when a group first splits, so an interval
-    that never splits (zero or one packet) builds none.  Either form
-    serves the coins of an interval of at least ``_WORDS_MIN`` packets
-    from coin words (see the module docstring); a prepared source may
-    already hold them, and then ``CoinSource.words`` reads them without a
-    numpy pass.  ``record=True``
-    also fills the trace's ``slots`` (one :class:`SlotRecord` per consumed
-    slot) and ``nodes`` (the realized split tree); the scalar statistics
-    are always filled in.
+    ``initial`` holds distinct packet (user) ids; a repeated id raises
+    ValueError.  ``rng`` is either an integer seed or a prepared
+    :class:`CoinSource`; split coins are keyed by (user id, depth), so
+    two protocols driven from the same seed see identical split
+    sequences.  An integer seed builds its coin source only when a group
+    first splits, so an interval that never splits (zero or one packet)
+    builds none.  Splits go through the source's ``splitter``, which
+    picks how the coins are computed.  ``record=True`` also fills the
+    trace's ``slots`` (one :class:`SlotRecord` per consumed slot) and
+    ``nodes`` (the realized split tree); the scalar statistics are always
+    filled in.
 
     Each tree group is a flat list ``[members, known, depth, node]``: its
     sorted ids, whether everyone can derive its composition, its depth
@@ -253,7 +241,10 @@ def run_cri(
     p = _split_bias(p)
     coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, int(rng))
 
-    ids = sorted(set(map(int, initial)))
+    ids = sorted(map(int, initial))
+    if len(set(ids)) < len(ids):
+        repeat = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise ValueError(f"interval ids must be distinct, got {repeat} more than once")
     cap = SLOT_CAP_PER_PACKET * max(1, len(ids))
     memory: list = []          # stored collision remainders (cancellation protocols)
     pending: list = []         # stack of parked right siblings
@@ -265,7 +256,7 @@ def run_cri(
     collision_degrees: list = []
     collisions = successes = skipped = highwater = z_successes = consumed = 0
     current = [ids, False, 0, _add_node(nodes, None, ids) if record else None]
-    flip = words = None        # set at the first split
+    split = None               # the interval's split function, set at the first split
     left = False               # ``current`` is a left child, its sibling just parked
 
     while True:
@@ -356,20 +347,9 @@ def run_cri(
                        _add_node(nodes, node, (winner,)) if record else None]
             left = False
             continue
-        if flip is None:
-            if coins is None:
-                coins = CoinSource(seed, p)
-            flip = coins.flip
-            words = dict(zip(ids, coins.words(ids))) if len(ids) >= _WORDS_MIN else {}
-        lm: list = []
-        rm: list = []
-        if words and depth < WORD_DEPTHS:
-            bit = 1 << depth
-            for uid in members:
-                (lm if words[uid] & bit else rm).append(uid)
-        else:
-            for uid in members:
-                (lm if flip(uid, depth) else rm).append(uid)
+        if split is None:
+            split = (coins or CoinSource(seed, p)).splitter(ids)
+        lm, rm = split(members, depth)
         rnode = _add_node(nodes, node, rm) if record else None
         pending.append([rm, saves_collisions, depth + 1, rnode])
         current = [lm, False, depth + 1, _add_node(nodes, node, lm) if record else None]

@@ -9,11 +9,14 @@ automatically identical across protocols driven from the same seed, which
 is what the cross-protocol slot-count comparisons rely on.
 
 A coin is drawn one at a time by :meth:`CoinSource.flip` (two splitmix64
-rounds in Python ints), or 32 at a time per user by :func:`coin_words`,
-which runs the same rounds over the users of many (seed, users) groups
-and depths 0..31 in numpy uint64 and packs each user's coins into one
-int; both give the same coin for every key.  :meth:`CoinSource.words` is
-its one-group call, unless the source was handed the words already.
+rounds in Python ints), or 32 at a time per user as a coin word by
+:func:`coin_words`, which runs the same rounds over the users of many
+(seed, users) groups and depths 0..31 in numpy uint64 and packs each
+user's coins into one int; both give the same coin for every key.  This
+module alone knows the word format and when words pay: the engine asks
+:meth:`CoinSource.splitter` for an interval's split function, and the
+windowed simulator asks :func:`prepared_sources` for the sources of a
+block of intervals, whose words come from one pass.
 
 Arrival streams are numpy PCG64 streams: every draw equals the matching
 draw of ``np.random.default_rng(stream_seed(base, i))``.  Building a
@@ -62,9 +65,16 @@ _SEED_BLOCK = 1024
 # and a larger one by transformed rejection (random_poisson_ptrs).
 _POISSON_MULT_MAX = 10.0
 # Depths a coin word covers: bit d of a word is the coin at depth d.
-WORD_DEPTHS = 32
+_WORD_DEPTHS = 32
+# Intervals of at least this many users take their split coins from coin
+# words, computed for every user at the first split; smaller ones flip
+# each coin.  Measured crossover, median us per run_cri("sicta", range(n),
+# 0.5, seed) call over 31 interleaved rounds on a 2-vCPU VM, flipping /
+# with words: n = 6: 58.9 / 62.4, n = 7: 41.2 / 41.5, n = 8: 50.1 / 47.6,
+# n = 12: 114.8 / 87.0.
+_WORDS_MIN = 8
 # Users whose coin words one numpy pass computes; bounds the temporaries
-# (WORD_DEPTHS uint64 per user, 1 MiB a pass) when a saturated interval
+# (_WORD_DEPTHS uint64 per user, 1 MiB a pass) when a saturated interval
 # holds millions of users or a block of windows holds thousands.
 _WORD_ROWS = 4096
 
@@ -115,7 +125,7 @@ _SM_MULT_A = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MULT_B = np.uint64(0x94D049BB133111EB)
 _SM_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31))
 _UID_KEY = np.uint64(0xA24BAED4963EE407)
-_DEPTH_KEYS = np.array([(d * 0x9FB21C651E98DF25) & _MASK64 for d in range(WORD_DEPTHS)],
+_DEPTH_KEYS = np.array([(d * 0x9FB21C651E98DF25) & _MASK64 for d in range(_WORD_DEPTHS)],
                        dtype=np.uint64)
 _U11 = np.uint64(11)
 
@@ -136,17 +146,13 @@ class CoinSource:
     """Bernoulli split coins keyed by (user id, depth).
 
     ``flip(uid, depth)`` returns True when the user joins the left group;
-    it equals ``coin_uniform(seed, uid, depth) < p``.  ``words(uids)``
-    gives each user's coins at depths 0..``WORD_DEPTHS``-1 at once, bit d
-    of a word being ``flip(uid, d)``; the constructor's ``words``, a
-    uid -> word dict that :func:`coin_words` computed for this seed and p,
-    lets it skip the pass.  A scripted table of forced outcomes can be
-    layered on top for reproducing hand-constructed split sequences; both
-    methods apply it.
+    it equals ``coin_uniform(seed, uid, depth) < p``.  ``splitter(ids)``
+    splits an interval's groups by the same coins.  A scripted table of
+    forced outcomes can be layered on top for reproducing hand-constructed
+    split sequences; a scripted source flips every coin.
     """
 
-    def __init__(self, seed: int, p: float, script: dict | None = None,
-                 words: dict | None = None):
+    def __init__(self, seed: int, p: float, script: dict | None = None):
         self.seed = int(seed)
         self.p = float(p)
         if not 0.0 <= self.p <= 1.0:
@@ -156,8 +162,8 @@ class CoinSource:
         self._bound = self.p * (1 << 53)
         # uid -> first splitmix round of coin_uniform, which ignores depth.
         self._uid_mix: dict = {}
-        # uid -> coin word, as computed ahead by coin_words.
-        self._words = words
+        # uid -> coin word, as prepared_sources computed it ahead.
+        self._words: dict = {}
 
     def flip(self, uid: int, depth: int) -> bool:
         if self.script is not None:
@@ -174,33 +180,59 @@ class CoinSource:
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
         return ((x ^ (x >> 31)) >> 11) < self._bound
 
-    def words(self, uids) -> list:
-        """One int per entry of ``uids`` whose bit d is ``flip(uid, d)``,
-        for every depth d below ``WORD_DEPTHS``.
+    def splitter(self, ids: list):
+        """The split function of an interval over the users ``ids``:
+        ``split(members, depth)`` returns the members whose coin at
+        ``depth`` is heads (``flip`` is True) and the rest, each in order.
 
-        Words handed to the constructor are read when they cover every
-        entry; otherwise :func:`coin_words` computes them all.
+        The coins are read from the words this source was prepared with
+        when they cover ``ids``, else from one :func:`coin_words` pass when
+        there are at least ``_WORDS_MIN`` ids, else flipped; depths the
+        words do not cover, and every coin of a scripted source, are
+        flipped too.  All give the same coins.
         """
-        uids = list(uids)
-        known = self._words
-        if known and all(map(known.__contains__, uids)):
-            out = list(map(known.__getitem__, uids))
-        else:
-            out = coin_words([(self.seed, uids)], self.p)[0]
-        if self.script:
-            for (uid, depth), value in self.script.items():
-                if 0 <= depth < WORD_DEPTHS:
-                    bit = 1 << depth
-                    for i, other in enumerate(uids):
-                        if other == uid:
-                            out[i] = out[i] | bit if value else out[i] & ~bit
-        return out
+        flip = self.flip
+        words = self._words
+        if self.script is not None:
+            words = None
+        elif not (words and all(map(words.__contains__, ids))):
+            words = (dict(zip(ids, coin_words([(self.seed, ids)], self.p)[0]))
+                     if len(ids) >= _WORDS_MIN else None)
+        depths = 0 if words is None else _WORD_DEPTHS
+
+        def split(members, depth):
+            heads: list = []
+            tails: list = []
+            if depth < depths:
+                bit = 1 << depth
+                for uid in members:
+                    (heads if words[uid] & bit else tails).append(uid)
+            else:
+                for uid in members:
+                    (heads if flip(uid, depth) else tails).append(uid)
+            return heads, tails
+
+        return split
+
+
+def prepared_sources(groups, p: float) -> list:
+    """One entry per ``(seed, ids)`` group: a :class:`CoinSource` whose
+    ``splitter(ids)`` reads words computed here, or None for a group of
+    fewer than ``_WORDS_MIN`` ids.  One :func:`coin_words` call computes
+    every group's words."""
+    groups = list(groups)
+    sources = [CoinSource(seed, p) if len(ids) >= _WORDS_MIN else None for seed, ids in groups]
+    large = [(source, ids) for source, (_, ids) in zip(sources, groups) if source is not None]
+    rows = coin_words([(source.seed, ids) for source, ids in large], p)
+    for (source, ids), row in zip(large, rows):
+        source._words = dict(zip(ids, row))
+    return sources
 
 
 def coin_words(groups, p: float) -> list:
     """The coin words of many ``(seed, uids)`` groups, one list per group:
     entry i's bit d is ``CoinSource(seed, p).flip(uids[i], d)`` for every
-    depth d below ``WORD_DEPTHS`` (no script applies).
+    depth d below ``_WORD_DEPTHS`` (no script applies).
 
     Both splitmix64 rounds of :func:`coin_uniform` run in numpy uint64,
     whose wrap-around stands in for the masks, with each row keyed by its

@@ -32,10 +32,9 @@ batch at a time.  A window's batch does not depend on the queue, and window
 j is always served as interval j, so windowed runs draw the windows that
 close by the budget ahead, ``_WINDOW_BLOCK`` at a time.  Serving a window
 whose coins are not yet prepared prepares those of the block of drawn
-windows it begins: the coin words of every one with at least
-``engines._WORDS_MIN`` packets come from one
-:func:`~treesplit.rng.coin_words` pass, and each such interval is handed a
-:class:`~treesplit.rng.CoinSource` holding its words.
+windows it begins: :func:`~treesplit.rng.prepared_sources` computes their
+coins together, and each window's interval is handed its prepared source,
+or its coin seed where none was prepared.
 
 Slot/time conventions: slot ``t`` (1-based) covers real time [t-1, t).
 A packet generated during slot ``t`` (or at real instant ``u``) is first
@@ -60,18 +59,18 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .engines import _WORDS_MIN, ProtocolKind, RULES, _split_bias, run_cri
-from .rng import ArrivalStreams, CoinSource, coin_words, derive_seed, stream_seed
+from .engines import ProtocolKind, RULES, _split_bias, run_cri
+from .rng import ArrivalStreams, derive_seed, prepared_sources, stream_seed
 
 # Backlog drift (packets per slot) above which the trailing-half
 # regression declares the run unstable.  A rate 2-3% above the maximum
 # stable throughput drifts at ~0.03 packets/slot, a stable rate at ~0.
 _INSTABILITY_SLOPE = 0.005
 _MIN_TREND_POINTS = 8
-# Windows a windowed run draws ahead, and whose coin words it prepares in
-# one pass, at a time.  Measured best-of-15 us per window of _block_coins
-# over Poisson(12) windows (windowed:40 at rate 0.3) on a 2-vCPU VM, by
-# block size: 1: 29.2, 8: 8.2, 16: 7.6, 32: 6.6, 64: 6.2, 128: 6.4, 256: 8.4.
+# Windows a windowed run draws ahead, and whose coins it prepares in one
+# pass, at a time.  Measured best-of-15 us per window to prepare coins over
+# Poisson(12) windows (windowed:40 at rate 0.3) on a 2-vCPU VM, by block
+# size: 1: 29.2, 8: 8.2, 16: 7.6, 32: 6.6, 64: 6.2, 128: 6.4, 256: 8.4.
 _WINDOW_BLOCK = 64
 
 
@@ -280,8 +279,8 @@ def _serve_batch(report, kind, p, coins_base, batch, start, coins=None) -> int:
     the interval's metrics into the report.  An empty batch is one idle
     slot, as ``run_cri`` resolves it under every protocol, and needs no
     engine call.  ``coins``, when given, is the interval's prepared
-    :class:`CoinSource`; otherwise the engine is handed the interval's
-    coin seed.
+    :class:`~treesplit.rng.CoinSource` or coin seed; otherwise the
+    engine is handed the interval's coin seed.
     """
     if not batch.ids:
         report.cri_count += 1
@@ -354,20 +353,6 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
     _finalize(report, rules, backlog_points)
 
 
-def _block_coins(first, batches, p, coins_base) -> dict:
-    """Window index -> prepared :class:`CoinSource`, for every window of
-    ``batches`` (windows ``first``, ``first`` + 1, ...) with at least
-    ``_WORDS_MIN`` packets: the ones whose engine reads coin words.  Window
-    j is served as interval j, so its coin seed is known ahead, and one
-    :func:`~treesplit.rng.coin_words` pass computes every such window's
-    words."""
-    windows = [(j, stream_seed(coins_base, j), batch.ids)
-               for j, batch in enumerate(batches, first) if len(batch.ids) >= _WORDS_MIN]
-    words = coin_words([(seed, ids) for _, seed, ids in windows], p)
-    return {j: CoinSource(seed, p, words=dict(zip(ids, row)))
-            for (j, seed, ids), row in zip(windows, words)}
-
-
 def _run_windowed(report, kind, rules, rate, budget, p,
                   arrivals_base, coins_base, delta):
     next_id = 0
@@ -407,22 +392,22 @@ def _run_windowed(report, kind, rules, rate, budget, p,
 
     consumed = 0
     window = 0
-    prepared: dict = {}     # window index -> prepared CoinSource
-    prepared_end = 0        # windows below this index had their coins prepared
+    prepared: deque = deque()  # coins of the next windows: a source or a coin seed each
     backlog_points: list = []
     while consumed < budget:
         if not queue:
             draw_next()  # the next window may still be open
         batch = queue.popleft()
         backlog -= len(batch.ids)
-        if window == prepared_end and window < closing:
+        if not prepared and window < closing:
             # Prepare the coins of this window and of the drawn windows
             # after it, up to a block, in one pass.  Preparing them when
             # served, not when drawn, keeps words out of a long backlog.
             size = min(_WINDOW_BLOCK, closing - window)
             upcoming = [batch, *islice(chain(queue, ahead), size - 1)]
-            prepared = _block_coins(window, upcoming, p, coins_base)
-            prepared_end = window + len(upcoming)
+            seeds = [stream_seed(coins_base, j) for j in range(window, window + len(upcoming))]
+            sources = prepared_sources(zip(seeds, (b.ids for b in upcoming)), p)
+            prepared.extend(source or seed for source, seed in zip(sources, seeds))
         window_close = (window + 1) * delta
         start = max(consumed + 1, math.ceil(window_close + 1.0 - 1e-9))
         if start - 1 > consumed:
@@ -431,7 +416,7 @@ def _run_windowed(report, kind, rules, rate, budget, p,
             report.idle_slots += start - 1 - consumed
             consumed = start - 1
         consumed = _serve_batch(report, kind, p, coins_base, batch, start,
-                                prepared.pop(window, None))
+                                prepared.popleft() if prepared else None)
         window += 1
         # Windows that closed while the channel was busy wait in the queue;
         # those left at the end are arrivals of the period never served.

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import treesplit.engines as engines
+import treesplit.rng as rng
 from treesplit.analytics import CollisionCountTable, CriLengthTable
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
-from treesplit.rng import CoinSource
+from treesplit.rng import CoinSource, prepared_sources
 
 HALF = 0.5
 PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
@@ -293,6 +294,13 @@ class TestRunnerContract:
         with pytest.raises(ValueError):
             arbitrate(4, 4)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_rejects_repeated_ids(self, protocol):
+        # Two packets of one id would collide, not succeed as one.
+        for ids, repeat in (([5, 5], 5), ([9, 3, 7, 3], 3)):
+            with pytest.raises(ValueError, match=f"got {repeat} more than once"):
+                run_cri(protocol, ids, 0.5, 1)
+
     @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(PROTOCOLS))
     @settings(max_examples=150)
     def test_conservation_and_no_double_decode(self, n, seed, protocol):
@@ -351,16 +359,28 @@ class TestCoinWords:
                                       for n in (8, 20, 60)):
             ids = list(range(1000 + 7 * case, 1000 + 7 * case + n))
             for coins in (31 + case, CoinSource(77 + case, p)):
-                monkeypatch.setattr(engines, "_WORDS_MIN", 8)
+                monkeypatch.setattr(rng, "_WORDS_MIN", 8)
                 fast = run_cri(protocol, ids, p, coins, record=True)
-                monkeypatch.setattr(engines, "_WORDS_MIN", n + 1)
+                monkeypatch.setattr(rng, "_WORDS_MIN", n + 1)
                 slow = run_cri(protocol, ids, p, coins, record=True)
                 for f in dataclasses.fields(fast):
                     assert getattr(fast, f.name) == getattr(slow, f.name), (p, n, f.name)
                 if p == 0.02:
                     deepest = max(deepest, max(_split_depths(fast)))
         # Splits below the words' depths fall back to flip.
-        assert deepest >= engines.WORD_DEPTHS
+        assert deepest >= rng._WORD_DEPTHS
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_prepared_source_serves_any_interval(self, protocol):
+        """A prepared source gives the trace of its int seed for the
+        interval it was prepared for, for intervals its words do not
+        cover, and when reused for other ids."""
+        seed, p = 77, 0.3
+        ids = list(range(1000, 1012))
+        (source,) = prepared_sources([(seed, ids)], p)
+        for members in (ids, ids + [5000], list(range(2000, 2020)), ids[:4], ids):
+            assert (run_cri(protocol, members, p, source, record=True)
+                    == run_cri(protocol, members, p, seed, record=True)), members
 
 
 def _pinned_cases():

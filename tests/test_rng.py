@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import treesplit.rng as rng
 from treesplit.rng import (
     _POISSON_MULT_MAX,
     _SEED_BLOCK,
+    _WORD_DEPTHS,
     _WORD_ROWS,
-    WORD_DEPTHS,
+    _WORDS_MIN,
     ArrivalStreams,
     CoinSource,
     StreamCursor,
@@ -17,6 +19,7 @@ from treesplit.rng import (
     coin_uniform,
     coin_words,
     derive_seed,
+    prepared_sources,
     stream_seed,
 )
 
@@ -225,39 +228,39 @@ class TestCoinSource:
             assert coins.flip(*key) == (not value if key in script else value)
 
 
-def _assert_words_match_flip(coins, uids):
-    words = coins.words(uids)
+def _assert_words_match_flip(seed, p, uids):
+    (words,) = coin_words([(seed, uids)], p)
+    coins = CoinSource(seed, p)
     assert len(words) == len(uids)
     for uid, word in zip(uids, words):
-        assert 0 <= word < 1 << WORD_DEPTHS
-        for depth in range(WORD_DEPTHS):
+        assert 0 <= word < 1 << _WORD_DEPTHS
+        for depth in range(_WORD_DEPTHS):
             assert bool(word >> depth & 1) == coins.flip(uid, depth), (uid, depth)
 
 
 class TestCoinWords:
-    """Bit d of ``CoinSource.words`` equals ``flip`` at every depth d < 32."""
+    """Bit d of a ``coin_words`` row equals ``flip`` at every depth d < 32."""
 
     UIDS = list(range(5)) + list(range((1 << 64) - 40, 1 << 64))
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.123, 1e-3])
     @pytest.mark.parametrize("seed", [0, (1 << 63) - 1])
     def test_words_match_flip(self, p, seed):
-        _assert_words_match_flip(CoinSource(seed, p), self.UIDS)
+        _assert_words_match_flip(seed, p, self.UIDS)
 
     @pytest.mark.parametrize("seed", [0, (1 << 63) - 1])
     def test_words_at_the_exact_threshold(self, seed):
         # p equal to a coin's variate must lose; the next double up must win.
         for uid in (0, 3, (1 << 64) - 1):
-            for depth in (0, 13, WORD_DEPTHS - 1):
+            for depth in (0, 13, _WORD_DEPTHS - 1):
                 u = coin_uniform(seed, uid, depth)
                 for p, heads in ((u, False), (math.nextafter(u, 1.0), True)):
-                    coins = CoinSource(seed, p)
-                    assert coins.words([uid])[0] >> depth & 1 == heads
-                    _assert_words_match_flip(coins, self.UIDS)
+                    assert coin_words([(seed, [uid])], p)[0][0] >> depth & 1 == heads
+                    _assert_words_match_flip(seed, p, self.UIDS)
 
     def test_words_of_ids_beyond_uint64(self):
         # flip keys a coin by the id's low 64 bits, so words must too.
-        _assert_words_match_flip(CoinSource(9, 0.5), [-1, -(1 << 70), 1 << 64, (1 << 64) + 5])
+        _assert_words_match_flip(9, 0.5, [-1, -(1 << 70), 1 << 64, (1 << 64) + 5])
 
     def test_bias_outside_the_unit_interval_is_rejected(self):
         for p in (-0.1, 1.5, math.nan):
@@ -265,13 +268,13 @@ class TestCoinWords:
                 CoinSource(1, p)
 
     def test_words_over_several_passes(self):
-        _assert_words_match_flip(CoinSource(derive_seed(3, "coins"), 0.3),
-                                 list(range(_WORD_ROWS + 300)))
+        _assert_words_match_flip(derive_seed(3, "coins"), 0.3, list(range(_WORD_ROWS + 300)))
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.123])
     def test_groups_match_one_group_words(self, p):
-        """Each group's words from one shared pass equal its own
-        ``CoinSource.words``, across seeds, pass boundaries and sizes."""
+        """Each group's words from one shared pass equal the words of a
+        pass over that group alone, across seeds, pass boundaries and
+        sizes."""
         near = (1 << 63) - 1
         groups = [
             (0, [7]),
@@ -285,21 +288,68 @@ class TestCoinWords:
         got = coin_words(groups, p)
         assert len(got) == len(groups)
         for (seed, uids), words in zip(groups, got):
-            assert words == CoinSource(seed, p).words(uids), seed
+            assert words == coin_words([(seed, uids)], p)[0], seed
 
     def test_no_groups(self):
         assert coin_words([], 0.5) == []
 
-    def test_known_words_are_read(self):
-        # Words handed to the source are read as given when they cover the
-        # request; otherwise the source computes every word itself.
-        coins = CoinSource(9, 0.5, words={1: 5, 2: 6})
-        assert coins.words([2, 1, 2]) == [6, 5, 6]
-        assert coins.words([1, 3]) == CoinSource(9, 0.5).words([1, 3])
 
-    def test_script_entry_sets_its_bit(self):
+def _no_coin_words(groups, p):
+    raise AssertionError("unexpected coin_words pass")
+
+
+def _flip_split(coins, members, depth):
+    return ([uid for uid in members if coins.flip(uid, depth)],
+            [uid for uid in members if not coins.flip(uid, depth)])
+
+
+class TestSplitter:
+    """``CoinSource.splitter`` serves the coins of ``flip`` from wherever
+    they come; the engine tests check whole traces."""
+
+    DEPTHS = (0, 1, 13, _WORD_DEPTHS - 1, _WORD_DEPTHS, 40)
+
+    def test_prepared_words_are_read(self, monkeypatch):
+        ids = list(range(100, 100 + _WORDS_MIN + 4))
+        source, small = prepared_sources([(9, ids), (10, ids[:_WORDS_MIN - 1])], 0.3)
+        assert small is None
+        monkeypatch.setattr(rng, "coin_words", _no_coin_words)
+        split = source.splitter(ids)
+        for depth in self.DEPTHS:
+            for members in (ids, ids[3:7], []):
+                assert split(members, depth) == _flip_split(CoinSource(9, 0.3), members, depth)
+
+    def test_prepared_sources_make_one_pass(self, monkeypatch):
+        calls = []
+        words = rng.coin_words
+
+        def counted_words(groups, p):
+            calls.append(len(groups))
+            return words(groups, p)
+
+        monkeypatch.setattr(rng, "coin_words", counted_words)
+        groups = [(3, list(range(_WORDS_MIN))), (4, [1, 2]), (5, []),
+                  (6, list(range(50, 50 + 2 * _WORDS_MIN)))]
+        sources = prepared_sources(groups, 0.5)
+        assert calls == [2]
+        assert [source is None for source in sources] == [False, True, True, False]
+        for (seed, ids), source in zip(groups, sources):
+            if source is not None:
+                assert (source.seed, source.p) == (seed, 0.5)
+
+    def test_scripted_source_honours_every_entry(self, monkeypatch):
         seed, p = 5, 0.5
+        ids = list(range(_WORDS_MIN + 2))
         script = {(2, 0): not coin_uniform(seed, 2, 0) < p,
                   (3, 31): not coin_uniform(seed, 3, 31) < p,
-                  (3, 40): True}
-        _assert_words_match_flip(CoinSource(seed, p, script), list(range(6)))
+                  (3, 40): True, (4, 40): False}
+        coins = CoinSource(seed, p, script)
+        # A scripted source flips every coin, so it makes no words pass.
+        monkeypatch.setattr(rng, "coin_words", _no_coin_words)
+        split = coins.splitter(ids)
+        for depth in (0, 31, 40):
+            heads, tails = split(ids, depth)
+            assert (heads, tails) == _flip_split(coins, ids, depth)
+            for (uid, d), value in script.items():
+                if d == depth:
+                    assert (uid in heads) == value, (uid, d)

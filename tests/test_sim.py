@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import treesplit.rng as rng
 import treesplit.sim as sim
 from treesplit.engines import ProtocolKind, run_cri
 from treesplit.rng import CoinSource, StreamCursor, _GeneratorDraws, derive_seed, stream_seed
@@ -305,8 +306,8 @@ def test_report_pinned(protocol, policy):
 
 # Coins of simulate(protocol, policy, 0.3, 4000, 2024), counted at
 # CoinSource.flip (scalar flips) and rng.coin_words (one row per member of
-# an interval of at least engines._WORDS_MIN packets, whether the engine's
-# CoinSource.words or the windowed run's block pass asked for it).  The
+# an interval of at least rng._WORDS_MIN packets, whether the engine's
+# split function or the windowed run's block pass asked for it).  The
 # gated run's intervals all lie below that size, so it keeps the 118 flips
 # counted before the engine's loop was flattened; under windowed:40, the
 # 6,095 flips of the flip-only engine became 238 flips and 1,168 word rows.
@@ -319,12 +320,11 @@ PINNED_COINS = {("atic", "gated"): (118, 0), ("sicta", "windowed:40"): (238, 116
 def test_layer_call_counts(monkeypatch, protocol, policy):
     """The simulator calls ``sim.run_cri`` once per non-empty interval (an
     empty one it folds itself), the engine flips through
-    ``CoinSource.flip``, and every coin word comes from ``coin_words``,
-    called by ``CoinSource.words`` and by the windowed run's block pass,
+    ``CoinSource.flip``, and every coin word comes from ``rng.coin_words``,
     so wrappers patched onto those names (as the benchmark's tracer does
     for run_cri and flip) count every engine call, flip and word row."""
     counts = {"run_cri": 0, "flip": 0, "rows": 0}
-    run_cri, flip, words = sim.run_cri, CoinSource.flip, sim.coin_words
+    run_cri, flip, words = sim.run_cri, CoinSource.flip, rng.coin_words
 
     def counted_run_cri(*args, **kwargs):
         counts["run_cri"] += 1
@@ -341,8 +341,7 @@ def test_layer_call_counts(monkeypatch, protocol, policy):
 
     monkeypatch.setattr(sim, "run_cri", counted_run_cri)
     monkeypatch.setattr(CoinSource, "flip", counted_flip)
-    monkeypatch.setattr("treesplit.rng.coin_words", counted_words)
-    monkeypatch.setattr(sim, "coin_words", counted_words)
+    monkeypatch.setattr(rng, "coin_words", counted_words)
     report = simulate(protocol, policy, 0.3, 4000, 2024)
     assert counts["run_cri"] == sum(1 for n in report.decoded_per_cri if n) > 0
     assert (counts["flip"], counts["rows"]) == PINNED_COINS[protocol, policy]
@@ -353,14 +352,13 @@ def test_windowed_words_come_in_one_pass_per_block(monkeypatch):
     run take their coin words from one pass per block of windows; no
     interval computes its own."""
     passes = []
-    words = sim.coin_words
+    words = rng.coin_words
 
     def counted_words(groups, p):
         passes.append(len(groups))
         return words(groups, p)
 
-    monkeypatch.setattr("treesplit.rng.coin_words", counted_words)
-    monkeypatch.setattr(sim, "coin_words", counted_words)
+    monkeypatch.setattr(rng, "coin_words", counted_words)
     simulate("sicta", "windowed:40", 0.3, 4000, 2024)
     assert len(passes) == math.ceil(100 / sim._WINDOW_BLOCK)
 

@@ -26,11 +26,11 @@ itself, for a block of streams at once in numpy uint64 limbs, together with
 each stream's first double.  For a mean below 10, numpy multiplies uniform
 doubles until the product falls to ``exp(-lam)`` or below, so the count is
 zero exactly when the first double is at most ``exp(-lam)``.  Any other
-count of such a mean, and the arrival draws after it, are drawn by a
+count of a mean below 6, and the arrival draws after it, are drawn by a
 :class:`StreamCursor` that steps the stream's 128-bit state in Python ints
-as numpy's PCG64 would.  Only a mean of 10 or more, where numpy switches to
-transformed rejection, reseeds one generator object to the stream's start
-and lets numpy draw.
+as numpy's PCG64 would.  A mean of 6 or more, where the cursor's Python
+steps cost more than a reseed, reseeds one generator object to the
+stream's start and lets numpy draw.
 """
 
 from __future__ import annotations
@@ -60,10 +60,15 @@ _SS_POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Consecutive stream indices whose seeds are hashed in one vectorized pass.
 _SEED_BLOCK = 1024
-# numpy's random_poisson (numpy/random/src/distributions/distributions.c)
-# draws a mean below this by multiplying uniforms (random_poisson_mult)
-# and a larger one by transformed rejection (random_poisson_ptrs).
-_POISSON_MULT_MAX = 10.0
+# Arrival counts of a mean below this are drawn in Python, as numpy's
+# random_poisson (numpy/random/src/distributions/distributions.c) draws a
+# mean below 10, by multiplying uniforms (random_poisson_mult); larger ones
+# reseed a numpy Generator.  Any value up to 10 draws the same counts, so
+# this is a speed setting.  Measured crossover, median us per interval of
+# draw_count plus sim._slot_arrivals over 1,000 streams, 21 interleaved
+# rounds on a 2-vCPU VM, cursor / reseed: mean 5.0: 8.34 / 9.84, 5.5:
+# 8.98 / 9.11, 6.0: 9.48 / 9.25, 7.0: 10.67 / 9.40, 9.0: 12.88 / 9.53.
+_POISSON_MULT_MAX = 6.0
 # Depths a coin word covers: bit d of a word is the coin at depth d.
 _WORD_DEPTHS = 32
 # Intervals of at least this many users take their split coins from coin
@@ -457,14 +462,14 @@ class ArrivalStreams:
 
     ``draw_count(i, lam)`` draws stream ``i``'s Poisson count of mean
     ``lam`` and returns the stream positioned after it.  Below a mean of
-    10, numpy's multiplication branch, the draw never touches numpy: a
-    first double at most ``exp(-lam)`` is a zero count, and any other count
-    is drawn by a :class:`StreamCursor` started at the stream's state.  A
-    larger mean reseeds one shared Generator through ``generator(i)`` and
-    lets numpy's transformed rejection draw.  The seeds of a block of
-    consecutive indices are hashed together, so a run that walks the
-    indices in order hashes each seed once; a jump backwards or past the
-    block rehashes from the requested index.
+    6 (``_POISSON_MULT_MAX``), inside numpy's multiplication branch, the
+    draw never touches numpy: a first double at most ``exp(-lam)`` is a
+    zero count, and any other count is drawn by a :class:`StreamCursor`
+    started at the stream's state.  A larger mean reseeds one shared
+    Generator through ``generator(i)`` and lets numpy draw.  The seeds of
+    a block of consecutive indices are hashed together, so a run that
+    walks the indices in order hashes each seed once; a jump backwards or
+    past the block rehashes from the requested index.
     """
 
     def __init__(self, base: int):

@@ -21,14 +21,19 @@ order-independent and reports are bit-identical across reruns.  The
 arrivals of interval (or window) ``i`` come from the numpy PCG64 stream
 ``np.random.default_rng(stream_seed(arrivals_base, i))``, draw for draw
 (:class:`~treesplit.rng.ArrivalStreams`): a zero count is read off the
-stream's first double, a count of mean below 10 and its arrival draws
+stream's first double, a count of mean below 6 and its arrival draws
 continue the stream in Python, and only a larger mean reseeds one shared
-numpy generator object and draws with numpy.  An empty interval is the one
-idle slot every protocol's engine would give it, folded by the simulator
-itself without an engine call or a coin seed.
+numpy generator object and draws with numpy.  Only an interval of two or
+more packets calls the engine.  An empty interval is the one idle slot
+every protocol's engine would give it, and a one-packet interval never
+splits, so its trace depends on neither the coins nor the id: the
+simulator folds the former itself and the latter from one engine trace
+of a one-packet interval, made once per run.
 
 A gated batch depends on the interval just served, so gated runs draw one
-batch at a time.  A window's batch does not depend on the queue, and window
+batch at a time: its count when the previous interval ends, and its
+arrival slots only when it is served, so the batch left at the end draws
+none.  A window's batch does not depend on the queue, and window
 j is always served as interval j, so windowed runs draw the windows that
 close by the budget ahead, ``_WINDOW_BLOCK`` at a time.  Serving a window
 whose coins are not yet prepared prepares those of the block of drawn
@@ -264,42 +269,57 @@ def simulate(
     arrivals_base = derive_seed(master, "arrivals")
     coins_base = derive_seed(master, "coins")
 
+    # One packet never splits, so every one-packet interval of the run
+    # folds this trace, whatever its id and coins.
+    single = run_cri(kind, (0,), p, 0)
     if delta is None:
-        _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base)
+        _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base, single)
     else:
         _run_windowed(report, kind, rules, rate, budget, p,
-                      arrivals_base, coins_base, delta)
+                      arrivals_base, coins_base, single, delta)
     return report
 
 
-def _serve_batch(report, kind, p, coins_base, batch, start, coins=None) -> int:
+def _serve_batch(report, kind, p, coins_base, single, batch, start, coins=None) -> int:
     """Run one interval for ``batch`` beginning at slot ``start``.
 
     Returns the index of the last slot the interval consumed and folds
-    the interval's metrics into the report.  An empty batch is one idle
-    slot, as ``run_cri`` resolves it under every protocol, and needs no
-    engine call.  ``coins``, when given, is the interval's prepared
+    the interval's metrics into the report.  Only an interval of two or
+    more packets needs an engine call: an empty batch is the one idle
+    slot ``run_cri`` gives it under every protocol, and a one-packet
+    batch folds ``single``, the run's trace of a one-packet interval.
+    ``coins``, when given, is the interval's prepared
     :class:`~treesplit.rng.CoinSource` or coin seed; otherwise the
     engine is handed the interval's coin seed.
     """
-    if not batch.ids:
-        report.cri_count += 1
-        report.idle_slots += 1
-        report.collisions_per_cri.append(0)
-        report.decoded_per_cri.append(0)
-        report.ap_memory_highwater.append(0)
-        return start
+    n = len(batch.ids)
+    if n == 0:
+        return _fold_idle(report, start)
+    if n == 1:
+        return _fold_trace(report, single, batch, start)
     if coins is None:
         coins = stream_seed(coins_base, report.cri_count)
     trace = run_cri(kind, batch.ids, p, coins)
     return _fold_trace(report, trace, batch, start)
 
 
+def _fold_idle(report, start) -> int:
+    """Fold an empty interval begun at slot ``start``, one idle slot."""
+    report.cri_count += 1
+    report.idle_slots += 1
+    report.collisions_per_cri.append(0)
+    report.decoded_per_cri.append(0)
+    report.ap_memory_highwater.append(0)
+    return start
+
+
 def _fold_trace(report, trace, batch, start) -> int:
     """Fold the trace of ``batch``'s interval, begun at slot ``start``,
-    into the report; returns the interval's last slot."""
+    into the report; returns the interval's last slot.  The trace's ids
+    map in order onto the batch's, so a one-packet trace of any id folds
+    for any one-packet batch."""
     arrivals = batch.arrivals
-    first = batch.ids.start
+    first = trace.initial[0] if trace.initial else 0
     base = start - 1
     report.delay_samples.extend([base + rel_slot - arrivals[pid - first]
                                  for pid, rel_slot in trace.decoded_order])
@@ -320,41 +340,42 @@ def _fold_trace(report, trace, batch, start) -> int:
     return base + trace.length
 
 
-def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base):
-    next_id = 0
+def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base, single):
+    """Serve gated batches back to back.  The pending batch is its count
+    and its stream (``ArrivalStreams.draw_count``); its arrival slots are
+    drawn only when it is served, which is exact because no other stream
+    is drawn in between, and never for the batch left at the end."""
     streams = ArrivalStreams(arrivals_base)
-
-    def draw_batch(cri_index: int, span_start: int, span_len: int) -> _Batch:
-        """Arrivals generated during [span_start, span_start+span_len-1]."""
-        nonlocal next_id
-        count, draws = streams.draw_count(cri_index, rate * span_len)
-        ids = range(next_id, next_id + count)
-        if count == 0:
-            return _Batch(ids, [])
-        next_id += count
-        return _Batch(ids, _slot_arrivals(draws, span_start, span_len, count))
-
+    next_id = 0
     # Bootstrap: the first interval serves arrivals of a single slot-0 epoch.
-    batch = draw_batch(0, 0, 1)
-    report.arrivals_total += len(batch.ids)
+    span_start, span_len = 0, 1
+    count, draws = streams.draw_count(0, rate)
+    report.arrivals_total += count
     consumed = 0
     backlog_points: list = []
     while True:
         start = consumed + 1
-        consumed = _serve_batch(report, kind, p, coins_base, batch, start)
+        if count:
+            batch = _Batch(range(next_id, next_id + count),
+                           _slot_arrivals(draws, span_start, span_len, count))
+            next_id += count
+            consumed = _serve_batch(report, kind, p, coins_base, single, batch, start)
+        else:
+            consumed = _fold_idle(report, start)
         # Arrivals blocked during the interval just served form the next batch.
-        batch = draw_batch(report.cri_count, start, consumed - start + 1)
-        report.arrivals_total += len(batch.ids)
-        backlog_points.append((consumed, len(batch.ids)))
+        span_start, span_len = start, consumed - start + 1
+        count, draws = streams.draw_count(report.cri_count, rate * span_len)
+        report.arrivals_total += count
+        backlog_points.append((consumed, count))
         if consumed >= budget:
             break
     report.slots_simulated = consumed
-    report.terminal_backlog = len(batch.ids)
+    report.terminal_backlog = count
     _finalize(report, rules, backlog_points)
 
 
 def _run_windowed(report, kind, rules, rate, budget, p,
-                  arrivals_base, coins_base, delta):
+                  arrivals_base, coins_base, single, delta):
     next_id = 0
     streams = ArrivalStreams(arrivals_base)
 
@@ -415,7 +436,7 @@ def _run_windowed(report, kind, rules, rate, budget, p,
             # slots count toward the horizon but belong to no interval.
             report.idle_slots += start - 1 - consumed
             consumed = start - 1
-        consumed = _serve_batch(report, kind, p, coins_base, batch, start,
+        consumed = _serve_batch(report, kind, p, coins_base, single, batch, start,
                                 prepared.popleft() if prepared else None)
         window += 1
         # Windows that closed while the channel was busy wait in the queue;

@@ -301,6 +301,17 @@ class TestRunnerContract:
             with pytest.raises(ValueError, match=f"got {repeat} more than once"):
                 run_cri(protocol, ids, 0.5, 1)
 
+    @given(st.sampled_from(PROTOCOLS), st.integers(0, 1 << 64),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(0, 1 << 64))
+    def test_one_packet_trace_depends_on_neither_coins_nor_id(self, protocol, seed, p, uid):
+        """One packet never splits, so the simulator folds one trace of id
+        0 for every one-packet interval of a run."""
+        trace = run_cri(protocol, [uid], p, seed)
+        assert trace.initial == (uid,) and [pid for pid, _ in trace.decoded_order] == [uid]
+        relabelled = dataclasses.replace(
+            trace, p=HALF, initial=(0,), decoded_order=[(0, t) for _, t in trace.decoded_order])
+        assert relabelled == run_cri(protocol, (0,), HALF, 0)
+
     @given(st.integers(0, 30), st.integers(0, 10_000), st.sampled_from(PROTOCOLS))
     @settings(max_examples=150)
     def test_conservation_and_no_double_decode(self, n, seed, protocol):

@@ -318,8 +318,9 @@ PINNED_COINS = {("atic", "gated"): (118, 0), ("sicta", "windowed:40"): (238, 116
 
 @pytest.mark.parametrize("protocol,policy", sorted(PINNED_COINS))
 def test_layer_call_counts(monkeypatch, protocol, policy):
-    """The simulator calls ``sim.run_cri`` once per non-empty interval (an
-    empty one it folds itself), the engine flips through
+    """The simulator calls ``sim.run_cri`` once per interval of two or more
+    packets, plus once per run for the trace every one-packet interval
+    folds (an empty one it folds itself), the engine flips through
     ``CoinSource.flip``, and every coin word comes from ``rng.coin_words``,
     so wrappers patched onto those names (as the benchmark's tracer does
     for run_cri and flip) count every engine call, flip and word row."""
@@ -343,7 +344,7 @@ def test_layer_call_counts(monkeypatch, protocol, policy):
     monkeypatch.setattr(CoinSource, "flip", counted_flip)
     monkeypatch.setattr(rng, "coin_words", counted_words)
     report = simulate(protocol, policy, 0.3, 4000, 2024)
-    assert counts["run_cri"] == sum(1 for n in report.decoded_per_cri if n) > 0
+    assert counts["run_cri"] == 1 + sum(1 for n in report.decoded_per_cri if n >= 2) > 1
     assert (counts["flip"], counts["rows"]) == PINNED_COINS[protocol, policy]
 
 
@@ -372,10 +373,51 @@ def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
     folded = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
     served = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
     trace = run_cri(protocol, (), p, stream_seed(coins_base, 3))
+    single = run_cri(protocol, (0,), p, 0)
     assert sim._fold_trace(folded, trace, batch, start) == start
     assert sim._serve_batch(served, ProtocolKind(protocol), p, coins_base,
-                            batch, start) == start
+                            single, batch, start) == start
     assert served.to_dict() == folded.to_dict()
+
+
+@pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])
+@pytest.mark.parametrize("uid,start,arrival", [(0, 1, 1), (7, 31, 12),
+                                               (2**40 + 5, 9000, 8999)])
+def test_one_packet_interval_folds_as_the_engine_resolves_it(protocol, uid, start, arrival):
+    """The simulator's fold of a one-packet batch, from the run's
+    one-packet trace, equals the fold of the engine's trace of that batch."""
+    batch = sim._Batch(range(uid, uid + 1), [arrival])
+    p, coins_base = 0.5, derive_seed(4, "coins")
+    folded = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
+    served = MetricsReport(protocol, "gated", 0.1, 100, 4, cri_count=3)
+    trace = run_cri(protocol, batch.ids, p, stream_seed(coins_base, 3))
+    single = run_cri(protocol, (0,), p, 0)
+    assert sim._fold_trace(folded, trace, batch, start) == start
+    assert sim._serve_batch(served, ProtocolKind(protocol), p, coins_base,
+                            single, batch, start) == start
+    assert served.delay_samples == [start - arrival]
+    assert served.to_dict() == folded.to_dict()
+
+
+@pytest.mark.parametrize("protocol,rate,budget,seed", [("atic", 0.3, 4000, 2024),
+                                                      ("sicta", 1.5, 300, 8)])
+def test_gated_runs_draw_arrival_slots_only_for_served_batches(
+        monkeypatch, protocol, rate, budget, seed):
+    """A gated run draws the arrival slots of each served non-empty batch
+    once, and never those of the batch left unserved at the end."""
+    drawn = []
+    slot_arrivals = sim._slot_arrivals
+
+    def counted_slot_arrivals(draws, span_start, span_len, count):
+        drawn.append(count)
+        return slot_arrivals(draws, span_start, span_len, count)
+
+    monkeypatch.setattr(sim, "_slot_arrivals", counted_slot_arrivals)
+    report = simulate(protocol, "gated", rate, budget, seed)
+    assert drawn == [n for n in report.decoded_per_cri if n]
+    assert report.arrivals_total == report.packets_decoded + report.terminal_backlog
+    if rate > 1:
+        assert report.terminal_backlog > 0
 
 
 def _stream_draws(base, index):

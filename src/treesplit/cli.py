@@ -341,8 +341,8 @@ def _cmd_tree(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("protocols", "tree draws one protocol's tree; "
                           f"got {','.join(cfg.protocols)}")
     proto = cfg.protocols[0]
-    if args.users < 0:
-        raise ConfigError("users", "user count must be >= 0")
+    if not 0 <= args.users <= _GRID_MAX_POINTS:
+        raise ConfigError("users", f"need 0 <= users <= {_GRID_MAX_POINTS}, got {args.users}")
     coins = CoinSource(seed, cfg.p, _parse_script(args.script)) if args.script else seed
     trace = run_cri(proto, range(1, args.users + 1), cfg.p, coins, record=True)
     dot = export_tree(trace)

@@ -26,25 +26,25 @@ degree-2 group by id arbitration when they saw it broadcast, so received
 pairs qualify under ``z_on_collision`` and derived pairs under
 ``z_on_success``.
 
-The engine is receiver-centric: it tracks the split tree explicitly
-(a stack of not-yet-visited right siblings plus the group currently on
-air, each group a flat ``[members, known, depth, node]`` list) and keeps
-one set of decoded packets.  Split coins come from a :class:`CoinSource`;
-given an integer seed, the engine builds it only when a group first
-splits, so an interval of zero or one packet builds none.  At that first
-split the engine takes the interval's split function from
-``CoinSource.splitter``, which alone decides how the coins are computed.
-Cancellation scans the stored remainders directly: the live ones lie on
-the current root path, each a subset of the one above it, so there are
-never more of them than the tree is deep.  Slot feedback (idle, success
-with its jump count, or collision, plus the broadcast members ``z``) is
-decided on int sets; ``record=True`` keeps it as :class:`SlotRecord` rows
-along with the split tree as :class:`TreeNode` rows.  No per-user model
-is kept: the feedback-replay test
-(``tests/test_engines.py::TestFeedbackReplay``) checks every recorded
-decode, memory size and broadcast against an independent cancellation
-oracle, and checks that users who see a pair broadcast could arbitrate
-it: the higher id alone transmits next.
+The engine is receiver-centric: it tracks the split tree explicitly (a
+stack of not-yet-visited right siblings plus the group currently on
+air), each group a range of one list of the interval's ids, which the
+splits reorder into the trie of the users' coin words (Knuth, TAOCP
+vol. 3, 6.3).  The tree is walked left first, so the decoded packets
+are a prefix of that list and a stored collision is just the end of its
+range (see :func:`run_cri`).  Split coins come from a
+:class:`CoinSource`; given an integer seed, the engine builds it only
+when a group first splits, so an interval of zero or one packet builds
+none.  At that first split the engine takes the interval's split
+function from ``CoinSource.splitter``, which alone decides how the coins
+are computed.  Slot feedback (idle, success with its jump count, or
+collision, plus the broadcast members ``z``) is read off the ranges;
+``record=True`` keeps it as :class:`SlotRecord` rows along with the
+split tree as :class:`TreeNode` rows.  No per-user model is kept: the
+feedback-replay test (``tests/test_engines.py::TestFeedbackReplay``)
+checks every recorded decode, memory size and broadcast against an
+independent cancellation oracle, and checks that users who see a pair
+broadcast could arbitrate it: the higher id alone transmits next.
 """
 
 from __future__ import annotations
@@ -167,36 +167,6 @@ def _split_bias(p) -> float:
     return p
 
 
-def _cancel(memory: list, pid: int, done: set) -> list:
-    """Cancel decoded ``pid`` out of the stored remainders and cascade,
-    adding every resolved packet to ``done``; returns the packets newly
-    resolved *beyond* pid itself, in resolution order.
-
-    ``memory`` holds the non-empty remainders as int sets in save order.
-    They lie on the current root path, each a subset of the one saved
-    before it, so there are never more of them than the tree is deep and
-    a decode simply scans them; drained ones are dropped in place.
-    """
-    cascaded: list = []
-    done.add(pid)
-    stack = [pid]
-    while stack:
-        x = stack.pop()
-        for rem in memory:
-            if x in rem:
-                rem.remove(x)
-                if len(rem) == 1:
-                    y = rem.pop()  # remainder drains: y is decodable
-                    # Two stored signals can expose the same packet (equal
-                    # groups at different depths); resolve it only once.
-                    if y not in done:
-                        done.add(y)
-                        cascaded.append(y)
-                        stack.append(y)
-    memory[:] = [rem for rem in memory if rem]
-    return cascaded
-
-
 def _add_node(nodes: list, parent, members) -> int:
     """Append a ``slot`` row for a new tree group; return its node id."""
     nodes.append([len(nodes), parent, tuple(members), "slot", None])
@@ -225,9 +195,15 @@ def run_cri(
     ``nodes`` (the realized split tree); the scalar statistics are always
     filled in.
 
-    Each tree group is a flat list ``[members, known, depth, node]``: its
-    sorted ids, whether everyone can derive its composition, its depth
-    and its ``nodes`` row (None unless the trace is recorded).
+    Each tree group is a flat list ``[a, b, known, depth, node]``: its
+    members are ``order[a:b]``, where ``order`` starts as the sorted ids;
+    ``known`` says whether everyone can derive its composition, and
+    ``node`` is its ``nodes`` row (None unless the trace is recorded).  A
+    split writes its heads, then its tails, back over ``order[a:b]``, so
+    both children are ranges again, each still in id order.  The tree is
+    walked left first, so the decoded packets are always the prefix
+    ``order[:pos]``: a stored collision ``[a, b)`` needs only its end, its
+    remainder being ``order[pos:b]``.
 
     Raises :class:`NonTerminationError` when an interval of n packets
     consumes more than ``SLOT_CAP_PER_PACKET * max(1, n)`` slots, which
@@ -241,21 +217,22 @@ def run_cri(
     p = _split_bias(p)
     coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, int(rng))
 
-    ids = sorted(map(int, initial))
+    ids = tuple(sorted(map(int, initial)))
     if len(set(ids)) < len(ids):
         repeat = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise ValueError(f"interval ids must be distinct, got {repeat} more than once")
     cap = SLOT_CAP_PER_PACKET * max(1, len(ids))
-    memory: list = []          # stored collision remainders (cancellation protocols)
+    order = list(ids)          # every group is a range of this list
+    pos = 0                    # order[:pos] is decoded
+    memory: list = []          # ends of the stored collisions (cancellation protocols)
     pending: list = []         # stack of parked right siblings
-    done: set = set()          # packets decoded so far (cancellation protocols)
     nodes: list = []           # [node_id, parent, members, style, slot] rows
     slots: list = []
     decoded_order: list = []
     k_values: list = []
     collision_degrees: list = []
     collisions = successes = skipped = highwater = z_successes = consumed = 0
-    current = [ids, False, 0, _add_node(nodes, None, ids) if record else None]
+    current = [0, len(order), False, 0, _add_node(nodes, None, ids) if record else None]
     split = None               # the interval's split function, set at the first split
     left = False               # ``current`` is a left child, its sibling just parked
 
@@ -264,8 +241,8 @@ def run_cri(
             if not pending:
                 break
             current = pending.pop()
-            members, known, depth, node = current
-            if not done.isdisjoint(members):
+            a, b, known, depth, node = current
+            if a < pos:
                 raise EngineInvariantError(
                     "popped a partially resolved group; prune accounting is broken"
                 )
@@ -276,7 +253,7 @@ def run_cri(
             skipped += 1
             if record:
                 nodes[node][3] = "derived"
-            if len(members) == 1:
+            if b - a == 1:
                 raise EngineInvariantError(
                     "derived singletons must drain via cancellation, never pop"
                 )
@@ -290,9 +267,9 @@ def run_cri(
                     f"{cap} slots; rule table is inconsistent"
                 )
             t = consumed
-            members, _, depth, node = current
+            a, b, _, depth, node = current
             current = None
-            n_here = len(members)
+            n_here = b - a
             if record:
                 nodes[node][4] = t
 
@@ -301,67 +278,79 @@ def run_cri(
                 if left and skips_definite:
                     # An idle left child makes the freshly parked sibling a
                     # definite collision; its root slot will be skipped.
-                    pending[-1][1] = True
+                    pending[-1][2] = True
             elif n_here == 1:
-                pid = members[0]
                 fb_kind, skip_k, z = "success", 0, ()
                 successes += 1
-                decoded_order.append((pid, t))
+                decoded_order.append((order[a], t))
+                pos = b
                 if saves_collisions:
-                    for y in _cancel(memory, pid, done):
-                        decoded_order.append((y, t))
+                    # Cancel the decode out of the stored collisions: the
+                    # deepest has the nearest end, and one with a single
+                    # packet left exposes it (equal ends expose it once).
+                    while memory and memory[-1] - pos <= 1:
+                        if memory.pop() > pos:
+                            decoded_order.append((order[pos], t))
+                            pos += 1
                     skip_k = 1
-                    while pending and done.issuperset(pending[-1][0]):
+                    while pending and pending[-1][1] <= pos:
                         drained = pending.pop()
                         skipped += 1
                         skip_k += 1
                         if record:
-                            nodes[drained[3]][3] = "pruned"
+                            nodes[drained[4]][3] = "pruned"
                     k_values.append(skip_k)
                     if z_on_success and memory:
-                        z = memory[-1]        # the freshest stored remainder
-                        z_successes += 1
+                        z_successes += 1      # broadcast the freshest remainder
+                        if record:
+                            z = order[pos:memory[-1]]
             else:
-                fb_kind, skip_k, z = "collision", 0, members if z_on_collision else ()
+                fb_kind, skip_k = "collision", 0
+                z = order[a:b] if z_on_collision and record else ()
                 collisions += 1
                 collision_degrees.append(n_here)
                 if saves_collisions:
-                    memory.append(set(members))
+                    memory.append(b)
                     if len(memory) > highwater:
                         highwater = len(memory)
 
             if record:
-                slots.append(SlotRecord(t, tuple(members), fb_kind, skip_k, tuple(sorted(z)),
-                                        len(memory)))
+                slots.append(SlotRecord(t, tuple(order[a:b]), fb_kind, skip_k,
+                                        tuple(sorted(z)), len(memory)))
             if n_here < 2:
                 continue
             shortcut = z_on_collision
 
-        # ``members`` collided, received or derived.  Users who saw it
+        # ``order[a:b]`` collided, received or derived.  Users who saw it
         # broadcast resolve a pair by arbitration: the winner transmits next
         # and the loser is exposed by cancelling the winner.  Otherwise split:
         # park the right child and put the left one on air.
-        if len(members) == 2 and shortcut:
-            winner = arbitrate(members[0], members[1])
-            current = [[winner], False, depth + 1,
+        if b - a == 2 and shortcut:
+            winner = arbitrate(order[a], order[a + 1])
+            if winner != order[a]:
+                order[a], order[a + 1] = winner, order[a]
+            current = [a, a + 1, False, depth + 1,
                        _add_node(nodes, node, (winner,)) if record else None]
             left = False
             continue
         if split is None:
-            split = (coins or CoinSource(seed, p)).splitter(ids)
-        lm, rm = split(members, depth)
-        rnode = _add_node(nodes, node, rm) if record else None
-        pending.append([rm, saves_collisions, depth + 1, rnode])
-        current = [lm, False, depth + 1, _add_node(nodes, node, lm) if record else None]
+            split = (coins or CoinSource(seed, p)).splitter(order)
+        heads, tails = split(order[a:b], depth)
+        m = a + len(heads)
+        order[a:m] = heads
+        order[m:b] = tails
+        rnode = _add_node(nodes, node, tails) if record else None
+        pending.append([m, b, saves_collisions, depth + 1, rnode])
+        current = [a, m, False, depth + 1, _add_node(nodes, node, heads) if record else None]
         left = True
 
-    decoded = sorted([pid for pid, _ in decoded_order])
+    decoded = tuple(sorted([pid for pid, _ in decoded_order]))
     if decoded != ids:
         raise EngineInvariantError(
             f"interval decoded {decoded}, expected each of {ids} exactly once"
         )
     # In field order: passing fields by keyword costs about 1 us more.
-    return CriTrace(kind, p, tuple(ids), consumed, collisions, successes, skipped,
+    return CriTrace(kind, p, ids, consumed, collisions, successes, skipped,
                     highwater, decoded_order, k_values, collision_degrees,
                     z_successes, slots, [TreeNode(*row) for row in nodes])
 

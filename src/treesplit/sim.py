@@ -47,10 +47,13 @@ eligible in the next slot, and that eligibility slot is stored as its
 arrival slot; delay is decode slot minus arrival slot, so a packet
 served immediately at its first eligible slot has delay 0.
 
-The slot budget bounds when new intervals may start; the interval in
-progress when the budget is hit runs to completion, so a report can
-cover slightly more than ``budget`` slots (unstable rates are flagged,
-never run forever).
+Both policies keep serving intervals while the slots consumed are below
+the budget, and the interval in progress runs to completion, so a report
+can cover more than ``budget`` slots (unstable rates are flagged, never
+run forever).  A gated interval starts right after the one before it; a
+windowed one waits for its window to close, so it can start past the
+budget: ``simulate("atic", "windowed:40", 0.3, 1, 1)`` idles through
+slot 40, serves its one interval from slot 41 and simulates 52 slots.
 """
 
 from __future__ import annotations

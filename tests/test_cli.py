@@ -390,6 +390,18 @@ class TestCommands:
         assert "error: config field 'protocols'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.dot"))
 
+    @pytest.mark.parametrize("users", ["-1", "100001", "10000000000"])
+    def test_tree_rejects_user_counts_out_of_range(self, tmp_path, capsys, monkeypatch, users):
+        """A recorded tree holds about two rows per user, so the count is
+        bounded like the analytic table's n_max, before any run starts."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_cri called")
+        monkeypatch.setattr(treesplit.cli, "run_cri", no_run)
+        assert run_cli("tree", "--users", users, "--seed", "7",
+                       "--outdir", str(tmp_path)) == 1
+        assert "error: config field 'users'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.dot"))
+
     def test_tree_follows_config_protocol(self, tmp_path):
         config = tmp_path / "atic.json"
         config.write_text(json.dumps({"protocols": ["atic"]}))

@@ -416,6 +416,38 @@ def _pinned_cases():
 PINNED_TRACES = "2dd70909597be3cbd096eda947ee540dd5cf9b879767bdb82ca2b3bede51f0f4"
 
 
+def _wide_pinned_cases():
+    """120 fixed random intervals of up to 300 ids below 2^40, each run
+    under all five protocols.  The coins cycle through an int seed, a
+    prepared source and a scripted source.  The script fixes the first 40
+    coins of one id, or of two in every fifth interval, which then stay
+    together past the words' depths; p = 0.123 keeps larger groups
+    together that deep too."""
+    rng = np.random.default_rng(20261019)
+    for case in range(120):
+        n = int(rng.integers(0, 301))
+        ids = [int(x) for x in rng.choice(1 << 40, size=n, replace=False)]
+        p = (0.123, 0.5, 0.7)[int(rng.integers(0, 3))]
+        seed = int(rng.integers(0, 1 << 63))
+        if case % 3 == 0:
+            coins = seed
+        elif case % 3 == 1:
+            (source,) = prepared_sources([(seed, ids)], p)
+            coins = source or seed
+        else:
+            twins = ids[:2] if case % 5 == 2 else ids[:1]
+            coins = CoinSource(seed, p, {(uid, d): d % 3 == 0
+                                         for uid in twins for d in range(40)})
+        for protocol in PROTOCOLS:
+            yield protocol, ids, p, coins
+
+
+# The same digest over the 600 intervals of _wide_pinned_cases, recorded
+# while the engine kept each group as a list of ids and the decoded
+# packets as a set.
+PINNED_WIDE_TRACES = "659bd130184854701142db27a93858a1088cc2baec58a85fa2003867b5cd0618"
+
+
 class TestTracePinned:
     def test_traces_pinned(self):
         digest = hashlib.sha256()
@@ -425,3 +457,15 @@ class TestTracePinned:
                        else getattr(trace, f.name)) for f in dataclasses.fields(trace)]
             digest.update(repr(fields).encode())
         assert digest.hexdigest() == PINNED_TRACES
+
+    def test_wide_traces_pinned(self):
+        digest = hashlib.sha256()
+        deepest = 0
+        for protocol, ids, p, coins in _wide_pinned_cases():
+            trace = run_cri(protocol, ids, p, coins, record=True)
+            fields = [(f.name, [tuple(rec) for rec in trace.slots] if f.name == "slots"
+                       else getattr(trace, f.name)) for f in dataclasses.fields(trace)]
+            digest.update(repr(fields).encode())
+            deepest = max([deepest] + _split_depths(trace))
+        assert deepest > rng._WORD_DEPTHS
+        assert digest.hexdigest() == PINNED_WIDE_TRACES

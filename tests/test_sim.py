@@ -237,6 +237,14 @@ class TestWindowedAccess:
         assert r.slots_simulated >= 40000
         assert not r.unstable
 
+    def test_windowed_interval_can_start_past_the_budget(self):
+        """A windowed run keeps serving while its consumed slots are below
+        the budget: with budget 1 it idles through slot 40, until the first
+        window closes, and serves that window's interval from slot 41."""
+        r = simulate("atic", "windowed:40", 0.3, 1, 1)
+        assert r.slots_simulated == 52
+        assert r.cri_count == 1
+
     def test_saturation_cannot_beat_gated(self):
         gated = simulate("atic", "gated", 2.0, 80000, 23)
         windowed = simulate("atic", "windowed:50", 2.0, 80000, 23)

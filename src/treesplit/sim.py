@@ -33,13 +33,14 @@ of a one-packet interval, made once per run.
 A gated batch depends on the interval just served, so gated runs draw one
 batch at a time: its count when the previous interval ends, and its
 arrival slots only when it is served, so the batch left at the end draws
-none.  A window's batch does not depend on the queue, and window
-j is always served as interval j, so windowed runs draw the windows that
-close by the budget ahead, ``_WINDOW_BLOCK`` at a time.  Serving a window
-whose coins are not yet prepared prepares those of the block of drawn
-windows it begins: :func:`~treesplit.rng.prepared_sources` computes their
-coins together, and each window's interval is handed its prepared source,
-or its coin seed where none was prepared.
+none.  Window j's batch does not depend on the queue and is always served
+as interval j, so a windowed run keeps one queue of the windows drawn and
+not yet served, and draws those that close by the budget ahead,
+``_WINDOW_BLOCK`` at a time.  Serving a window whose coins are not yet
+prepared prepares those of the block of queued windows it begins, in one
+:func:`~treesplit.rng.prepared_sources` pass.  Ids follow window order, so
+the arrivals are the ids below the end of the last window closed or
+served, and the backlog is those not yet served.
 
 Slot/time conventions: slot ``t`` (1-based) covers real time [t-1, t).
 A packet generated during slot ``t`` (or at real instant ``u``) is first
@@ -62,7 +63,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -207,13 +208,6 @@ def _fill_feedback_bits(report: MetricsReport, rules) -> None:
     report.feedback_bits = hist
 
 
-def _finalize(report: MetricsReport, rules, backlog_points: list) -> None:
-    report.throughput = (report.packets_decoded / report.slots_simulated
-                         if report.slots_simulated else 0.0)
-    _fill_feedback_bits(report, rules)
-    report.unstable = _detect_instability(report, backlog_points)
-
-
 def _detect_instability(report: MetricsReport, backlog_points: list) -> bool:
     """Trailing-half backlog drift test, with a mass fallback for runs
     whose final intervals are so long that the trend has too few points."""
@@ -276,10 +270,15 @@ def simulate(
     # folds this trace, whatever its id and coins.
     single = run_cri(kind, (0,), p, 0)
     if delta is None:
-        _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base, single)
+        backlog_points = _run_gated(report, kind, rate, budget, p,
+                                    arrivals_base, coins_base, single)
     else:
-        _run_windowed(report, kind, rules, rate, budget, p,
-                      arrivals_base, coins_base, single, delta)
+        backlog_points = _run_windowed(report, kind, rate, budget, p,
+                                       arrivals_base, coins_base, single, delta)
+    report.throughput = (report.packets_decoded / report.slots_simulated
+                         if report.slots_simulated else 0.0)
+    _fill_feedback_bits(report, rules)
+    report.unstable = _detect_instability(report, backlog_points)
     return report
 
 
@@ -343,7 +342,7 @@ def _fold_trace(report, trace, batch, start) -> int:
     return base + trace.length
 
 
-def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base, single):
+def _run_gated(report, kind, rate, budget, p, arrivals_base, coins_base, single):
     """Serve gated batches back to back.  The pending batch is its count
     and its stream (``ArrivalStreams.draw_count``); its arrival slots are
     drawn only when it is served, which is exact because no other stream
@@ -374,64 +373,50 @@ def _run_gated(report, kind, rules, rate, budget, p, arrivals_base, coins_base, 
             break
     report.slots_simulated = consumed
     report.terminal_backlog = count
-    _finalize(report, rules, backlog_points)
+    return backlog_points
 
 
-def _run_windowed(report, kind, rules, rate, budget, p,
-                  arrivals_base, coins_base, single, delta):
-    next_id = 0
+def _run_windowed(report, kind, rate, budget, p, arrivals_base, coins_base, single, delta):
+    """Serve window j as interval j.  ``pending`` holds the windows drawn
+    but not yet served, from window ``window`` on, each ``[batch, coins]``.
+    ``closed`` counts the windows closed or served; ids follow window order,
+    so their packets are the ids below ``arrived``, and the unserved ones
+    are the backlog."""
     streams = ArrivalStreams(arrivals_base)
-
-    def draw_window(j: int) -> _Batch:
-        """Arrivals of window j, spanning real time [j*delta, (j+1)*delta)."""
-        nonlocal next_id
-        count, draws = streams.draw_count(j, rate * delta)
-        ids = range(next_id, next_id + count)
-        if count == 0:
-            return _Batch(ids, [])
-        next_id += count
-        return _Batch(ids, _instant_arrivals(draws, j * delta, (j + 1) * delta, count))
-
-    # Windows that close by the budget are all drawn into the queue before
-    # the run ends, so they are drawn ahead, _WINDOW_BLOCK at a time; later
-    # ones are drawn one at a time as they are needed.
     closing = max(0, int(budget // delta) - 1)  # windows j with (j + 1) * delta <= budget
     while (closing + 1) * delta <= budget:
         closing += 1
-    ahead: deque = deque()  # windows drawn ahead of their closing, in index order
-    queue: deque = deque()  # windows drawn but not yet served, in index order
-    drawn = 0               # windows moved into the queue so far
-    backlog = 0             # packets in ``queue``
-
-    def draw_next() -> None:
-        nonlocal drawn, backlog
-        if not ahead:
-            stop = min(drawn + _WINDOW_BLOCK, closing) if drawn < closing else drawn + 1
-            ahead.extend(draw_window(j) for j in range(drawn, stop))
-        batch = ahead.popleft()
-        queue.append(batch)
-        drawn += 1
-        backlog += len(batch.ids)
-        report.arrivals_total += len(batch.ids)
-
-    consumed = 0
-    window = 0
-    prepared: deque = deque()  # coins of the next windows: a source or a coin seed each
+    pending: deque = deque()
+    window = closed = arrived = consumed = 0
     backlog_points: list = []
+
+    def draw() -> None:
+        """Draw the windows after the last one drawn: up to a block of
+        those that close by the budget, all of which the run draws, or one
+        window past them.  Window j spans real time [j*delta, (j+1)*delta)."""
+        first = window + len(pending)
+        stop = min(first + _WINDOW_BLOCK, closing) if first < closing else first + 1
+        next_id = pending[-1][0].ids.stop if pending else arrived
+        for j in range(first, stop):
+            count, draws = streams.draw_count(j, rate * delta)
+            ids = range(next_id, next_id + count)
+            next_id += count
+            arrivals = _instant_arrivals(draws, j * delta, (j + 1) * delta, count) if count else []
+            pending.append([_Batch(ids, arrivals), None])
+
     while consumed < budget:
-        if not queue:
-            draw_next()  # the next window may still be open
-        batch = queue.popleft()
-        backlog -= len(batch.ids)
-        if not prepared and window < closing:
+        if not pending:
+            draw()  # the next window may still be open
+        if pending[0][1] is None and window < closing:
             # Prepare the coins of this window and of the drawn windows
             # after it, up to a block, in one pass.  Preparing them when
             # served, not when drawn, keeps words out of a long backlog.
-            size = min(_WINDOW_BLOCK, closing - window)
-            upcoming = [batch, *islice(chain(queue, ahead), size - 1)]
-            seeds = [stream_seed(coins_base, j) for j in range(window, window + len(upcoming))]
-            sources = prepared_sources(zip(seeds, (b.ids for b in upcoming)), p)
-            prepared.extend(source or seed for source, seed in zip(sources, seeds))
+            block = list(islice(pending, min(_WINDOW_BLOCK, closing - window)))
+            seeds = [stream_seed(coins_base, j) for j in range(window, window + len(block))]
+            sources = prepared_sources(zip(seeds, (b.ids for b, _ in block)), p)
+            for entry, source, seed in zip(block, sources, seeds):
+                entry[1] = source or seed
+        batch, coins = pending[0]
         window_close = (window + 1) * delta
         start = max(consumed + 1, math.ceil(window_close + 1.0 - 1e-9))
         if start - 1 > consumed:
@@ -439,17 +424,22 @@ def _run_windowed(report, kind, rules, rate, budget, p,
             # slots count toward the horizon but belong to no interval.
             report.idle_slots += start - 1 - consumed
             consumed = start - 1
-        consumed = _serve_batch(report, kind, p, coins_base, single, batch, start,
-                                prepared.popleft() if prepared else None)
+        consumed = _serve_batch(report, kind, p, coins_base, single, batch, start, coins)
+        # A served window has arrived even if it is still open.  Windows
+        # that closed while the channel was busy wait in ``pending``; those
+        # left at the end are arrivals of the period never served.
+        while closed <= window or (closed + 1) * delta <= consumed:
+            if closed == window + len(pending):
+                draw()
+            arrived = pending[closed - window][0].ids.stop
+            closed += 1
+        pending.popleft()
         window += 1
-        # Windows that closed while the channel was busy wait in the queue;
-        # those left at the end are arrivals of the period never served.
-        while (drawn + 1) * delta <= consumed:
-            draw_next()
-        backlog_points.append((consumed, backlog))
+        backlog_points.append((consumed, arrived - batch.ids.stop))
     report.slots_simulated = consumed
-    report.terminal_backlog = backlog
-    _finalize(report, rules, backlog_points)
+    report.arrivals_total = arrived
+    report.terminal_backlog = arrived - batch.ids.stop
+    return backlog_points
 
 
 class DelayStats(NamedTuple):

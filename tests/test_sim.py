@@ -245,6 +245,35 @@ class TestWindowedAccess:
         assert r.slots_simulated == 52
         assert r.cri_count == 1
 
+    @pytest.mark.parametrize("protocol,delta,rate,budget,seed", [
+        ("atic", 16, 0.9, 40_000, 4401),     # stable, backlog left at the end
+        ("atic", 16, 1.2, 20_000, 4402),     # unstable: the backlog grows
+        ("sicta", 2.5, 0.3, 3000, 4403),
+        ("bta", 39.5, 0.3, 3000, 4404),
+        ("mta", 1, 0.2, 3000, 4405),
+        ("atic_left", 40, 0.3, 1, 4406),     # budget 1: one interval past the budget
+        ("atic", 7.5, 0.0, 500, 4407),       # rate 0: idle windows only
+    ])
+    def test_arrivals_match_an_independent_count(self, protocol, delta, rate, budget, seed):
+        """Window j's batch is stream j's Poisson count of mean
+        ``rate * delta``, drawn here apart from the run.  The run serves
+        windows 0.. in order, one an interval, and its arrivals are the
+        packets of the windows it served or that closed by its last slot."""
+        r = simulate(protocol, f"windowed:{delta}", rate, budget, seed)
+        streams = rng.ArrivalStreams(derive_seed(seed, "arrivals"))
+        horizon = max(r.cri_count, math.floor(r.slots_simulated / delta) + 1)
+        counts = [streams.draw_count(j, rate * delta)[0] for j in range(horizon)]
+        closed = [j for j in range(horizon)
+                  if j < r.cri_count or (j + 1) * delta <= r.slots_simulated]
+        assert r.decoded_per_cri == counts[:r.cri_count]
+        assert r.arrivals_total == sum(counts[j] for j in closed)
+        assert r.terminal_backlog == r.arrivals_total - r.packets_decoded
+        assert r.idle_slots + r.success_slots + r.collision_slots == r.slots_simulated
+        assert len(r.delay_samples) == r.packets_decoded
+        assert all(d >= 0 for d in r.delay_samples)
+        if rate > 0.5:
+            assert r.terminal_backlog > 0
+
     def test_saturation_cannot_beat_gated(self):
         gated = simulate("atic", "gated", 2.0, 80000, 23)
         windowed = simulate("atic", "windowed:50", 2.0, 80000, 23)
@@ -370,6 +399,29 @@ def test_windowed_words_come_in_one_pass_per_block(monkeypatch):
     monkeypatch.setattr(rng, "coin_words", counted_words)
     simulate("sicta", "windowed:40", 0.3, 4000, 2024)
     assert len(passes) == math.ceil(100 / sim._WINDOW_BLOCK)
+
+
+def test_windowed_coins_are_prepared_at_service(monkeypatch):
+    """An overloaded windowed run prepares the coin words of the windows
+    it serves and of at most one block after them, however many closed
+    windows wait in its backlog."""
+    rows = []
+    words = rng.coin_words
+
+    def counted_words(groups, p):
+        out = words(groups, p)
+        rows.append(sum(map(len, out)))
+        return out
+
+    monkeypatch.setattr(rng, "coin_words", counted_words)
+    seed, delta = 4412, 16
+    r = simulate("atic", f"windowed:{delta}", 2.0, 20_000, seed)
+    streams = rng.ArrivalStreams(derive_seed(seed, "arrivals"))
+    reach = r.cri_count + sim._WINDOW_BLOCK - 1
+    counts = [streams.draw_count(j, 2.0 * delta)[0] for j in range(reach)]
+    assert sum(rows) <= sum(n for n in counts if n >= rng._WORDS_MIN)
+    closed = math.floor(r.slots_simulated / delta)
+    assert closed - r.cri_count > sim._WINDOW_BLOCK
 
 
 @pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])

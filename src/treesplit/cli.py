@@ -33,7 +33,8 @@ from .config import (
     _GRID_MAX_POINTS,
     ConfigError,
     ExperimentConfig,
-    _as_str_tuple,
+    _FIELD_NAMES,
+    config_from_mapping,
     load_config,
     parse_grid,
     rate_tag,
@@ -133,18 +134,17 @@ def build_parser() -> _Parser:
 
 
 def _merge_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {name: getattr(args, name, None) for name in (
-        "outdir", "p", "seed", "budget", "policy", "packet_bits", "replications")}
-    if getattr(args, "protocols", None) is not None:
-        overrides["protocols"] = _as_str_tuple(args.protocols, "protocols")
-    if getattr(args, "rates", None) is not None:
-        overrides["rates"] = parse_grid(args.rates, "rates")
-    if getattr(args, "rate", None) is not None:
-        overrides["rates"] = (args.rate,)
-    if getattr(args, "protocol", None) is not None:
-        overrides["protocols"] = (args.protocol,)
-    return cfg.merged(**overrides)
+    """The config file's settings, checked first, under every given flag
+    that names a setting, coerced and checked as a file's are.  ``--rate``
+    and ``--protocol`` set ``rates`` and ``protocols``, over ``--rates``."""
+    settings = asdict(load_config(args.config)) if args.config else {}
+    flags = vars(args).copy()
+    for one, many in (("rate", "rates"), ("protocol", "protocols")):
+        if flags.get(one) is not None:
+            flags[many] = [flags[one]]
+    settings.update((name, value) for name, value in flags.items()
+                    if name in _FIELD_NAMES and value is not None)
+    return config_from_mapping(settings)
 
 
 def _hashable(cfg: ExperimentConfig) -> dict:

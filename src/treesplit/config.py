@@ -1,8 +1,9 @@
-"""Experiment configuration: JSON files, validation, CLI merging.
+"""Experiment configuration: JSON files and validation.
 
 A config describes one batch experiment: which protocols to run, the
 access policy, the traffic grid, and the reproducibility seed.  Files
-are plain JSON objects; command-line flags always win over file values.
+are plain JSON objects; command-line flags win over file values and go
+through the same checks (:func:`config_from_mapping`).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .engines import ProtocolKind
 from .sim import _window_length
@@ -125,11 +126,6 @@ class ExperimentConfig:
         if self.seed is None:
             raise ConfigError("seed", "stochastic runs need an explicit seed")
         return self.seed
-
-    def merged(self, **overrides) -> "ExperimentConfig":
-        """Return a copy with non-None overrides applied (CLI wins)."""
-        actual = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **actual).validate()
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}

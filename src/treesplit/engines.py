@@ -185,9 +185,9 @@ def run_cri(
 
     ``initial`` holds distinct packet (user) ids; a repeated id raises
     ValueError.  ``rng`` is either an integer seed or a prepared
-    :class:`CoinSource`; split coins are keyed by (user id, depth), so
-    two protocols driven from the same seed see identical split
-    sequences.  An integer seed builds its coin source only when a group
+    :class:`CoinSource` of bias ``p``; split coins are keyed by (user
+    id, depth), so two protocols driven from the same seed see identical
+    split sequences.  An integer seed builds its coin source only when a group
     first splits, so an interval that never splits (zero or one packet)
     builds none.  Splits go through the source's ``splitter``, which
     picks how the coins are computed.  ``record=True`` also fills the
@@ -216,6 +216,8 @@ def run_cri(
     saves_collisions, skips_definite, z_on_collision, z_on_success = RULES[kind]
     p = _split_bias(p)
     coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, int(rng))
+    if coins is not None and coins.p != p:
+        raise ValueError(f"coin source bias {coins.p} differs from the split bias {p}")
 
     ids = tuple(sorted(map(int, initial)))
     if len(set(ids)) < len(ids):

@@ -31,9 +31,11 @@ simulator folds the former itself and the latter from one engine trace
 of a one-packet interval, made once per run.
 
 A gated batch depends on the interval just served, so gated runs draw one
-batch at a time: its count when the previous interval ends, and its
-arrival slots only when it is served, so the batch left at the end draws
-none.  Window j's batch does not depend on the queue and is always served
+batch at a time, batch 0 from the one slot-0 epoch and batch k from
+interval k - 1: its count when that span ends, and its arrival slots only
+when it is served, so the batch left at the end draws none.  Every served
+batch is decoded whole, so a batch's ids follow the packets decoded.
+Window j's batch does not depend on the queue and is always served
 as interval j, so a windowed run keeps one queue of the windows drawn and
 not yet served, and draws those that close by the budget ahead,
 ``_WINDOW_BLOCK`` at a time.  Serving a window whose coins are not yet
@@ -270,11 +272,11 @@ def simulate(
     # folds this trace, whatever its id and coins.
     single = run_cri(kind, (0,), p, 0)
     if delta is None:
-        backlog_points = _run_gated(report, kind, rate, budget, p,
-                                    arrivals_base, coins_base, single)
+        run = _run_gated(report, kind, rate, budget, p, arrivals_base, coins_base, single)
     else:
-        backlog_points = _run_windowed(report, kind, rate, budget, p,
-                                       arrivals_base, coins_base, single, delta)
+        run = _run_windowed(report, kind, rate, budget, p,
+                            arrivals_base, coins_base, single, delta)
+    report.slots_simulated, report.terminal_backlog, backlog_points = run
     report.throughput = (report.packets_decoded / report.slots_simulated
                          if report.slots_simulated else 0.0)
     _fill_feedback_bits(report, rules)
@@ -343,45 +345,41 @@ def _fold_trace(report, trace, batch, start) -> int:
 
 
 def _run_gated(report, kind, rate, budget, p, arrivals_base, coins_base, single):
-    """Serve gated batches back to back.  The pending batch is its count
-    and its stream (``ArrivalStreams.draw_count``); its arrival slots are
-    drawn only when it is served, which is exact because no other stream
-    is drawn in between, and never for the batch left at the end."""
+    """Serve gated batches back to back; return the slots consumed, the
+    batch left at the end and the backlog points.  Batch k arrives during
+    its span, the one slot-0 epoch for batch 0 and interval k - 1 after
+    it.  Its count and stream (``ArrivalStreams.draw_count``) are drawn
+    when the span ends; its arrival slots only when it is served, which is
+    exact because no other stream is drawn in between, and never for the
+    batch left at the end.  Its ids continue from the packets decoded."""
     streams = ArrivalStreams(arrivals_base)
-    next_id = 0
-    # Bootstrap: the first interval serves arrivals of a single slot-0 epoch.
     span_start, span_len = 0, 1
-    count, draws = streams.draw_count(0, rate)
-    report.arrivals_total += count
     consumed = 0
     backlog_points: list = []
     while True:
+        count, draws = streams.draw_count(report.cri_count, rate * span_len)
+        report.arrivals_total += count
+        backlog_points.append((consumed, count))
+        if consumed >= budget:
+            return consumed, count, backlog_points
         start = consumed + 1
         if count:
-            batch = _Batch(range(next_id, next_id + count),
+            first = report.packets_decoded
+            batch = _Batch(range(first, first + count),
                            _slot_arrivals(draws, span_start, span_len, count))
-            next_id += count
             consumed = _serve_batch(report, kind, p, coins_base, single, batch, start)
         else:
             consumed = _fold_idle(report, start)
         # Arrivals blocked during the interval just served form the next batch.
         span_start, span_len = start, consumed - start + 1
-        count, draws = streams.draw_count(report.cri_count, rate * span_len)
-        report.arrivals_total += count
-        backlog_points.append((consumed, count))
-        if consumed >= budget:
-            break
-    report.slots_simulated = consumed
-    report.terminal_backlog = count
-    return backlog_points
 
 
 def _run_windowed(report, kind, rate, budget, p, arrivals_base, coins_base, single, delta):
-    """Serve window j as interval j.  ``pending`` holds the windows drawn
-    but not yet served, from window ``window`` on, each ``[batch, coins]``.
-    ``closed`` counts the windows closed or served; ids follow window order,
-    so their packets are the ids below ``arrived``, and the unserved ones
-    are the backlog."""
+    """Serve window j as interval j; return as :func:`_run_gated` does.
+    ``pending`` holds the windows drawn but not yet served, from window
+    ``window`` on, each ``[batch, coins]``.  ``closed`` counts the windows
+    closed or served; ids follow window order, so their packets are the ids
+    below ``arrived``, and the unserved ones are the backlog."""
     streams = ArrivalStreams(arrivals_base)
     closing = max(0, int(budget // delta) - 1)  # windows j with (j + 1) * delta <= budget
     while (closing + 1) * delta <= budget:
@@ -436,10 +434,8 @@ def _run_windowed(report, kind, rate, budget, p, arrivals_base, coins_base, sing
         pending.popleft()
         window += 1
         backlog_points.append((consumed, arrived - batch.ids.stop))
-    report.slots_simulated = consumed
     report.arrivals_total = arrived
-    report.terminal_backlog = arrived - batch.ids.stop
-    return backlog_points
+    return consumed, arrived - batch.ids.stop, backlog_points
 
 
 class DelayStats(NamedTuple):

@@ -9,7 +9,7 @@ import pytest
 import treesplit
 from treesplit import __version__
 from treesplit.analytics import CriLengthTable
-from treesplit.cli import entrypoint
+from treesplit.cli import _merge_config, build_parser, entrypoint
 from treesplit.config import (
     ConfigError,
     ExperimentConfig,
@@ -109,11 +109,18 @@ class TestConfig:
             assert err.value.field == "rates"
         assert len(parse_grid("0:99999:1")) == 100_000
 
-    def test_merged_override_wins(self):
-        cfg = ExperimentConfig(p=0.3).merged(p=0.7)
-        assert cfg.p == 0.7
-        # None overrides are ignored
-        assert ExperimentConfig(p=0.3).merged(p=None).p == 0.3
+    def test_merged_override_wins(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p": 0.3}))
+        parser = build_parser()
+        argv = ["simulate", "--config", str(path)]
+        assert _merge_config(parser.parse_args(argv + ["--p", "0.7"])).p == 0.7
+        # A flag not given keeps the file's value
+        assert _merge_config(parser.parse_args(argv)).p == 0.3
+        # A bad file value is reported even when a flag overrides it
+        path.write_text(json.dumps({"p": 1.5}))
+        with pytest.raises(ConfigError, match="'p'"):
+            _merge_config(parser.parse_args(argv + ["--p", "0.7"]))
 
     def test_require_seed(self):
         with pytest.raises(ConfigError):

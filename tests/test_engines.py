@@ -289,6 +289,14 @@ class TestRunnerContract:
         trace = run_cri("atic", range(3000), 0.5, 0)  # about 1.1 slots per packet
         assert 2 < trace.length <= 6000
 
+    def test_rejects_a_coin_source_of_another_bias(self):
+        # A source of bias 0.1 would split by 0.1 under a trace stamped 0.5,
+        # and one of bias 1 would send every packet left until the slot cap.
+        for protocol, ids, source in (("sicta", range(40), CoinSource(7, 0.1)),
+                                      ("bta", range(3), CoinSource(1, 1.0))):
+            with pytest.raises(ValueError, match=f"bias {source.p} differs .* 0.5"):
+                run_cri(protocol, ids, 0.5, source)
+
     def test_arbitration_needs_distinct_ids(self):
         assert arbitrate(3, 9) == 9
         with pytest.raises(ValueError):

@@ -480,6 +480,55 @@ def test_gated_runs_draw_arrival_slots_only_for_served_batches(
         assert report.terminal_backlog > 0
 
 
+@pytest.mark.parametrize("protocol,rate,budget,p,seed", [
+    ("atic", 0.1, 5000, 0.5, 4501),       # light: most batches hold 0 or 1 packet
+    ("sicta", 0.6, 5000, 0.5, 4502),      # heavy, below SICTA's stable rate
+    ("atic_left", 0.8, 4000, 0.3, 4503),  # heavy, biased coins
+    ("bta", 0.0, 300, 0.5, 4504),         # rate 0: idle intervals only
+    ("mta", 0.4, 1, 0.7, 4505),           # budget 1: one interval
+    ("atic", 1.2, 3000, 0.5, 4506),       # overload: the batches grow
+    ("sicta", 3.0, 2000, 0.5, 4507),
+    ("bta", 1.2, 2000, 0.5, 4508),
+])
+def test_gated_runs_replay_batch_by_batch(protocol, rate, budget, p, seed):
+    """Batch k of a gated run is the Poisson count of numpy stream k, of
+    mean ``rate`` times the length of the span it arrived in: interval
+    k - 1, or the one slot-0 epoch for batch 0.  Its arrival slots are
+    uniform over that span, each first eligible a slot later, its ids
+    follow those of the batches before it, and coin stream k splits it.
+    Replayed here from numpy and the engine, batch by batch."""
+    r = simulate(protocol, "gated", rate, budget, seed, p=p)
+    arrivals_base, coins_base = derive_seed(seed, "arrivals"), derive_seed(seed, "coins")
+    k = span_start = consumed = first = total = 0
+    span_len = 1
+    decoded, collisions, delays = [], [], []
+    while True:
+        draws = np.random.default_rng(stream_seed(arrivals_base, k))
+        n = int(draws.poisson(rate * span_len))
+        total += n
+        if consumed >= budget:
+            break
+        arrivals = sorted(draws.integers(span_start + 1, span_start + span_len + 1, n))
+        trace = run_cri(protocol, range(first, first + n), p, stream_seed(coins_base, k))
+        delays += [consumed + slot - int(arrivals[pid - first])
+                   for pid, slot in trace.decoded_order]
+        decoded.append(n)
+        collisions.append(trace.collisions)
+        span_start, span_len = consumed + 1, trace.length
+        consumed += trace.length
+        first += n
+        k += 1
+    assert r.decoded_per_cri == decoded
+    assert r.collisions_per_cri == collisions
+    assert r.delay_samples == delays
+    assert r.slots_simulated == consumed
+    assert r.terminal_backlog == n
+    assert r.arrivals_total == total
+    assert r.idle_slots + r.success_slots + r.collision_slots == r.slots_simulated
+    if rate > 1:
+        assert r.terminal_backlog > 0
+
+
 def _stream_draws(base, index):
     """Both kinds of draws ``ArrivalStreams.draw_count`` hands out, each at
     the start of stream ``index``: a Python cursor and numpy's own."""

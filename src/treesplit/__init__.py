@@ -22,7 +22,6 @@ from .engines import (
     CriTrace,
     EngineInvariantError,
     NonTerminationError,
-    ProtocolKind,
     Rules,
     SlotRecord,
     TreeNode,
@@ -54,7 +53,7 @@ __all__ = [
     "asymptotic_throughput", "cri_table_rows", "expected_cri_closed",
     "poisson_expected_cri", "windowed_stable_rate",
     "RULES", "CriTrace", "EngineInvariantError", "NonTerminationError",
-    "ProtocolKind", "Rules", "SlotRecord", "TreeNode", "arbitrate", "export_tree",
+    "Rules", "SlotRecord", "TreeNode", "arbitrate", "export_tree",
     "run_cri",
     "CollisionCdf", "DelayStats", "EmptySampleError", "FeedbackCostStats",
     "MetricsReport", "ProtocolError",

@@ -1,8 +1,8 @@
 """Exact and asymptotic performance math for splitting-tree protocols.
 
 Every law takes the split bias p, the probability that a collider joins
-the left group, as a float in (0, 1), with q = 1 - p; an out-of-range p
-raises ValueError, as in the engines and the simulator.
+the left group, as a float in [2^-53, 1), with q = 1 - p; an
+out-of-range p raises ValueError, as in the engines and the simulator.
 
 The length laws are reached through their tables: ``CriLengthTable``
 grows the bottom-up probabilistic recursion (all-positive terms,
@@ -34,7 +34,9 @@ is read off its ``engines.RULES`` flags, one term per flag:
                     instead of L_2 - 1, which adds pi_{n-2} (D_2 - L_2 + 1)
 
 The collision-count tables follow the same flags with the weights of
-received collision slots (see :class:`CollisionCountTable`).
+received collision slots (see :class:`CollisionCountTable`).  Each
+table is a ``_BASE`` plus ``_row_terms`` read off the flags, run by the
+one recursion ``_SplitTable._extend``.
 
 Each row sums only over the split counts 1 <= i <= n-1 with
 |i - n p| <= t_n = sqrt(n ln(2/eps) / 2) + 1, eps = 2^-64, plus the
@@ -58,7 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engines import RULES, ProtocolKind, _split_bias
+from .engines import _rules, _split_bias
 
 # Poisson tail mass a mixture over the length table may leave out.
 _POISSON_TOL = 1e-12
@@ -134,19 +136,23 @@ class _SplitTable:
 
     Each subclass gives its base values V_0, V_1 and the received-pair
     value V_2 as ``_BASE`` (a table starts from V_2 only under
-    ``z_on_collision``) and writes its law as ``_extend(n_max)``, which
-    fills rows up to n_max.
+    ``z_on_collision``) and its law as ``_row_terms(rules)``, the row
+    constants ``(toll, drop_0, keep_0, keep_n, derived)`` of the one
+    recursion :meth:`_extend`: (1 - pi_0 - pi_n) V_n = toll - drop_0 pi_0
+    + sum_i pi_i (V_i + V_{n-i} - derived) + keep_0 pi_0 + keep_n pi_n,
+    where a right group of one is never derived, plus the derived-pair
+    term.  ``protocol`` is the table's ``RULES`` name.
     """
 
     _BASE: tuple
 
     def __init__(self, p: float, protocol: str = "atic"):
         p = _split_bias(p)
-        kind = ProtocolKind(protocol)
+        rules = _rules(protocol)
         self.p = p
-        self.protocol = kind.value
-        self._rules = RULES[kind]
-        saves, _, z_on_collision, z_on_success = self._rules
+        self.protocol = protocol
+        self._terms = self._row_terms(rules)
+        saves, _, z_on_collision, z_on_success = rules
         base = self._BASE if z_on_collision else self._BASE[:2]
         # Extra cost of a derived pair that cannot arbitrate and is split:
         # D_2 - (V_2 - 1), D_2 solving D_2 = q^2 (V_0 + D_2) + 2pq V_1 + p^2 V_2.
@@ -192,6 +198,29 @@ class _SplitTable:
                      + ilp[lo:hi + 1] + ilq[n - hi:n - lo + 1][::-1])
         return lo, pmf, float(self._q_pow[n]), float(self._p_pow[n])
 
+    def _extend(self, n_max: int) -> None:
+        if n_max < self._size:
+            return
+        self._reserve(n_max)
+        V = self._values
+        toll, drop_0, keep_0, keep_n, derived = self._terms
+        pair = self._pair
+        for n in range(self._size, n_max + 1):
+            lo, pmf, pi_0, pi_n = self._window(n)
+            hi = lo + len(pmf) - 1
+            right = V[n - hi:n - lo + 1][::-1]
+            if derived:
+                right = right - derived
+                if hi == n - 1:
+                    right[-1] = V[1]
+            mid = float(np.dot(pmf, V[lo:hi + 1] + right))
+            if pair and n - 2 <= hi:
+                mid += pmf[n - 2 - lo] * pair
+            # the self terms i=0 and i=n hold V_n; solve the row for it
+            num = (toll - drop_0 * pi_0) + mid + keep_0 * pi_0 + keep_n * pi_n
+            V[n] = num / (1.0 - pi_0 - pi_n)
+        self._size = n_max + 1
+
     def expected(self, n: int) -> float:
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -209,25 +238,10 @@ class CriLengthTable(_SplitTable):
 
     _BASE = (1.0, 1.0, 2.0)
 
-    def _extend(self, n_max: int) -> None:
-        if n_max < self._size:
-            return
-        self._reserve(n_max)
-        L = self._values
-        saves, skips = self._rules.saves_collisions, self._rules.skips_definite
-        own = 0.0 if saves else 1.0
-        keeps_pi_0 = saves or not skips
-        pair = self._pair
-        for n in range(self._size, n_max + 1):
-            lo, pmf, pi_0, pi_n = self._window(n)
-            hi = lo + len(pmf) - 1
-            mid = float(np.dot(pmf, L[lo:hi + 1] + L[n - hi:n - lo + 1][::-1]))
-            if pair and n - 2 <= hi:
-                mid += pmf[n - 2 - lo] * pair
-            # the self terms i=0 and i=n hold L_n; solve the row for it
-            num = own + mid + (pi_0 if keeps_pi_0 else 0.0) + pi_n
-            L[n] = num / (1.0 - pi_0 - pi_n)
-        self._size = n_max + 1
+    @staticmethod
+    def _row_terms(rules) -> tuple:
+        saves, skips = rules.saves_collisions, rules.skips_definite
+        return (0.0 if saves else 1.0, 0.0, 1.0 if saves or not skips else 0.0, 1.0, 0.0)
 
     def throughput(self, n: int) -> float:
         if n < 1:
@@ -344,28 +358,10 @@ class CollisionCountTable(_SplitTable):
 
     _BASE = (0.0, 0.0, 1.0)
 
-    def _extend(self, n_max: int) -> None:
-        if n_max < self._size:
-            return
-        self._reserve(n_max)
-        C = self._values
-        saves, skips = self._rules.saves_collisions, self._rules.skips_definite
-        pair = self._pair
-        for n in range(self._size, n_max + 1):
-            lo, pmf, pi_0, pi_n = self._window(n)
-            hi = lo + len(pmf) - 1
-            right = C[n - hi:n - lo + 1][::-1]
-            if saves:
-                # A derived right group of size m >= 2 saves its root
-                # collision; only i = n - 1 leaves a group of one.
-                right = right - 1.0
-                if hi == n - 1:
-                    right[-1] = C[1]
-            mid = float(np.dot(pmf, C[lo:hi + 1] + right))
-            if pair and n - 2 <= hi:
-                mid += pmf[n - 2 - lo] * pair
-            C[n] = (1.0 - (pi_0 if skips else 0.0) + mid) / (1.0 - pi_0 - pi_n)
-        self._size = n_max + 1
+    @staticmethod
+    def _row_terms(rules) -> tuple:
+        saves, skips = rules.saves_collisions, rules.skips_definite
+        return (1.0, 1.0 if skips else 0.0, 0.0, 0.0, 1.0 if saves else 0.0)
 
 
 def cri_table_rows(n_max: int, p: float, protocol: str = "atic"):

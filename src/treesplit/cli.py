@@ -39,7 +39,7 @@ from .config import (
     parse_grid,
     rate_tag,
 )
-from .engines import export_tree, run_cri
+from .engines import _split_bias, export_tree, run_cri
 from .reports import IoError, emit_report, provenance_header, write_text
 from .rng import CoinSource, derive_seed
 from .sim import EmptySampleError, delay_stats, simulate
@@ -189,8 +189,10 @@ def _cmd_asymptote(args, cfg: ExperimentConfig) -> int:
                           f"got {','.join(cfg.protocols)}")
     grid = parse_grid(args.p_grid, "p_grid")
     for value in grid:
-        if not 0.0 < value < 1.0:
-            raise ConfigError("p_grid", f"split bias {value} outside (0,1)")
+        try:
+            _split_bias(value)
+        except ValueError as exc:
+            raise ConfigError("p_grid", str(exc)) from None
     value_here = asymptotic_throughput(cfg.p)
     scan = [(p, asymptotic_throughput(p)) for p in grid]
     best_p, best_val = max(scan, key=lambda item: item[1])

@@ -13,12 +13,10 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .engines import ProtocolKind
+from .engines import _rules, _split_bias
 from .sim import _window_length
 
 ENV_OUTDIR = "TREESPLIT_OUTDIR"
-
-_PROTOCOLS = tuple(kind.value for kind in ProtocolKind)
 
 _DEFAULT_BUDGET = 100_000
 _DEFAULT_BITS = 256
@@ -92,18 +90,20 @@ class ExperimentConfig:
         if not self.protocols:
             raise ConfigError("protocols", "at least one protocol required")
         for name in self.protocols:
-            if name not in _PROTOCOLS:
-                raise ConfigError(
-                    "protocols", f"unknown protocol {name!r}; choices: {_PROTOCOLS}"
-                )
+            try:
+                _rules(name)
+            except ValueError as exc:
+                raise ConfigError("protocols", str(exc)) from None
         if len(set(self.protocols)) != len(self.protocols):
             raise ConfigError("protocols", f"repeated protocol in {self.protocols}")
         try:
             _window_length(self.policy)
         except ValueError as exc:
             raise ConfigError("policy", str(exc)) from None
-        if not 0.0 < self.p < 1.0:
-            raise ConfigError("p", f"split probability must lie in (0,1), got {self.p}")
+        try:
+            _split_bias(self.p)
+        except ValueError as exc:
+            raise ConfigError("p", str(exc)) from None
         for lam in self.rates:
             if not (math.isfinite(lam) and lam >= 0):
                 raise ConfigError("rates", f"arrival rate must be finite and >= 0, got {lam}")
@@ -129,18 +129,6 @@ class ExperimentConfig:
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-
-_COERCERS = {
-    "protocols": lambda v, f: _as_str_tuple(v, f),
-    "policy": lambda v, f: _as_type(v, str, f),
-    "p": lambda v, f: _as_float(v, f),
-    "rates": lambda v, f: _as_float_tuple(v, f),
-    "budget": lambda v, f: _as_int(v, f),
-    "seed": lambda v, f: None if v is None else _as_int(v, f),
-    "outdir": lambda v, f: _as_type(v, str, f),
-    "packet_bits": lambda v, f: _as_int(v, f),
-    "replications": lambda v, f: _as_int(v, f),
-}
 
 
 def _as_type(value, kind, field_name):
@@ -177,6 +165,19 @@ def _as_float_tuple(value, field_name) -> tuple[float, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(_as_float(x, field_name) for x in value)
     return (_as_float(value, field_name),)
+
+
+_COERCERS = {
+    "protocols": _as_str_tuple,
+    "policy": lambda v, f: _as_type(v, str, f),
+    "p": _as_float,
+    "rates": _as_float_tuple,
+    "budget": _as_int,
+    "seed": lambda v, f: None if v is None else _as_int(v, f),
+    "outdir": lambda v, f: _as_type(v, str, f),
+    "packet_bits": _as_int,
+    "replications": _as_int,
+}
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:

@@ -20,11 +20,11 @@ under any of five rule sets:
              the arbitration shortcut is available for received
              collisions but not for derived groups.
 
-Each protocol is one ``RULES`` row of four independent :class:`Rules`
-flags.  The pair shortcut follows from the broadcasts: users resolve a
-degree-2 group by id arbitration when they saw it broadcast, so received
-pairs qualify under ``z_on_collision`` and derived pairs under
-``z_on_success``.
+``RULES``, keyed by protocol name, is the one registry of protocols:
+each is one row of four independent :class:`Rules` flags.  The pair
+shortcut follows from the broadcasts: users resolve a degree-2 group by
+id arbitration when they saw it broadcast, so received pairs qualify
+under ``z_on_collision`` and derived pairs under ``z_on_success``.
 
 The engine is receiver-centric: it tracks the split tree explicitly (a
 stack of not-yet-visited right siblings plus the group currently on
@@ -50,7 +50,6 @@ broadcast could arbitrate it: the higher id alone transmits next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .rng import CoinSource
@@ -59,14 +58,6 @@ from .rng import CoinSource
 # one packet) before the engine declares a rule-table bug; every protocol
 # averages under 3 slots per packet.
 SLOT_CAP_PER_PACKET = 1_000_000
-
-
-class ProtocolKind(str, Enum):
-    BTA = "bta"
-    MTA = "mta"
-    SICTA = "sicta"
-    ATIC = "atic"
-    ATIC_LEFT = "atic_left"
 
 
 class Rules(NamedTuple):
@@ -78,16 +69,13 @@ class Rules(NamedTuple):
     z_on_success: bool       # broadcast the freshest remainder: derived pairs arbitrate
 
 
-RULES: dict[ProtocolKind, Rules] = {
-    ProtocolKind.BTA: Rules(False, False, False, False),
-    ProtocolKind.MTA: Rules(False, True, False, False),
-    ProtocolKind.SICTA: Rules(True, True, False, False),
-    ProtocolKind.ATIC: Rules(True, True, True, True),
-    ProtocolKind.ATIC_LEFT: Rules(True, True, True, False),
+RULES: dict[str, Rules] = {
+    "bta": Rules(False, False, False, False),
+    "mta": Rules(False, True, False, False),
+    "sicta": Rules(True, True, False, False),
+    "atic": Rules(True, True, True, True),
+    "atic_left": Rules(True, True, True, False),
 }
-
-# Protocol name (or member) -> member, without the cost of an Enum call.
-_KINDS: dict = {kind.value: kind for kind in ProtocolKind}
 
 
 class NonTerminationError(RuntimeError):
@@ -130,9 +118,10 @@ class SlotRecord(NamedTuple):
 
 @dataclass
 class CriTrace:
-    """Complete record of one collision-resolution interval."""
+    """Complete record of one collision-resolution interval; ``protocol``
+    is its ``RULES`` name."""
 
-    protocol: ProtocolKind
+    protocol: str
     p: float
     initial: tuple
     length: int = 0
@@ -159,11 +148,21 @@ def arbitrate(a: int, b: int) -> int:
     return a if a > b else b
 
 
+def _rules(protocol) -> Rules:
+    """The ``RULES`` row of a protocol name; ValueError for any other key."""
+    try:
+        return RULES[protocol]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown protocol {protocol!r}; choices: {tuple(RULES)}") from None
+
+
 def _split_bias(p) -> float:
-    """``p`` as a float; ValueError unless it lies in (0, 1)."""
+    """``p`` as a float; ValueError unless 2^-53 <= p < 1.  The coins
+    realize p rounded up to a multiple of 2^-53 (``rng.coin_words``), so
+    a smaller p would split as if it were 2^-53."""
     p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"split probability must lie in (0,1), got {p}")
+    if not 2.0 ** -53 <= p < 1.0:
+        raise ValueError(f"split probability must lie in [2^-53, 1), got {p}")
     return p
 
 
@@ -174,14 +173,14 @@ def _add_node(nodes: list, parent, members) -> int:
 
 
 def run_cri(
-    protocol: Union[ProtocolKind, str],
+    protocol: str,
     initial: Iterable[int],
     p: float,
     rng: Union[int, CoinSource],
     *,
     record: bool = False,
 ) -> CriTrace:
-    """Resolve one interval and return its trace.
+    """Resolve one interval of a ``RULES`` protocol and return its trace.
 
     ``initial`` holds distinct packet (user) ids; a repeated id raises
     ValueError.  ``rng`` is either an integer seed or a prepared
@@ -209,11 +208,7 @@ def run_cri(
     consumes more than ``SLOT_CAP_PER_PACKET * max(1, n)`` slots, which
     can only happen through a rule-table bug.
     """
-    try:
-        kind = _KINDS[protocol]
-    except (KeyError, TypeError):
-        raise ValueError(f"{protocol!r} is not a valid ProtocolKind") from None
-    saves_collisions, skips_definite, z_on_collision, z_on_success = RULES[kind]
+    saves_collisions, skips_definite, z_on_collision, z_on_success = _rules(protocol)
     p = _split_bias(p)
     coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, int(rng))
     if coins is not None and coins.p != p:
@@ -265,7 +260,7 @@ def run_cri(
             consumed += 1
             if consumed > cap:
                 raise NonTerminationError(
-                    f"{kind.value} interval over {len(ids)} packets exceeded "
+                    f"{protocol} interval over {len(ids)} packets exceeded "
                     f"{cap} slots; rule table is inconsistent"
                 )
             t = consumed
@@ -352,7 +347,7 @@ def run_cri(
             f"interval decoded {decoded}, expected each of {ids} exactly once"
         )
     # In field order: passing fields by keyword costs about 1 us more.
-    return CriTrace(kind, p, ids, consumed, collisions, successes, skipped,
+    return CriTrace(protocol, p, ids, consumed, collisions, successes, skipped,
                     highwater, decoded_order, k_values, collision_degrees,
                     z_successes, slots, [TreeNode(*row) for row in nodes])
 

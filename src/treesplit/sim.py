@@ -66,11 +66,11 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .engines import ProtocolKind, RULES, _split_bias, run_cri
+from .engines import _rules, _split_bias, run_cri
 from .rng import ArrivalStreams, derive_seed, prepared_sources, stream_seed
 
 # Backlog drift (packets per slot) above which the trailing-half
@@ -229,7 +229,7 @@ def _detect_instability(report: MetricsReport, backlog_points: list) -> bool:
 
 
 def simulate(
-    protocol: Union[ProtocolKind, str],
+    protocol: str,
     policy: str,
     rate: float,
     budget: int,
@@ -240,14 +240,14 @@ def simulate(
 ) -> MetricsReport:
     """Run intervals back to back until ``budget`` slots and report metrics.
 
-    ``policy`` is ``"gated"`` or ``"windowed:<delta>"`` (see the module
-    docstring); ``rate`` is the Poisson arrival intensity in packets per
-    slot (zero is allowed and produces an all-idle run); ``p`` is the
-    split bias handed to the protocol engine.  Deterministic: identical
+    ``protocol`` is a ``RULES`` name; ``policy`` is ``"gated"`` or
+    ``"windowed:<delta>"`` (see the module docstring); ``rate`` is the
+    Poisson arrival intensity in packets per slot (zero is allowed and
+    produces an all-idle run); ``p`` is the split bias handed to the
+    protocol engine.  Deterministic: identical
     arguments give an identical report.
     """
-    kind = ProtocolKind(protocol)
-    rules = RULES[kind]
+    rules = _rules(protocol)
     delta = _window_length(policy)
     rate = float(rate)
     budget = int(budget)
@@ -261,7 +261,7 @@ def simulate(
         raise ValueError(f"packet_bits must be at least 1, got {packet_bits}")
 
     report = MetricsReport(
-        protocol=kind.value, policy="gated" if delta is None else f"windowed:{delta:g}",
+        protocol=protocol, policy="gated" if delta is None else f"windowed:{delta:g}",
         rate=rate, budget=budget, seed=int(seed), packet_bits=packet_bits,
     )
     master = int(seed)
@@ -270,11 +270,11 @@ def simulate(
 
     # One packet never splits, so every one-packet interval of the run
     # folds this trace, whatever its id and coins.
-    single = run_cri(kind, (0,), p, 0)
+    single = run_cri(protocol, (0,), p, 0)
     if delta is None:
-        run = _run_gated(report, kind, rate, budget, p, arrivals_base, coins_base, single)
+        run = _run_gated(report, protocol, rate, budget, p, arrivals_base, coins_base, single)
     else:
-        run = _run_windowed(report, kind, rate, budget, p,
+        run = _run_windowed(report, protocol, rate, budget, p,
                             arrivals_base, coins_base, single, delta)
     report.slots_simulated, report.terminal_backlog, backlog_points = run
     report.throughput = (report.packets_decoded / report.slots_simulated
@@ -284,7 +284,7 @@ def simulate(
     return report
 
 
-def _serve_batch(report, kind, p, coins_base, single, batch, start, coins=None) -> int:
+def _serve_batch(report, protocol, p, coins_base, single, batch, start, coins=None) -> int:
     """Run one interval for ``batch`` beginning at slot ``start``.
 
     Returns the index of the last slot the interval consumed and folds
@@ -303,7 +303,7 @@ def _serve_batch(report, kind, p, coins_base, single, batch, start, coins=None) 
         return _fold_trace(report, single, batch, start)
     if coins is None:
         coins = stream_seed(coins_base, report.cri_count)
-    trace = run_cri(kind, batch.ids, p, coins)
+    trace = run_cri(protocol, batch.ids, p, coins)
     return _fold_trace(report, trace, batch, start)
 
 
@@ -344,7 +344,7 @@ def _fold_trace(report, trace, batch, start) -> int:
     return base + trace.length
 
 
-def _run_gated(report, kind, rate, budget, p, arrivals_base, coins_base, single):
+def _run_gated(report, protocol, rate, budget, p, arrivals_base, coins_base, single):
     """Serve gated batches back to back; return the slots consumed, the
     batch left at the end and the backlog points.  Batch k arrives during
     its span, the one slot-0 epoch for batch 0 and interval k - 1 after
@@ -367,14 +367,14 @@ def _run_gated(report, kind, rate, budget, p, arrivals_base, coins_base, single)
             first = report.packets_decoded
             batch = _Batch(range(first, first + count),
                            _slot_arrivals(draws, span_start, span_len, count))
-            consumed = _serve_batch(report, kind, p, coins_base, single, batch, start)
+            consumed = _serve_batch(report, protocol, p, coins_base, single, batch, start)
         else:
             consumed = _fold_idle(report, start)
         # Arrivals blocked during the interval just served form the next batch.
         span_start, span_len = start, consumed - start + 1
 
 
-def _run_windowed(report, kind, rate, budget, p, arrivals_base, coins_base, single, delta):
+def _run_windowed(report, protocol, rate, budget, p, arrivals_base, coins_base, single, delta):
     """Serve window j as interval j; return as :func:`_run_gated` does.
     ``pending`` holds the windows drawn but not yet served, from window
     ``window`` on, each ``[batch, coins]``.  ``closed`` counts the windows
@@ -422,7 +422,7 @@ def _run_windowed(report, kind, rate, budget, p, arrivals_base, coins_base, sing
             # slots count toward the horizon but belong to no interval.
             report.idle_slots += start - 1 - consumed
             consumed = start - 1
-        consumed = _serve_batch(report, kind, p, coins_base, single, batch, start, coins)
+        consumed = _serve_batch(report, protocol, p, coins_base, single, batch, start, coins)
         # A served window has arrived even if it is still open.  Windows
         # that closed while the channel was busy wait in ``pending``; those
         # left at the end are arrivals of the period never served.
@@ -456,10 +456,9 @@ def delay_stats(report: MetricsReport) -> DelayStats:
 
 def feedback_value_histogram(report: MetricsReport) -> dict:
     """Normalized mass function of the announced skip count on successes."""
-    kind = ProtocolKind(report.protocol)
-    if not RULES[kind].saves_collisions:
+    if not _rules(report.protocol).saves_collisions:
         raise ProtocolError(
-            f"{kind.value} announces no skip counts; histogram undefined"
+            f"{report.protocol} announces no skip counts; histogram undefined"
         )
     total = sum(report.feedback_k_hist.values())
     if total == 0:

@@ -220,6 +220,12 @@ class TestCommands:
         assert f"error: config field '{field}'" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_analytic_rejects_a_bias_below_the_coin_resolution(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert run_cli("analytic", "--p", "1e-20", "--outdir", str(outdir)) == 1
+        assert "error: config field 'p'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_windowed_scan_follows_config_protocol(self, tmp_path):
         config = tmp_path / "sicta.json"
         config.write_text(json.dumps({"protocols": ["sicta"]}))

@@ -19,8 +19,10 @@ from scipy.special import gammaln
 import treesplit.engines as engines
 import treesplit.rng as rng
 from treesplit.analytics import CollisionCountTable, CriLengthTable
+from treesplit.config import config_from_mapping
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import CoinSource, prepared_sources
+from treesplit.sim import simulate
 
 HALF = 0.5
 PROTOCOLS = ["bta", "mta", "sicta", "atic", "atic_left"]
@@ -279,6 +281,38 @@ class TestRunnerContract:
         with pytest.raises(ValueError):
             run_cri("aloha", [1], 0.5, 0)
 
+    @pytest.mark.parametrize("call,field", [
+        (lambda name: run_cri(name, [1], 0.5, 0), None),
+        (lambda name: run_cri([name], [1], 0.5, 0), None),
+        (lambda name: simulate(name, "gated", 0.4, 100, 1), None),
+        (lambda name: CriLengthTable(0.5, name), None),
+        (lambda name: CollisionCountTable(0.5, name), None),
+        (lambda name: config_from_mapping({"protocols": [name]}), "protocols"),
+    ], ids=["run_cri", "run_cri_unhashable", "simulate", "CriLengthTable",
+            "CollisionCountTable", "config"])
+    def test_unknown_protocol_names_the_choices(self, call, field):
+        """Every entry point reads protocols from ``RULES`` alone and
+        gives one error naming its five names."""
+        with pytest.raises(ValueError) as err:
+            call("aloha")
+        assert "choices: ('bta', 'mta', 'sicta', 'atic', 'atic_left')" in str(err.value)
+        assert getattr(err.value, "field", None) == field
+
+    def test_rejects_a_bias_below_the_coin_resolution(self):
+        """The coins realize p rounded up to a multiple of 2^-53, so a
+        smaller p is refused rather than run as 2^-53; at 2^-53 every
+        table stays finite and positive."""
+        for call in (lambda: run_cri("sicta", [1, 2], 1e-20, 3),
+                     lambda: simulate("atic", "gated", 0.3, 100, 1, p=1e-20),
+                     lambda: CriLengthTable(1e-20, "atic"),
+                     lambda: CollisionCountTable(1e-20, "atic")):
+            with pytest.raises(ValueError, match=r"\[2\^-53, 1\)"):
+                call()
+        for protocol in engines.RULES:
+            for cls in (CriLengthTable, CollisionCountTable):
+                value = cls(2.0 ** -53, protocol).expected(3)
+                assert math.isfinite(value) and value > 0
+
     def test_cap_triggers_nontermination_error(self, monkeypatch):
         monkeypatch.setattr(engines, "SLOT_CAP_PER_PACKET", 2)
         with pytest.raises(NonTerminationError, match="6000 slots"):
@@ -310,7 +344,7 @@ class TestRunnerContract:
                 run_cri(protocol, ids, 0.5, 1)
 
     @given(st.sampled_from(PROTOCOLS), st.integers(0, 1 << 64),
-           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(0, 1 << 64))
+           st.floats(2.0 ** -53, 1.0, exclude_max=True), st.integers(0, 1 << 64))
     def test_one_packet_trace_depends_on_neither_coins_nor_id(self, protocol, seed, p, uid):
         """One packet never splits, so the simulator folds one trace of id
         0 for every one-packet interval of a run."""
@@ -419,9 +453,10 @@ def _pinned_cases():
 # sha256 over the repr of every CriTrace field, slots and tree included,
 # of the 1,500 intervals of _pinned_cases, each slot hashed as its plain
 # tuple; recorded before slot feedback became one flat record (the old
-# records projected to that tuple), so any change to coins, rules or
-# accounting shows up here.
-PINNED_TRACES = "2dd70909597be3cbd096eda947ee540dd5cf9b879767bdb82ca2b3bede51f0f4"
+# records projected to that tuple) and re-recorded, with nothing else
+# changed, when the protocol field became its ``RULES`` name, so any
+# change to coins, rules or accounting shows up here.
+PINNED_TRACES = "2d16d5a5ab87824dda681069cf233ab032570b9cce741391a1a626fa829c5a72"
 
 
 def _wide_pinned_cases():
@@ -452,8 +487,8 @@ def _wide_pinned_cases():
 
 # The same digest over the 600 intervals of _wide_pinned_cases, recorded
 # while the engine kept each group as a list of ids and the decoded
-# packets as a set.
-PINNED_WIDE_TRACES = "659bd130184854701142db27a93858a1088cc2baec58a85fa2003867b5cd0618"
+# packets as a set, and re-recorded as above.
+PINNED_WIDE_TRACES = "dc4af1674c7623b18d894786da02c962d044a02ceca86f120fa6a8a0838c517e"
 
 
 class TestTracePinned:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import treesplit.rng as rng
 import treesplit.sim as sim
-from treesplit.engines import ProtocolKind, run_cri
+from treesplit.engines import RULES, run_cri
 from treesplit.rng import CoinSource, StreamCursor, _GeneratorDraws, derive_seed, stream_seed
 from treesplit.sim import (
     EmptySampleError,
@@ -279,7 +279,7 @@ class TestWindowedAccess:
         windowed = simulate("atic", "windowed:50", 2.0, 80000, 23)
         assert windowed.throughput <= gated.throughput + 0.01
 
-    @pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])
+    @pytest.mark.parametrize("protocol", list(RULES))
     def test_reports_do_not_depend_on_the_lookahead(self, monkeypatch, protocol):
         """Windows drawn ahead in blocks, with their coin words computed
         per block, give the reports of windows drawn one at a time."""
@@ -424,7 +424,7 @@ def test_windowed_coins_are_prepared_at_service(monkeypatch):
     assert closed - r.cri_count > sim._WINDOW_BLOCK
 
 
-@pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])
+@pytest.mark.parametrize("protocol", list(RULES))
 def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
     """The simulator's own fold of an empty batch equals the fold of the
     engine's trace of that batch."""
@@ -435,12 +435,12 @@ def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
     trace = run_cri(protocol, (), p, stream_seed(coins_base, 3))
     single = run_cri(protocol, (0,), p, 0)
     assert sim._fold_trace(folded, trace, batch, start) == start
-    assert sim._serve_batch(served, ProtocolKind(protocol), p, coins_base,
+    assert sim._serve_batch(served, protocol, p, coins_base,
                             single, batch, start) == start
     assert served.to_dict() == folded.to_dict()
 
 
-@pytest.mark.parametrize("protocol", [kind.value for kind in ProtocolKind])
+@pytest.mark.parametrize("protocol", list(RULES))
 @pytest.mark.parametrize("uid,start,arrival", [(0, 1, 1), (7, 31, 12),
                                                (2**40 + 5, 9000, 8999)])
 def test_one_packet_interval_folds_as_the_engine_resolves_it(protocol, uid, start, arrival):
@@ -453,7 +453,7 @@ def test_one_packet_interval_folds_as_the_engine_resolves_it(protocol, uid, star
     trace = run_cri(protocol, batch.ids, p, stream_seed(coins_base, 3))
     single = run_cri(protocol, (0,), p, 0)
     assert sim._fold_trace(folded, trace, batch, start) == start
-    assert sim._serve_batch(served, ProtocolKind(protocol), p, coins_base,
+    assert sim._serve_batch(served, protocol, p, coins_base,
                             single, batch, start) == start
     assert served.delay_samples == [start - arrival]
     assert served.to_dict() == folded.to_dict()

@@ -28,16 +28,16 @@ under ``z_on_collision`` and derived pairs under ``z_on_success``.
 
 The engine is receiver-centric: it tracks the split tree explicitly (a
 stack of not-yet-visited right siblings plus the group currently on
-air), each group a range of one list of the interval's ids, which the
-splits reorder into the trie of the users' coin words (Knuth, TAOCP
-vol. 3, 6.3).  The tree is walked left first, so the decoded packets
-are a prefix of that list and a stored collision is just the end of its
-range (see :func:`run_cri`).  Split coins come from a
+air), each group a range of one list of the interval's ids in the trie
+order of the users' coins (Knuth, TAOCP vol. 3, 6.3), so a split only
+finds its split point.  The tree is walked left first, so the decoded
+packets are a prefix of that list and a stored collision is just the end
+of its range (see :func:`run_cri`).  Split coins come from a
 :class:`CoinSource`; given an integer seed, the engine builds it only
 when a group first splits, so an interval of zero or one packet builds
-none.  At that first split the engine takes the interval's split
-function from ``CoinSource.splitter``, which alone decides how the coins
-are computed.  Slot feedback (idle, success with its jump count, or
+none.  At that first split the engine takes the interval's order and
+split function from ``CoinSource.splitter``, which alone decides how the
+coins are computed.  Slot feedback (idle, success with its jump count, or
 collision, plus the broadcast members ``z``) is read off the ranges;
 ``record=True`` keeps it as :class:`SlotRecord` rows along with the
 split tree as :class:`TreeNode` rows.  No per-user model is kept: the
@@ -55,8 +55,9 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .rng import CoinSource
 
 # Slots an interval may consume per packet (an empty interval counts as
-# one packet) before the engine declares a rule-table bug; every protocol
-# averages under 3 slots per packet.
+# one packet) at split bias 1/2 before the engine declares a rule-table
+# bug (every protocol averages under 3); a bias p stretches trees, and the
+# cap, by about 1/(2 min(p, 1 - p)): two packets take about 1/(2p) slots.
 SLOT_CAP_PER_PACKET = 1_000_000
 
 
@@ -79,8 +80,8 @@ RULES: dict[str, Rules] = {
 
 
 class NonTerminationError(RuntimeError):
-    """An interval of n packets consumed more than
-    ``SLOT_CAP_PER_PACKET * max(1, n)`` slots; indicates a rule-table bug."""
+    """An interval of n packets at split bias p consumed more than
+    ``SLOT_CAP_PER_PACKET * max(1, n) / (2 min(p, 1 - p))`` slots: a rule-table bug."""
 
 
 class EngineInvariantError(RuntimeError):
@@ -158,8 +159,9 @@ def _rules(protocol) -> Rules:
 
 def _split_bias(p) -> float:
     """``p`` as a float; ValueError unless 2^-53 <= p < 1.  The coins
-    realize p rounded up to a multiple of 2^-53 (``rng.coin_words``), so
-    a smaller p would split as if it were 2^-53."""
+    realize p rounded up to a multiple of 2^-53 (``rng.coin_words``
+    compares with that bound), so a smaller p would split as if it were
+    2^-53."""
     p = float(p)
     if not 2.0 ** -53 <= p < 1.0:
         raise ValueError(f"split probability must lie in [2^-53, 1), got {p}")
@@ -168,7 +170,7 @@ def _split_bias(p) -> float:
 
 def _add_node(nodes: list, parent, members) -> int:
     """Append a ``slot`` row for a new tree group; return its node id."""
-    nodes.append([len(nodes), parent, tuple(members), "slot", None])
+    nodes.append([len(nodes), parent, tuple(sorted(members)), "slot", None])
     return len(nodes) - 1
 
 
@@ -195,18 +197,18 @@ def run_cri(
     filled in.
 
     Each tree group is a flat list ``[a, b, known, depth, node]``: its
-    members are ``order[a:b]``, where ``order`` starts as the sorted ids;
-    ``known`` says whether everyone can derive its composition, and
-    ``node`` is its ``nodes`` row (None unless the trace is recorded).  A
-    split writes its heads, then its tails, back over ``order[a:b]``, so
-    both children are ranges again, each still in id order.  The tree is
-    walked left first, so the decoded packets are always the prefix
-    ``order[:pos]``: a stored collision ``[a, b)`` needs only its end, its
-    remainder being ``order[pos:b]``.
+    members are ``order[a:b]``, where ``order`` starts as the sorted ids
+    and is the splitter's trie order from the first split on, so a
+    recorded trace sorts its transmitters and node members; ``known``
+    says whether everyone can derive its composition, and ``node`` is
+    its ``nodes`` row (None unless the trace is recorded).  A pair's
+    arbitration may swap it out of trie order, but a pair never splits.
+    The tree is walked left first, so the decoded packets are always the
+    prefix ``order[:pos]``: a stored collision ``[a, b)`` needs only its
+    end, its remainder being ``order[pos:b]``.
 
-    Raises :class:`NonTerminationError` when an interval of n packets
-    consumes more than ``SLOT_CAP_PER_PACKET * max(1, n)`` slots, which
-    can only happen through a rule-table bug.
+    Raises :class:`NonTerminationError` when an interval exceeds its slot
+    cap, which can only happen through a rule-table bug.
     """
     saves_collisions, skips_definite, z_on_collision, z_on_success = _rules(protocol)
     p = _split_bias(p)
@@ -218,7 +220,7 @@ def run_cri(
     if len(set(ids)) < len(ids):
         repeat = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise ValueError(f"interval ids must be distinct, got {repeat} more than once")
-    cap = SLOT_CAP_PER_PACKET * max(1, len(ids))
+    cap = SLOT_CAP_PER_PACKET * max(1, len(ids))   # at bias 1/2
     order = list(ids)          # every group is a range of this list
     pos = 0                    # order[:pos] is decoded
     memory: list = []          # ends of the stored collisions (cancellation protocols)
@@ -258,10 +260,10 @@ def run_cri(
         else:
             # ``current`` occupies the channel for one slot.
             consumed += 1
-            if consumed > cap:
+            if consumed > cap and consumed > cap / min(2 * p, 2 - 2 * p):
                 raise NonTerminationError(
                     f"{protocol} interval over {len(ids)} packets exceeded "
-                    f"{cap} slots; rule table is inconsistent"
+                    f"{cap / min(2 * p, 2 - 2 * p):.0f} slots; rule table is inconsistent"
                 )
             t = consumed
             a, b, _, depth, node = current
@@ -312,7 +314,7 @@ def run_cri(
                         highwater = len(memory)
 
             if record:
-                slots.append(SlotRecord(t, tuple(order[a:b]), fb_kind, skip_k,
+                slots.append(SlotRecord(t, tuple(sorted(order[a:b])), fb_kind, skip_k,
                                         tuple(sorted(z)), len(memory)))
             if n_here < 2:
                 continue
@@ -331,14 +333,11 @@ def run_cri(
             left = False
             continue
         if split is None:
-            split = (coins or CoinSource(seed, p)).splitter(order)
-        heads, tails = split(order[a:b], depth)
-        m = a + len(heads)
-        order[a:m] = heads
-        order[m:b] = tails
-        rnode = _add_node(nodes, node, tails) if record else None
+            order, split = (coins or CoinSource(seed, p)).splitter(order)
+        m = split(order, a, b, depth)
+        rnode = _add_node(nodes, node, order[m:b]) if record else None
         pending.append([m, b, saves_collisions, depth + 1, rnode])
-        current = [a, m, False, depth + 1, _add_node(nodes, node, heads) if record else None]
+        current = [a, m, False, depth + 1, _add_node(nodes, node, order[a:m]) if record else None]
         left = True
 
     decoded = tuple(sorted([pid for pid, _ in decoded_order]))

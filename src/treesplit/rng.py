@@ -9,14 +9,13 @@ automatically identical across protocols driven from the same seed, which
 is what the cross-protocol slot-count comparisons rely on.
 
 A coin is drawn one at a time by :meth:`CoinSource.flip` (two splitmix64
-rounds in Python ints), or 32 at a time per user as a coin word by
-:func:`coin_words`, which runs the same rounds over the users of many
-(seed, users) groups and depths 0..31 in numpy uint64 and packs each
-user's coins into one int; both give the same coin for every key.  This
-module alone knows the word format and when words pay: the engine asks
-:meth:`CoinSource.splitter` for an interval's split function, and the
-windowed simulator asks :func:`prepared_sources` for the sources of a
-block of intervals, whose words come from one pass.
+rounds in Python ints), or by :func:`coin_words` as 32-bit keys of many
+(seed, users) groups in numpy uint64: bit 31 - d of a key is set when the
+user's coin at depth d is tails, so ascending keys are the trie order of
+the coins and a split of a sorted group above depth 32 is one bisection.
+This module alone knows the key format and when keys pay: the engine asks
+:meth:`CoinSource.splitter` for an interval's order and split function,
+and the windowed simulator asks :func:`prepared_sources` for a block's sources.
 
 Arrival streams are numpy PCG64 streams: every draw equals the matching
 draw of ``np.random.default_rng(stream_seed(base, i))``.  Building a
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from itertools import accumulate
 
 import numpy as np
@@ -69,18 +69,17 @@ _SEED_BLOCK = 1024
 # rounds on a 2-vCPU VM, cursor / reseed: mean 5.0: 8.34 / 9.84, 5.5:
 # 8.98 / 9.11, 6.0: 9.48 / 9.25, 7.0: 10.67 / 9.40, 9.0: 12.88 / 9.53.
 _POISSON_MULT_MAX = 6.0
-# Depths a coin word covers: bit d of a word is the coin at depth d.
+# Depths a key covers: bit 31 - d of a key is set when depth d is tails.
 _WORD_DEPTHS = 32
-# Intervals of at least this many users take their split coins from coin
-# words, computed for every user at the first split; smaller ones flip
-# each coin.  Measured crossover, median us per run_cri("sicta", range(n),
-# 0.5, seed) call over 31 interleaved rounds on a 2-vCPU VM, flipping /
-# with words: n = 6: 58.9 / 62.4, n = 7: 41.2 / 41.5, n = 8: 50.1 / 47.6,
-# n = 12: 114.8 / 87.0.
+# Intervals of at least this many users are sorted by key at the first
+# split; smaller ones flip each coin.  Median us per run_cri(protocol,
+# range(n), 0.5, seed) call over 31 interleaved rounds on a 2-vCPU VM,
+# flipping / keyed: sicta n = 7: 62.2 / 64.1, 8: 68.0 / 60.4, 12: 108.9 /
+# 71.5; atic n = 8: 48.1 / 56.2, 9: 57.3 / 58.1, 10: 63.4 / 60.5, 12:
+# 80.5 / 64.7.  Prepared (windowed) intervals pay less for their keys.
 _WORDS_MIN = 8
-# Users whose coin words one numpy pass computes; bounds the temporaries
-# (_WORD_DEPTHS uint64 per user, 1 MiB a pass) when a saturated interval
-# holds millions of users or a block of windows holds thousands.
+# Users whose keys one numpy pass computes: bounds the (users, _WORD_DEPTHS)
+# uint64 temporaries at 1 MiB when an interval holds millions of users.
 _WORD_ROWS = 4096
 
 
@@ -123,7 +122,7 @@ def coin_uniform(seed: int, uid: int, depth: int) -> float:
 
 
 # The splitmix64 and coin_uniform keys as numpy scalars, and the depth
-# round's key of every depth a word covers: with Python-int constants,
+# round's key of every depth a key covers: with Python-int constants,
 # which numpy converts on every operation, a 12-user pass took 10-20% longer.
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MULT_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -167,8 +166,8 @@ class CoinSource:
         self._bound = self.p * (1 << 53)
         # uid -> first splitmix round of coin_uniform, which ignores depth.
         self._uid_mix: dict = {}
-        # uid -> coin word, as prepared_sources computed it ahead.
-        self._words: dict = {}
+        # (ids, order, keys) of the interval prepared_sources keyed ahead.
+        self._keyed = None
 
     def flip(self, uid: int, depth: int) -> bool:
         if self.script is not None:
@@ -186,89 +185,91 @@ class CoinSource:
         return ((x ^ (x >> 31)) >> 11) < self._bound
 
     def splitter(self, ids: list):
-        """The split function of an interval over the users ``ids``:
-        ``split(members, depth)`` returns the members whose coin at
-        ``depth`` is heads (``flip`` is True) and the rest, each in order.
-
-        The coins are read from the words this source was prepared with
-        when they cover ``ids``, else from one :func:`coin_words` pass when
-        there are at least ``_WORDS_MIN`` ids, else flipped; depths the
-        words do not cover, and every coin of a scripted source, are
-        flipped too.  All give the same coins.
+        """``(order, split)`` for an interval over the sorted users ``ids``:
+        each group of its split tree is a range of ``order``, and
+        ``split(order, a, b, depth)`` returns the m that puts the group's
+        heads (``flip`` is True) in ``order[a:m]`` and its tails after.
+        With prepared keys of ``ids``, or a :func:`coin_words` pass over at
+        least ``_WORDS_MIN`` ids, ``order`` is their trie order and a split
+        above depth ``_WORD_DEPTHS`` bisects the keys.  Any other split
+        partitions the range stably by ``flip``; below that depth keys tie.
         """
         flip = self.flip
-        words = self._words
-        if self.script is not None:
-            words = None
-        elif not (words and all(map(words.__contains__, ids))):
-            words = (dict(zip(ids, coin_words([(self.seed, ids)], self.p)[0]))
-                     if len(ids) >= _WORDS_MIN else None)
-        depths = 0 if words is None else _WORD_DEPTHS
+        order, keys = ids, None
+        if self._keyed is not None and self._keyed[0] == ids:
+            order, keys = self._keyed[1][:], self._keyed[2]  # the engine reorders it
+        elif self.script is None and len(ids) >= _WORDS_MIN:
+            ((order, keys),) = coin_words([(self.seed, ids)], self.p)
+        depths = 0 if keys is None else _WORD_DEPTHS
 
-        def split(members, depth):
-            heads: list = []
-            tails: list = []
+        def split(order, a, b, depth):
             if depth < depths:
-                bit = 1 << depth
-                for uid in members:
-                    (heads if words[uid] & bit else tails).append(uid)
-            else:
-                for uid in members:
-                    (heads if flip(uid, depth) else tails).append(uid)
-            return heads, tails
+                # Tails start at the first key past the group's depth-bit prefix.
+                shift = _WORD_DEPTHS - depth
+                return bisect_left(keys, keys[a] >> shift << shift | 1 << shift - 1, a, b)
+            heads, tails = [], []
+            for uid in order[a:b]:
+                (heads if flip(uid, depth) else tails).append(uid)
+            m = a + len(heads)
+            order[a:m] = heads
+            order[m:b] = tails
+            return m
 
-        return split
+        return order, split
 
 
 def prepared_sources(groups, p: float) -> list:
-    """One entry per ``(seed, ids)`` group: a :class:`CoinSource` whose
-    ``splitter(ids)`` reads words computed here, or None for a group of
-    fewer than ``_WORDS_MIN`` ids.  One :func:`coin_words` call computes
-    every group's words."""
+    """One entry per ``(seed, ids)`` group of increasing ``ids``: a
+    :class:`CoinSource` whose ``splitter(ids)`` reads keys computed here,
+    or None for a group of fewer than ``_WORDS_MIN`` ids.  One
+    :func:`coin_words` call computes every group's keys."""
     groups = list(groups)
     sources = [CoinSource(seed, p) if len(ids) >= _WORDS_MIN else None for seed, ids in groups]
     large = [(source, ids) for source, (_, ids) in zip(sources, groups) if source is not None]
     rows = coin_words([(source.seed, ids) for source, ids in large], p)
     for (source, ids), row in zip(large, rows):
-        source._words = dict(zip(ids, row))
+        source._keyed = (list(ids), *row)
     return sources
 
 
 def coin_words(groups, p: float) -> list:
-    """The coin words of many ``(seed, uids)`` groups, one list per group:
-    entry i's bit d is ``CoinSource(seed, p).flip(uids[i], d)`` for every
-    depth d below ``_WORD_DEPTHS`` (no script applies).
+    """``(order, keys)`` lists of many ``(seed, uids)`` groups: ``order``
+    holds a group's uids by ascending key, ties in their given order, and
+    bit 31 - d of a uid's key is set exactly when ``CoinSource(seed,
+    p).flip(uid, d)`` is False, for each depth d below ``_WORD_DEPTHS``.
 
     Both splitmix64 rounds of :func:`coin_uniform` run in numpy uint64,
-    whose wrap-around stands in for the masks, with each row keyed by its
-    group's seed, over at most ``_WORD_ROWS`` users a pass whatever the
-    groups' sizes.  ``flip`` compares the int m = x >> 11 with the float
-    p * 2^53 exactly; the pass compares it with the integer
-    ceil(p * 2^53) instead, so no uint64 is cast to a double (for an
-    integer m, m < b exactly when m < ceil(b)).
+    whose wrap-around stands in for the masks, the depth round over at
+    most ``_WORD_ROWS`` users a pass.  ``flip`` compares the int m = x >>
+    11 with the float p * 2^53; the pass compares it with the integer
+    ceil(p * 2^53), so no uint64 is cast to a double (m < b exactly when
+    m < ceil(b)).  One stable sort by (group, key) orders every group.
     """
-    keys: list = []
-    seeds: list = []
-    sizes: list = []
-    for seed, uids in groups:
-        size = len(keys)
-        keys += uids
-        sizes.append(len(keys) - size)
+    uids, seeds, sizes = [], [], []
+    for seed, group in groups:
+        uids += group
         seeds.append(seed & _MASK64)
-    if keys and (min(keys) < 0 or max(keys) > _MASK64):
-        keys = [uid & _MASK64 for uid in keys]
-    row_seeds = np.repeat(np.array(seeds, dtype=np.uint64), sizes)
+        sizes.append(len(group))
+    in_range = not uids or (min(uids) >= 0 and max(uids) <= _MASK64)
+    x = np.array(uids if in_range else [uid & _MASK64 for uid in uids], dtype=np.uint64)
+    # An interval's own pass, one group, needs no column of group indices.
+    rows = np.arange(len(sizes), dtype=np.int64).repeat(sizes) if len(sizes) != 1 else 0
+    x *= _UID_KEY
+    x ^= np.array(seeds, dtype=np.uint64)[rows]
+    _splitmix64_inplace(x)
     bound = np.uint64(math.ceil(p * (1 << 53)))
-    flat: list = []
-    for start in range(0, len(keys), _WORD_ROWS):
-        x = np.array(keys[start:start + _WORD_ROWS], dtype=np.uint64)
-        x *= _UID_KEY
-        x ^= row_seeds[start:start + _WORD_ROWS]
-        y = _splitmix64_inplace(x)[:, None] ^ _DEPTH_KEYS
+    keys = np.empty(len(uids), dtype=np.uint32)
+    for start in range(0, len(uids), _WORD_ROWS):
+        y = x[start:start + _WORD_ROWS, None] ^ _DEPTH_KEYS
         _splitmix64_inplace(y)
         y >>= _U11
-        flat += np.packbits(y < bound, axis=1, bitorder="little").view("<u4").ravel().tolist()
-    return [flat[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+        keys[start:start + _WORD_ROWS] = np.packbits(
+            y >= bound, axis=1, bitorder="big").view(">u4").ravel()
+    perm = (rows << 32 | keys).argsort(kind="stable")
+    order = list(map(uids.__getitem__, perm.tolist()))
+    keys = keys[perm].tolist()
+    return [(order[end - size:end], keys[end - size:end])
+            for size, end in zip(sizes, accumulate(sizes))]
 
 
 def stream_seed(base: int, index):

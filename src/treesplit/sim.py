@@ -408,7 +408,7 @@ def _run_windowed(report, protocol, rate, budget, p, arrivals_base, coins_base, 
         if pending[0][1] is None and window < closing:
             # Prepare the coins of this window and of the drawn windows
             # after it, up to a block, in one pass.  Preparing them when
-            # served, not when drawn, keeps words out of a long backlog.
+            # served, not when drawn, keeps keys out of a long backlog.
             block = list(islice(pending, min(_WINDOW_BLOCK, closing - window)))
             seeds = [stream_seed(coins_base, j) for j in range(window, window + len(block))]
             sources = prepared_sources(zip(seeds, (b.ids for b, _ in block)), p)

@@ -21,7 +21,7 @@ import treesplit.rng as rng
 from treesplit.analytics import CollisionCountTable, CriLengthTable
 from treesplit.config import config_from_mapping
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
-from treesplit.rng import CoinSource, prepared_sources
+from treesplit.rng import _WORDS_MIN, CoinSource, prepared_sources
 from treesplit.sim import simulate
 
 HALF = 0.5
@@ -318,6 +318,13 @@ class TestRunnerContract:
         with pytest.raises(NonTerminationError, match="6000 slots"):
             run_cri("bta", range(3000), 0.5, 0)  # about 2.9 slots per packet
 
+    def test_cap_scales_with_the_split_bias(self, monkeypatch):
+        # An interval of two packets takes about 1/(2p) = 50 slots at
+        # p = 0.01, over a cap of 2 * 10 slots at bias 1/2.
+        monkeypatch.setattr(engines, "SLOT_CAP_PER_PACKET", 10)
+        lengths = [run_cri("sicta", [1, 2], 0.01, seed).length for seed in range(20)]
+        assert max(lengths) > 20 and sum(lengths) / len(lengths) > 20
+
     def test_cap_scales_with_packet_count(self, monkeypatch):
         monkeypatch.setattr(engines, "SLOT_CAP_PER_PACKET", 2)
         trace = run_cri("atic", range(3000), 0.5, 0)  # about 1.1 slots per packet
@@ -421,6 +428,28 @@ class TestCoinWords:
                 if p == 0.02:
                     deepest = max(deepest, max(_split_depths(fast)))
         # Splits below the words' depths fall back to flip.
+        assert deepest >= rng._WORD_DEPTHS
+
+    def test_keyed_splits_equal_flipped_splits(self):
+        """Random intervals split by the trie keys of an integer seed give
+        the trace of a source that flips every coin: its script holds only
+        a key no member has."""
+        rnd = np.random.default_rng(4601)
+        deepest = 0
+        for case in range(600):
+            protocol = PROTOCOLS[case % len(PROTOCOLS)]
+            n = int(rnd.choice([rnd.integers(_WORDS_MIN, 40), rnd.integers(2, 301)]))
+            p = float(rnd.choice([0.5, 0.3, 0.7, 0.123]))
+            ids = rnd.choice(1 << 40, size=n, replace=False).tolist()
+            seed = int(rnd.integers(1 << 63))
+            record = case % 5 == 0
+            keyed = run_cri(protocol, ids, p, seed, record=record)
+            flipped = run_cri(protocol, ids, p, CoinSource(seed, p, {(-1, 0): True}),
+                              record=record)
+            for f in dataclasses.fields(keyed):
+                assert getattr(keyed, f.name) == getattr(flipped, f.name), (case, f.name)
+            if record:
+                deepest = max(deepest, max(_split_depths(keyed)))
         assert deepest >= rng._WORD_DEPTHS
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)

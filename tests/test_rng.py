@@ -232,25 +232,31 @@ class TestCoinSource:
             assert coins.flip(*key) == (not value if key in script else value)
 
 
-def _assert_words_match_flip(seed, p, uids):
-    (words,) = coin_words([(seed, uids)], p)
+def _assert_keys_match_flip(seed, p, uids):
+    ((order, keys),) = coin_words([(seed, uids)], p)
     coins = CoinSource(seed, p)
-    assert len(words) == len(uids)
-    for uid, word in zip(uids, words):
-        assert 0 <= word < 1 << _WORD_DEPTHS
+    assert sorted(order) == sorted(uids)
+    assert keys == sorted(keys)
+    position = {uid: i for i, uid in enumerate(uids)}
+    for i, (uid, key) in enumerate(zip(order, keys)):
+        assert 0 <= key < 1 << _WORD_DEPTHS
         for depth in range(_WORD_DEPTHS):
-            assert bool(word >> depth & 1) == coins.flip(uid, depth), (uid, depth)
+            tails = bool(key >> (_WORD_DEPTHS - 1 - depth) & 1)
+            assert tails == (not coins.flip(uid, depth)), (uid, depth)
+        if i and keys[i - 1] == key:
+            assert position[order[i - 1]] < position[uid]  # ties keep the given order
 
 
 class TestCoinWords:
-    """Bit d of a ``coin_words`` row equals ``flip`` at every depth d < 32."""
+    """Bit 31 - d of a ``coin_words`` key is 1 exactly when ``flip`` is
+    False at depth d < 32, and each group comes back sorted by key."""
 
     UIDS = list(range(5)) + list(range((1 << 64) - 40, 1 << 64))
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.123, 1e-3])
     @pytest.mark.parametrize("seed", [0, (1 << 63) - 1])
     def test_words_match_flip(self, p, seed):
-        _assert_words_match_flip(seed, p, self.UIDS)
+        _assert_keys_match_flip(seed, p, self.UIDS)
 
     @pytest.mark.parametrize("seed", [0, (1 << 63) - 1])
     def test_words_at_the_exact_threshold(self, seed):
@@ -259,12 +265,14 @@ class TestCoinWords:
             for depth in (0, 13, _WORD_DEPTHS - 1):
                 u = coin_uniform(seed, uid, depth)
                 for p, heads in ((u, False), (math.nextafter(u, 1.0), True)):
-                    assert coin_words([(seed, [uid])], p)[0][0] >> depth & 1 == heads
-                    _assert_words_match_flip(seed, p, self.UIDS)
+                    ((_, (key,)),) = coin_words([(seed, [uid])], p)
+                    assert key >> (_WORD_DEPTHS - 1 - depth) & 1 == (not heads)
+                    _assert_keys_match_flip(seed, p, self.UIDS)
 
     def test_words_of_ids_beyond_uint64(self):
-        # flip keys a coin by the id's low 64 bits, so words must too.
-        _assert_words_match_flip(9, 0.5, [-1, -(1 << 70), 1 << 64, (1 << 64) + 5])
+        # flip keys a coin by the id's low 64 bits, so the keys must too,
+        # and the order must hold the ids as given.
+        _assert_keys_match_flip(9, 0.5, [-1, -(1 << 70), 1 << 64, (1 << 64) + 5])
 
     def test_bias_outside_the_unit_interval_is_rejected(self):
         for p in (-0.1, 1.5, math.nan):
@@ -272,12 +280,12 @@ class TestCoinWords:
                 CoinSource(1, p)
 
     def test_words_over_several_passes(self):
-        _assert_words_match_flip(derive_seed(3, "coins"), 0.3, list(range(_WORD_ROWS + 300)))
+        _assert_keys_match_flip(derive_seed(3, "coins"), 0.3, list(range(_WORD_ROWS + 300)))
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.123])
     def test_groups_match_one_group_words(self, p):
-        """Each group's words from one shared pass equal the words of a
-        pass over that group alone, across seeds, pass boundaries and
+        """Each group's order and keys from one shared pass equal those of
+        a pass over that group alone, across seeds, pass boundaries and
         sizes."""
         near = (1 << 63) - 1
         groups = [
@@ -291,8 +299,8 @@ class TestCoinWords:
         ]
         got = coin_words(groups, p)
         assert len(got) == len(groups)
-        for (seed, uids), words in zip(groups, got):
-            assert words == coin_words([(seed, uids)], p)[0], seed
+        for (seed, uids), row in zip(groups, got):
+            assert row == coin_words([(seed, uids)], p)[0], seed
 
     def test_no_groups(self):
         assert coin_words([], 0.5) == []
@@ -302,9 +310,25 @@ def _no_coin_words(groups, p):
     raise AssertionError("unexpected coin_words pass")
 
 
-def _flip_split(coins, members, depth):
-    return ([uid for uid in members if coins.flip(uid, depth)],
-            [uid for uid in members if not coins.flip(uid, depth)])
+def _walk(coins, order, split, max_depth=48):
+    """Split every group of ``order``'s split tree, as the engine would,
+    down to single members or ``max_depth``; check that each split puts
+    the heads of ``coins`` first and keeps the range's members, and
+    return the depths split at."""
+    depths = set()
+    stack = [(0, len(order), 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        if b - a < 2 or depth > max_depth:
+            continue
+        members = sorted(order[a:b])
+        m = split(order, a, b, depth)
+        assert a <= m <= b and sorted(order[a:b]) == members
+        assert all(coins.flip(uid, depth) for uid in order[a:m]), depth
+        assert not any(coins.flip(uid, depth) for uid in order[m:b]), depth
+        depths.add(depth)
+        stack += [(a, m, depth + 1), (m, b, depth + 1)]
+    return depths
 
 
 class TestSplitter:
@@ -313,15 +337,34 @@ class TestSplitter:
 
     DEPTHS = (0, 1, 13, _WORD_DEPTHS - 1, _WORD_DEPTHS, 40)
 
+    @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3])
+    @pytest.mark.parametrize("kind", ["prepared", "unprepared", "small", "scripted"])
+    def test_split_puts_heads_before_tails(self, monkeypatch, kind, p):
+        seed = 21
+        ids = list(range(3000, 3000 + (_WORDS_MIN - 1 if kind == "small" else 3 * _WORDS_MIN)))
+        if kind == "prepared":
+            (coins,) = prepared_sources([(seed, ids)], p)
+            monkeypatch.setattr(rng, "coin_words", _no_coin_words)
+        elif kind == "scripted":
+            coins = CoinSource(seed, p, {(ids[0], 40): True, (ids[1], _WORD_DEPTHS): True,
+                                         (ids[2], _WORD_DEPTHS - 1): True, (ids[3], 0): False})
+        else:
+            coins = CoinSource(seed, p)
+        order, split = coins.splitter(list(ids))
+        depths = _walk(coins, order, split)
+        if p == 1e-3:
+            # Almost every coin is tails, so groups reach past the keys' depths.
+            assert set(self.DEPTHS) <= depths
+
     def test_prepared_words_are_read(self, monkeypatch):
         ids = list(range(100, 100 + _WORDS_MIN + 4))
         source, small = prepared_sources([(9, ids), (10, ids[:_WORDS_MIN - 1])], 0.3)
         assert small is None
         monkeypatch.setattr(rng, "coin_words", _no_coin_words)
-        split = source.splitter(ids)
-        for depth in self.DEPTHS:
-            for members in (ids, ids[3:7], []):
-                assert split(members, depth) == _flip_split(CoinSource(9, 0.3), members, depth)
+        for _ in range(2):  # a split reorders the served order, not the prepared one
+            order, split = source.splitter(ids)
+            assert sorted(order) == ids and order is not ids
+            _walk(CoinSource(9, 0.3), order, split)
 
     def test_prepared_sources_make_one_pass(self, monkeypatch):
         calls = []
@@ -348,12 +391,16 @@ class TestSplitter:
                   (3, 31): not coin_uniform(seed, 3, 31) < p,
                   (3, 40): True, (4, 40): False}
         coins = CoinSource(seed, p, script)
-        # A scripted source flips every coin, so it makes no words pass.
+        # A scripted source flips every coin, so it makes no keys pass.
         monkeypatch.setattr(rng, "coin_words", _no_coin_words)
-        split = coins.splitter(ids)
+        order, split = coins.splitter(ids)
+        assert order is ids
         for depth in (0, 31, 40):
-            heads, tails = split(ids, depth)
-            assert (heads, tails) == _flip_split(coins, ids, depth)
+            order = list(ids)
+            m = split(order, 0, len(order), depth)
+            heads, tails = order[:m], order[m:]
+            assert heads == [uid for uid in ids if coins.flip(uid, depth)]
+            assert tails == [uid for uid in ids if not coins.flip(uid, depth)]
             for (uid, d), value in script.items():
                 if d == depth:
                     assert (uid in heads) == value, (uid, d)

@@ -374,7 +374,7 @@ def test_layer_call_counts(monkeypatch, protocol, policy):
 
     def counted_words(groups, p):
         out = words(groups, p)
-        counts["rows"] += sum(map(len, out))
+        counts["rows"] += sum(len(order) for order, _ in out)
         return out
 
     monkeypatch.setattr(sim, "run_cri", counted_run_cri)
@@ -410,7 +410,7 @@ def test_windowed_coins_are_prepared_at_service(monkeypatch):
 
     def counted_words(groups, p):
         out = words(groups, p)
-        rows.append(sum(map(len, out)))
+        rows.append(sum(len(order) for order, _ in out))
         return out
 
     monkeypatch.setattr(rng, "coin_words", counted_words)

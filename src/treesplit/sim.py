@@ -450,7 +450,8 @@ def delay_stats(report: MetricsReport) -> DelayStats:
     if not samples:
         raise EmptySampleError("no decoded packets: delay statistics undefined")
     arr = np.asarray(samples, dtype=float)
-    pct = {q: float(np.percentile(arr, q)) for q in (50, 90, 95, 99)}
+    levels = (50, 90, 95, 99)
+    pct = dict(zip(levels, np.percentile(arr, levels).tolist()))
     return DelayStats(float(arr.mean()), float(arr.var()), pct)
 
 

@@ -21,8 +21,11 @@ from treesplit.analytics import (
     expected_cri_closed,
     poisson_expected_cri,
     windowed_stable_rate,
+    _WINDOW_LOG_TERM,
     _log_gamma,
+    _poisson_truncation,
 )
+from treesplit.engines import RULES
 
 HALF = 0.5
 
@@ -376,8 +379,10 @@ class TestWindowedRows:
     def test_dropped_mass_below_two_to_minus_64(self, n, p):
         table = CriLengthTable(p, "atic")
         table._reserve(n)
-        lo, pmf, pi_0, pi_n = table._window(n)
-        hi = lo + len(pmf) - 1
+        # row n's window, read through the block kernel as a one-row block
+        (lo,), (hi,) = table._bounds(np.array([n]))
+        pmf = table._block(n, n + 1, lo, hi)[0][0]
+        pi_0, pi_n = float(table._q_pow[n]), float(table._p_pow[n])
         i = np.arange(n + 1)
         log_pmf = (gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
                    + i * math.log(p) + (n - i) * math.log(1.0 - p))
@@ -414,3 +419,79 @@ class TestWindowedRows:
         assert [table.expected(n) for n in range(61)] == before
         assert table.expected(500) == CriLengthTable(HALF, "atic").expected(500)
 
+
+def _row_by_row(cls):
+    """``cls`` with its recursion run one row at a time, each row reading
+    its window as slices of the table's arrays: the reference the block
+    recursion must equal bit for bit."""
+
+    class RowByRow(cls):
+        def _window(self, n):
+            gl, ilp, ilq = self._gl, self._ilp, self._ilq
+            half_width = math.sqrt(n * _WINDOW_LOG_TERM) + 1.0
+            lo = max(1, math.ceil(n * self.p - half_width))
+            hi = min(n - 1, math.floor(n * self.p + half_width))
+            # i runs over lo..hi; the n - i side is the reversed slice over n-hi..n-lo
+            pmf = np.exp(gl[n + 1] - gl[lo + 1:hi + 2] - gl[n - hi + 1:n - lo + 2][::-1]
+                         + ilp[lo:hi + 1] + ilq[n - hi:n - lo + 1][::-1])
+            return lo, pmf, float(self._q_pow[n]), float(self._p_pow[n])
+
+        def _extend(self, n_max):
+            if n_max < self._size:
+                return
+            self._reserve(n_max)
+            V = self._values
+            toll, drop_0, keep_0, keep_n, derived = self._terms
+            pair = self._pair
+            for n in range(self._size, n_max + 1):
+                lo, pmf, pi_0, pi_n = self._window(n)
+                hi = lo + len(pmf) - 1
+                right = V[n - hi:n - lo + 1][::-1]
+                if derived:
+                    right = right - derived
+                    if hi == n - 1:
+                        right[-1] = V[1]
+                mid = float(np.dot(pmf, V[lo:hi + 1] + right))
+                if pair and n - 2 <= hi:
+                    mid += pmf[n - 2 - lo] * pair
+                # the self terms i=0 and i=n hold V_n; solve the row for it
+                num = (toll - drop_0 * pi_0) + mid + keep_0 * pi_0 + keep_n * pi_n
+                V[n] = num / (1.0 - pi_0 - pi_n)
+            self._size = n_max + 1
+
+    return RowByRow
+
+
+BLOCK_N = 3000
+BLOCK_PS = (2.0 ** -40, 1e-3, 0.123, 0.3, 0.5, 0.7, 0.9, 1.0 - 2.0 ** -20)
+# The table sizes windowed-scan asks for, load by load, on its default grid.
+SCAN_SIZES = sorted({_poisson_truncation(x) for x in np.geomspace(0.1, 1e4, 241)})
+GROWTH = {
+    "one_shot": lambda n_max: [n_max],
+    "one_row_a_step": lambda n_max: range(n_max + 1),
+    "scan_steps": lambda n_max: [m for m in SCAN_SIZES if m < n_max] + [n_max],
+}
+
+
+class TestBlockRows:
+    """Tables built in blocks of rows equal, byte for byte, the same tables
+    built one row at a time, however they are grown.  OpenBLAS picks its
+    dot kernel per CPU, so this pins the bits on the CPU that runs it."""
+
+    @pytest.mark.parametrize("protocol", list(RULES))
+    @pytest.mark.parametrize("cls", [CriLengthTable, CollisionCountTable])
+    def test_blocks_equal_rows_built_one_at_a_time(self, cls, protocol):
+        for p in BLOCK_PS:
+            want = _row_by_row(cls)(p, protocol)
+            want.expected(BLOCK_N)
+            for growth, steps in GROWTH.items():
+                got = cls(p, protocol)
+                for n in steps(BLOCK_N):
+                    got.expected(n)
+                assert (got._values[:BLOCK_N + 1].tobytes()
+                        == want._values[:BLOCK_N + 1].tobytes()), (p, growth)
+
+    def test_blocks_equal_rows_at_20000(self):
+        want = _row_by_row(CriLengthTable)(HALF, "atic")
+        got = CriLengthTable(HALF, "atic")
+        assert got.lengths_up_to(20_000).tobytes() == want.lengths_up_to(20_000).tobytes()

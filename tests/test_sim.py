@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import treesplit.rng as rng
 import treesplit.sim as sim
+from treesplit.analytics import CriLengthTable, poisson_expected_cri
 from treesplit.engines import RULES, run_cri
 from treesplit.rng import CoinSource, StreamCursor, _GeneratorDraws, derive_seed, stream_seed
 from treesplit.sim import (
@@ -142,6 +143,17 @@ class TestDelayStatistics:
         p = st.percentiles
         assert p[50] <= p[90] <= p[95] <= p[99]
 
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=400))
+    @example([7])
+    @example([3, 3, 3, 3, 3])
+    def test_percentiles_equal_one_call_per_level(self, samples):
+        """The four percentiles, taken in one call, equal those taken one
+        call per level, ties and a single sample included."""
+        report = MetricsReport("atic", "gated", 0.5, 1, 0, delay_samples=samples)
+        arr = np.asarray(samples, dtype=float)
+        want = {q: float(np.percentile(arr, q)) for q in (50, 90, 95, 99)}
+        assert delay_stats(report).percentiles == want
+
     def test_empty_sample_error(self):
         r = simulate("bta", "gated", 0.0, 50, 1)
         with pytest.raises(EmptySampleError):
@@ -193,6 +205,22 @@ class TestStabilityFlag:
     def test_subcritical_atic_unflagged(self):
         r = simulate("atic", "gated", 0.90, 250000, 3)
         assert not r.unstable
+
+    @pytest.mark.parametrize("delta", [16, 40])
+    @pytest.mark.parametrize("protocol", list(RULES))
+    def test_windowed_verdict_brackets_the_exact_boundary(self, protocol, delta):
+        """Windows of delta slots are stable below the rate lam* at which the
+        mean interval length of a Poisson(lam* delta) batch, read off the
+        protocol's length table, is delta: a run at 0.9 lam* is unflagged
+        and one at 1.1 lam* is flagged."""
+        table = CriLengthTable(0.5, protocol)
+        lo, hi = 0.0, 2.0
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if poisson_expected_cri(mid * delta, table) < delta else (lo, mid)
+        policy, seed = f"windowed:{delta}", derive_seed(5100, protocol, delta)
+        assert not simulate(protocol, policy, 0.9 * lo, 100_000, seed).unstable
+        assert simulate(protocol, policy, 1.1 * lo, 100_000, seed + 1).unstable
 
 
 class TestFeedbackCost:

@@ -136,13 +136,16 @@ def _log_gamma(lo: int, hi: int) -> np.ndarray:
 
 
 def _toeplitz(seg: np.ndarray, rows: int) -> np.ndarray:
-    """The (rows, len(seg) - rows + 1) view T[r, c] = seg[rows - 1 - r + c]
-    of a contiguous array.
+    """The (rows, len(seg) - rows + 1) view T[r, c] = seg[rows - 1 - r + c].
 
-    Over a reversed copy of a[j - cols + 1:j + rows] it is T[r, c] =
-    a[j + r - c], with a positive inner stride, so numpy's loops over it
+    Over a reversed slice a[j - cols + 1:j + rows][::-1] it is T[r, c] =
+    a[j + r - c].  One row is ``seg`` itself; more rows view a contiguous
+    copy of it, with a positive inner stride, so numpy's loops over it
     vectorize.  Its rows overlap in memory: never write into it.
     """
+    if rows == 1:
+        return seg[None]
+    seg = np.ascontiguousarray(seg)
     step = seg.itemsize
     return np.ndarray((rows, len(seg) - rows + 1), seg.dtype, seg, (rows - 1) * step, (-step, step))
 
@@ -234,9 +237,9 @@ class _SplitTable:
         a, b = n0 - hi, n1 - lo  # n - i runs over a..b-1
         # each cell's operations in the order a lone row takes them
         pmf = gl[n0 + 1:n1 + 1, None] - gl[lo + 1:hi + 2]
-        pmf -= _toeplitz(gl[a + 1:b + 1][::-1].copy(), rows)
+        pmf -= _toeplitz(gl[a + 1:b + 1][::-1], rows)
         pmf += self._ilp[lo:hi + 1]
-        pmf += _toeplitz(self._ilq[a:b][::-1].copy(), rows)
+        pmf += _toeplitz(self._ilq[a:b][::-1], rows)
         np.exp(pmf, out=pmf)
         sums = _toeplitz(V[a:b][::-1] - self._terms[-1], rows) + V[lo:hi + 1]
         # only row n0 can reach i = n - 1: the block's rows read only rows below n0

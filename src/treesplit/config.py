@@ -140,7 +140,10 @@ def _as_type(value, kind, field_name):
 def _as_float(value, field_name) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field_name, f"expected number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(field_name, "number too large for a double") from None
 
 
 def _as_int(value, field_name) -> int:

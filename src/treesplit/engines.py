@@ -35,10 +35,13 @@ packets are a prefix of that list and a stored collision is just the end
 of its range (see :func:`run_cri`).  Split coins come from a
 :class:`CoinSource`; given an integer seed, the engine builds it only
 when a group first splits, so an interval of zero or one packet builds
-none.  At that first split the engine takes the interval's order and
-split function from ``CoinSource.splitter``, which alone decides how the
-coins are computed.  Slot feedback (idle, success with its jump count, or
-collision, plus the broadcast members ``z``) is read off the ranges;
+none.  At that first split the engine takes the interval's order, its
+trie keys and split function from ``CoinSource.splitter``, which alone
+decides how the coins are computed: a split above the keys' depth is one
+bisection of the keys, and a deeper one calls the split function.  The
+group on air lives in locals, and a parked group is one tuple.  Slot
+feedback (idle, success with its jump count, or collision, plus the
+broadcast members ``z``) is read off the ranges;
 ``record=True`` keeps it as :class:`SlotRecord` rows along with the
 split tree as :class:`TreeNode` rows.  No per-user model is kept: the
 feedback-replay test (``tests/test_engines.py::TestFeedbackReplay``)
@@ -49,6 +52,7 @@ broadcast could arbitrate it: the higher id alone transmits next.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -190,27 +194,32 @@ def run_cri(
     id, depth), so two protocols driven from the same seed see identical
     split sequences.  An integer seed builds its coin source only when a group
     first splits, so an interval that never splits (zero or one packet)
-    builds none.  Splits go through the source's ``splitter``, which
-    picks how the coins are computed.  ``record=True`` also fills the
+    builds none.  Splits read the source's ``splitter``, which picks how
+    the coins are computed.  ``record=True`` also fills the
     trace's ``slots`` (one :class:`SlotRecord` per consumed slot) and
     ``nodes`` (the realized split tree); the scalar statistics are always
     filled in.
 
-    Each tree group is a flat list ``[a, b, known, depth, node]``: its
-    members are ``order[a:b]``, where ``order`` starts as the sorted ids
-    and is the splitter's trie order from the first split on, so a
-    recorded trace sorts its transmitters and node members; ``known``
-    says whether everyone can derive its composition, and ``node`` is
-    its ``nodes`` row (None unless the trace is recorded).  A pair's
-    arbitration may swap it out of trie order, but a pair never splits.
-    The tree is walked left first, so the decoded packets are always the
-    prefix ``order[:pos]``: a stored collision ``[a, b)`` needs only its
-    end, its remainder being ``order[pos:b]``.
+    The group on air is the range ``order[a:b]`` at tree depth ``depth``,
+    whose ``nodes`` row is ``node`` (None unless the trace is recorded),
+    held in locals; ``order`` starts as the sorted ids and is the
+    splitter's trie order from the first split on, so a recorded trace
+    sorts its transmitters and node members.  A split parks the right
+    child as an ``(a, b, depth, node)`` tuple.  A parked group is a
+    definite collision, its root slot skipped under ``skips_definite``,
+    when the receiver saves collisions (everyone can derive it) or when
+    its left sibling was idle.  A split above the splitter's key depth
+    is one bisection of the keys; a deeper one calls its split function.
+    A pair's arbitration may swap it out of trie order, but a pair never
+    splits.  The tree is walked left first, so the decoded packets are
+    always the prefix ``order[:pos]``: a stored collision ``[a, b)``
+    needs only its end, its remainder being ``order[pos:b]``.
 
     Raises :class:`NonTerminationError` when an interval exceeds its slot
     cap, which can only happen through a rule-table bug.
     """
     saves_collisions, skips_definite, z_on_collision, z_on_success = _rules(protocol)
+    derives = saves_collisions and skips_definite
     p = _split_bias(p)
     coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, int(rng))
     if coins is not None and coins.p != p:
@@ -231,24 +240,79 @@ def run_cri(
     k_values: list = []
     collision_degrees: list = []
     collisions = successes = skipped = highwater = z_successes = consumed = 0
-    current = [0, len(order), False, 0, _add_node(nodes, None, ids) if record else None]
+    a, b, depth = 0, len(order), 0
+    node = _add_node(nodes, None, ids) if record else None
     split = None               # the interval's split function, set at the first split
-    left = False               # ``current`` is a left child, its sibling just parked
+    keys, key_depths = None, 0
+    left = False               # the group on air is a left child, its sibling just parked
 
     while True:
-        if current is None:
+        # ``order[a:b]`` occupies the channel for one slot.
+        consumed += 1
+        if consumed > cap and consumed > cap / min(2 * p, 2 - 2 * p):
+            raise NonTerminationError(
+                f"{protocol} interval over {len(ids)} packets exceeded "
+                f"{cap / min(2 * p, 2 - 2 * p):.0f} slots; rule table is inconsistent"
+            )
+        n_here = b - a
+        if n_here == 0:
+            fb_kind, skip_k, z = "idle", 0, ()
+        elif n_here == 1:
+            fb_kind, skip_k, z = "success", 0, ()
+            successes += 1
+            decoded_order.append((order[a], consumed))
+            pos = b
+            if saves_collisions:
+                # Cancel the decode out of the stored collisions: the
+                # deepest has the nearest end, and one with a single
+                # packet left exposes it (equal ends expose it once).
+                while memory and memory[-1] - pos <= 1:
+                    if memory.pop() > pos:
+                        decoded_order.append((order[pos], consumed))
+                        pos += 1
+                skip_k = 1
+                while pending and pending[-1][1] <= pos:
+                    drained = pending.pop()
+                    skipped += 1
+                    skip_k += 1
+                    if record:
+                        nodes[drained[3]][3] = "pruned"
+                k_values.append(skip_k)
+                if z_on_success and memory:
+                    z_successes += 1      # broadcast the freshest remainder
+                    if record:
+                        z = order[pos:memory[-1]]
+        else:
+            fb_kind, skip_k = "collision", 0
+            z = order[a:b] if z_on_collision and record else ()
+            collisions += 1
+            collision_degrees.append(n_here)
+            if saves_collisions:
+                memory.append(b)
+                if len(memory) > highwater:
+                    highwater = len(memory)
+
+        if record:
+            nodes[node][4] = consumed
+            slots.append(SlotRecord(consumed, tuple(sorted(order[a:b])), fb_kind, skip_k,
+                                    tuple(sorted(z)), len(memory)))
+        if n_here > 1:
+            shortcut = z_on_collision
+        else:
+            # Next on air is the freshest parked group, unless its root
+            # slot is skipped: an idle left child makes its sibling, parked
+            # just before it, a definite collision.
             if not pending:
                 break
-            current = pending.pop()
-            a, b, known, depth, node = current
+            known = derives or (n_here == 0 and left and skips_definite)
+            a, b, depth, node = pending.pop()
             if a < pos:
                 raise EngineInvariantError(
                     "popped a partially resolved group; prune accounting is broken"
                 )
-            if not (known and skips_definite):
+            if not known:
                 left = False
                 continue
-            # Root slot of a derivable/definite group is skipped.
             skipped += 1
             if record:
                 nodes[node][3] = "derived"
@@ -257,68 +321,6 @@ def run_cri(
                     "derived singletons must drain via cancellation, never pop"
                 )
             shortcut = z_on_success
-        else:
-            # ``current`` occupies the channel for one slot.
-            consumed += 1
-            if consumed > cap and consumed > cap / min(2 * p, 2 - 2 * p):
-                raise NonTerminationError(
-                    f"{protocol} interval over {len(ids)} packets exceeded "
-                    f"{cap / min(2 * p, 2 - 2 * p):.0f} slots; rule table is inconsistent"
-                )
-            t = consumed
-            a, b, _, depth, node = current
-            current = None
-            n_here = b - a
-            if record:
-                nodes[node][4] = t
-
-            if n_here == 0:
-                fb_kind, skip_k, z = "idle", 0, ()
-                if left and skips_definite:
-                    # An idle left child makes the freshly parked sibling a
-                    # definite collision; its root slot will be skipped.
-                    pending[-1][2] = True
-            elif n_here == 1:
-                fb_kind, skip_k, z = "success", 0, ()
-                successes += 1
-                decoded_order.append((order[a], t))
-                pos = b
-                if saves_collisions:
-                    # Cancel the decode out of the stored collisions: the
-                    # deepest has the nearest end, and one with a single
-                    # packet left exposes it (equal ends expose it once).
-                    while memory and memory[-1] - pos <= 1:
-                        if memory.pop() > pos:
-                            decoded_order.append((order[pos], t))
-                            pos += 1
-                    skip_k = 1
-                    while pending and pending[-1][1] <= pos:
-                        drained = pending.pop()
-                        skipped += 1
-                        skip_k += 1
-                        if record:
-                            nodes[drained[4]][3] = "pruned"
-                    k_values.append(skip_k)
-                    if z_on_success and memory:
-                        z_successes += 1      # broadcast the freshest remainder
-                        if record:
-                            z = order[pos:memory[-1]]
-            else:
-                fb_kind, skip_k = "collision", 0
-                z = order[a:b] if z_on_collision and record else ()
-                collisions += 1
-                collision_degrees.append(n_here)
-                if saves_collisions:
-                    memory.append(b)
-                    if len(memory) > highwater:
-                        highwater = len(memory)
-
-            if record:
-                slots.append(SlotRecord(t, tuple(sorted(order[a:b])), fb_kind, skip_k,
-                                        tuple(sorted(z)), len(memory)))
-            if n_here < 2:
-                continue
-            shortcut = z_on_collision
 
         # ``order[a:b]`` collided, received or derived.  Users who saw it
         # broadcast resolve a pair by arbitration: the winner transmits next
@@ -328,16 +330,27 @@ def run_cri(
             winner = arbitrate(order[a], order[a + 1])
             if winner != order[a]:
                 order[a], order[a + 1] = winner, order[a]
-            current = [a, a + 1, False, depth + 1,
-                       _add_node(nodes, node, (winner,)) if record else None]
+            b = a + 1
+            depth += 1
+            if record:
+                node = _add_node(nodes, node, (winner,))
             left = False
             continue
         if split is None:
-            order, split = (coins or CoinSource(seed, p)).splitter(order)
-        m = split(order, a, b, depth)
-        rnode = _add_node(nodes, node, order[m:b]) if record else None
-        pending.append([m, b, saves_collisions, depth + 1, rnode])
-        current = [a, m, False, depth + 1, _add_node(nodes, node, order[a:m]) if record else None]
+            order, keys, key_depths, split = (coins or CoinSource(seed, p)).splitter(order)
+        if depth < key_depths:
+            # Tails start at the first key past the group's depth-bit prefix.
+            shift = key_depths - depth
+            m = bisect_left(keys, keys[a] >> shift << shift | 1 << shift - 1, a, b)
+        else:
+            m = split(order, a, b, depth)
+        depth += 1
+        if record:
+            pending.append((m, b, depth, _add_node(nodes, node, order[m:b])))
+            node = _add_node(nodes, node, order[a:m])
+        else:
+            pending.append((m, b, depth, None))
+        b = m
         left = True
 
     decoded = tuple(sorted([pid for pid, _ in decoded_order]))

@@ -9,13 +9,17 @@ automatically identical across protocols driven from the same seed, which
 is what the cross-protocol slot-count comparisons rely on.
 
 A coin is drawn one at a time by :meth:`CoinSource.flip` (two splitmix64
-rounds in Python ints), or by :func:`coin_words` as 32-bit keys of many
-(seed, users) groups in numpy uint64: bit 31 - d of a key is set when the
-user's coin at depth d is tails, so ascending keys are the trie order of
-the coins and a split of a sorted group above depth 32 is one bisection.
-This module alone knows the key format and when keys pay: the engine asks
-:meth:`CoinSource.splitter` for an interval's order and split function,
-and the windowed simulator asks :func:`prepared_sources` for a block's sources.
+rounds in Python ints), or by :func:`coin_words` as D-bit keys of many
+(seed, users) groups in numpy uint64: bit D - 1 - d of a key is set when
+the user's coin at depth d is tails, so ascending keys are the trie order
+of the coins and a split of a sorted group above depth D is one
+bisection.  A pass hashes only the D depths its largest group needs
+(:func:`_key_depths`): enough that a pair of its users is unlikely to tie
+on all of them, at most 32.  The trees of a few dozen users rarely reach
+past depth 16.  This module alone computes keys and decides when they pay:
+the engine asks :meth:`CoinSource.splitter` for an interval's order, keys
+and split function, and the windowed simulator asks
+:func:`prepared_sources` for a block's sources.
 
 Arrival streams are numpy PCG64 streams: every draw equals the matching
 draw of ``np.random.default_rng(stream_seed(base, i))``.  Building a
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_left
 from itertools import accumulate
 
 import numpy as np
@@ -69,8 +72,11 @@ _SEED_BLOCK = 1024
 # rounds on a 2-vCPU VM, cursor / reseed: mean 5.0: 8.34 / 9.84, 5.5:
 # 8.98 / 9.11, 6.0: 9.48 / 9.25, 7.0: 10.67 / 9.40, 9.0: 12.88 / 9.53.
 _POISSON_MULT_MAX = 6.0
-# Depths a key covers: bit 31 - d of a key is set when depth d is tails.
+# Depths a key covers at most: keys are uint32.
 _WORD_DEPTHS = 32
+# A pass hashes depths until the expected number of pairs of its largest
+# group that tie on all of them is at most 2^-_TIE_BITS (see _key_depths).
+_TIE_BITS = 6
 # Intervals of at least this many users are sorted by key at the first
 # split; smaller ones flip each coin.  Median us per run_cri(protocol,
 # range(n), 0.5, seed) call over 31 interleaved rounds on a 2-vCPU VM,
@@ -78,7 +84,7 @@ _WORD_DEPTHS = 32
 # 71.5; atic n = 8: 48.1 / 56.2, 9: 57.3 / 58.1, 10: 63.4 / 60.5, 12:
 # 80.5 / 64.7.  Prepared (windowed) intervals pay less for their keys.
 _WORDS_MIN = 8
-# Users whose keys one numpy pass computes: bounds the (users, _WORD_DEPTHS)
+# Users whose keys one numpy pass computes: bounds the (users, depths)
 # uint64 temporaries at 1 MiB when an interval holds millions of users.
 _WORD_ROWS = 4096
 
@@ -185,28 +191,27 @@ class CoinSource:
         return ((x ^ (x >> 31)) >> 11) < self._bound
 
     def splitter(self, ids: list):
-        """``(order, split)`` for an interval over the sorted users ``ids``:
-        each group of its split tree is a range of ``order``, and
-        ``split(order, a, b, depth)`` returns the m that puts the group's
-        heads (``flip`` is True) in ``order[a:m]`` and its tails after.
-        With prepared keys of ``ids``, or a :func:`coin_words` pass over at
-        least ``_WORDS_MIN`` ids, ``order`` is their trie order and a split
-        above depth ``_WORD_DEPTHS`` bisects the keys.  Any other split
-        partitions the range stably by ``flip``; below that depth keys tie.
+        """``(order, keys, depths, split)`` for an interval over the sorted
+        users ``ids``: each group of its split tree is a range of ``order``.
+        ``keys[k]`` holds the coins of ``order[k]`` at depths below
+        ``depths``, bit ``depths - 1 - d`` set when the coin at depth d is
+        tails, so a group at such a depth splits where its keys' bit turns
+        1, which one bisection finds.  ``split(order, a, b, depth)``, for
+        deeper groups, returns the m that puts the group's heads (``flip``
+        is True) in ``order[a:m]`` and its tails after, partitioning the
+        range stably; below ``depths`` keys tie.  With prepared keys of
+        ``ids``, or a :func:`coin_words` pass over at least ``_WORDS_MIN``
+        ids, ``order`` is their trie order; otherwise it is ``ids``, and
+        ``depths`` is 0.
         """
         flip = self.flip
-        order, keys = ids, None
+        order, keys, depths = ids, None, 0
         if self._keyed is not None and self._keyed[0] == ids:
-            order, keys = self._keyed[1][:], self._keyed[2]  # the engine reorders it
+            order, keys, depths = self._keyed[1][:], *self._keyed[2:]  # the engine reorders it
         elif self.script is None and len(ids) >= _WORDS_MIN:
-            ((order, keys),) = coin_words([(self.seed, ids)], self.p)
-        depths = 0 if keys is None else _WORD_DEPTHS
+            ((order, keys, depths),) = coin_words([(self.seed, ids)], self.p)
 
         def split(order, a, b, depth):
-            if depth < depths:
-                # Tails start at the first key past the group's depth-bit prefix.
-                shift = _WORD_DEPTHS - depth
-                return bisect_left(keys, keys[a] >> shift << shift | 1 << shift - 1, a, b)
             heads, tails = [], []
             for uid in order[a:b]:
                 (heads if flip(uid, depth) else tails).append(uid)
@@ -215,7 +220,7 @@ class CoinSource:
             order[m:b] = tails
             return m
 
-        return order, split
+        return order, keys, depths, split
 
 
 def prepared_sources(groups, p: float) -> list:
@@ -232,24 +237,46 @@ def prepared_sources(groups, p: float) -> list:
     return sources
 
 
+def _key_depths(n: int, p: float) -> int:
+    """Depths a key pass over groups of at most ``n`` users hashes: the
+    fewest, capped at ``_WORD_DEPTHS``, for which the expected number of
+    pairs of ``n`` users whose coins agree at every one is at most
+    2^-``_TIE_BITS``.  A pair's coins agree at a depth with probability
+    p^2 + q^2, 1/2 at p = 1/2, so that is log2(n (n - 1) / 2) + 6 depths
+    there: 13 for n = 12, 16 for n = 33, 25 for n = 1,000 and the cap
+    from n = 8,193 on.  A pair that ties on every key bit splits by
+    ``flip``, as any group deeper than its keys does."""
+    if n < 2:
+        return 0
+    agree = p * p + (1.0 - p) * (1.0 - p)
+    need = math.log2(n * (n - 1) / 2) + _TIE_BITS
+    if need >= _WORD_DEPTHS * -math.log2(agree):  # also when agree is 1
+        return _WORD_DEPTHS
+    return math.ceil(need / -math.log2(agree))
+
+
 def coin_words(groups, p: float) -> list:
-    """``(order, keys)`` lists of many ``(seed, uids)`` groups: ``order``
+    """``(order, keys, depths)`` of many ``(seed, uids)`` groups: ``order``
     holds a group's uids by ascending key, ties in their given order, and
-    bit 31 - d of a uid's key is set exactly when ``CoinSource(seed,
-    p).flip(uid, d)`` is False, for each depth d below ``_WORD_DEPTHS``.
+    bit ``depths - 1 - d`` of a uid's key is set exactly when
+    ``CoinSource(seed, p).flip(uid, d)`` is False, for each depth d below
+    ``depths``, which :func:`_key_depths` gives for the largest group.
 
     Both splitmix64 rounds of :func:`coin_uniform` run in numpy uint64,
     whose wrap-around stands in for the masks, the depth round over at
     most ``_WORD_ROWS`` users a pass.  ``flip`` compares the int m = x >>
     11 with the float p * 2^53; the pass compares it with the integer
     ceil(p * 2^53), so no uint64 is cast to a double (m < b exactly when
-    m < ceil(b)).  One stable sort by (group, key) orders every group.
+    m < ceil(b)).  The bits of a uid's depths fill the low end of 32
+    bools, which pack to one big-endian uint32.  One stable sort by
+    (group, key) orders every group.
     """
     uids, seeds, sizes = [], [], []
     for seed, group in groups:
         uids += group
         seeds.append(seed & _MASK64)
         sizes.append(len(group))
+    depths = _key_depths(max(sizes, default=0), p)
     in_range = not uids or (min(uids) >= 0 and max(uids) <= _MASK64)
     x = np.array(uids if in_range else [uid & _MASK64 for uid in uids], dtype=np.uint64)
     # An interval's own pass, one group, needs no column of group indices.
@@ -260,15 +287,17 @@ def coin_words(groups, p: float) -> list:
     bound = np.uint64(math.ceil(p * (1 << 53)))
     keys = np.empty(len(uids), dtype=np.uint32)
     for start in range(0, len(uids), _WORD_ROWS):
-        y = x[start:start + _WORD_ROWS, None] ^ _DEPTH_KEYS
+        y = x[start:start + _WORD_ROWS, None] ^ _DEPTH_KEYS[:depths]
         _splitmix64_inplace(y)
         y >>= _U11
+        bits = np.zeros((len(y), _WORD_DEPTHS), dtype=bool)
+        np.greater_equal(y, bound, out=bits[:, _WORD_DEPTHS - depths:])
         keys[start:start + _WORD_ROWS] = np.packbits(
-            y >= bound, axis=1, bitorder="big").view(">u4").ravel()
+            bits, axis=1, bitorder="big").view(">u4").ravel()
     perm = (rows << 32 | keys).argsort(kind="stable")
     order = list(map(uids.__getitem__, perm.tolist()))
     keys = keys[perm].tolist()
-    return [(order[end - size:end], keys[end - size:end])
+    return [(order[end - size:end], keys[end - size:end], depths)
             for size, end in zip(sizes, accumulate(sizes))]
 
 
@@ -386,13 +415,12 @@ class StreamCursor:
     ``Generator`` does from the same state.
 
     ``random()`` is numpy's ``next_double``: the top 53 bits of one 64-bit
-    XSL-RR output.  ``integers(lo, hi, size)`` is ``Generator.integers``
+    XSL-RR output; ``random(size)`` draws a list of them.  ``integers(lo, hi, size)`` is ``Generator.integers``
     with int64 output: a range of one value consumes nothing; a range of
     at most 2^32 takes Lemire's bounded draw on 32-bit words, the low half
     of each 64-bit output first and the high half kept for the next word,
     even across calls; a wider range takes it on whole 64-bit outputs.
-    ``uniform(lo, hi, size)`` is ``lo + (hi - lo) * random()``.  Draws are
-    returned as lists of Python numbers.
+    Draws of a ``size`` are returned as lists of Python numbers.
     """
 
     __slots__ = ("_state", "_inc", "_half")
@@ -417,8 +445,10 @@ class StreamCursor:
         self._half = out >> 32
         return out & _MASK32
 
-    def random(self) -> float:
-        return (self._next64() >> 11) * _INV53
+    def random(self, size=None):
+        if size is None:
+            return (self._next64() >> 11) * _INV53
+        return [(self._next64() >> 11) * _INV53 for _ in range(size)]
 
     def integers(self, lo: int, hi: int, size: int) -> list:
         n = hi - lo
@@ -437,14 +467,11 @@ class StreamCursor:
             out.append(lo + (m >> bits))
         return out
 
-    def uniform(self, lo: float, hi: float, size: int) -> list:
-        span = hi - lo
-        return [lo + span * self.random() for _ in range(size)]
 
 
 class _GeneratorDraws:
-    """A numpy Generator's ``integers`` and ``uniform``, returned as lists
-    like :class:`StreamCursor`'s."""
+    """A numpy Generator's ``integers`` and ``random`` of a size, returned
+    as lists like :class:`StreamCursor`'s."""
 
     __slots__ = ("_rng",)
 
@@ -454,8 +481,8 @@ class _GeneratorDraws:
     def integers(self, lo: int, hi: int, size: int) -> list:
         return self._rng.integers(lo, hi, size=size).tolist()
 
-    def uniform(self, lo: float, hi: float, size: int) -> list:
-        return self._rng.uniform(lo, hi, size=size).tolist()
+    def random(self, size: int) -> list:
+        return self._rng.random(size).tolist()
 
 
 class ArrivalStreams:
@@ -508,7 +535,7 @@ class ArrivalStreams:
     def draw_count(self, index: int, lam: float) -> tuple:
         """``(count, draws)``: stream ``index``'s Poisson draw of mean
         ``lam``, and the stream positioned after it, whose ``integers``
-        and ``uniform`` return lists; ``draws`` is None when the first
+        and ``random(size)`` return lists; ``draws`` is None when the first
         double alone decided a zero count."""
         if lam >= _POISSON_MULT_MAX:
             rng = self.generator(index)

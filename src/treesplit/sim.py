@@ -172,9 +172,12 @@ def _slot_arrivals(draws, span_start: int, span_len: int, count: int) -> list:
 def _instant_arrivals(draws, lo: float, hi: float, count: int) -> list:
     """Sorted arrival slots of ``count`` packets generated at uniform real
     instants in [lo, hi), each first eligible in the first slot whose
-    start lies at or after its instant."""
-    instants = sorted(draws.uniform(lo, hi, count))
-    return [math.ceil(u + 1.0 - 1e-9) for u in instants]
+    start lies at or after its instant.  numpy's ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * u`` for a ``random()`` double u, and that map is
+    monotone, so mapping the sorted doubles gives the sorted instants of
+    those draws."""
+    span = hi - lo
+    return [math.ceil(lo + span * u + 1.0 - 1e-9) for u in sorted(draws.random(count))]
 
 
 def _bit_width(kmax: int) -> int:

@@ -264,6 +264,19 @@ class TestCommands:
         assert "error: config field 'protocols'" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("payload,field", [
+        ('{"p": 1%s}' % ("0" * 400), "p"),
+        ('{"rates": [0.1, 1%s]}' % ("0" * 400), "rates"),
+        ('{"rates": -1%s}' % ("0" * 400), "rates"),
+    ], ids=["p", "rates-list", "rates-number"])
+    def test_config_rejects_an_integer_beyond_a_double(self, tmp_path, capsys, payload, field):
+        config = tmp_path / "run.json"
+        config.write_text(payload)
+        outdir = tmp_path / "out"
+        assert run_cli("analytic", "--config", str(config), "--outdir", str(outdir)) == 1
+        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("flags,field", [
         (("--protocols", "atic,atic", "--rates", "0.2"), "protocols"),
         (("--protocols", "atic", "--rates", "0.2,0.2"), "rates"),

@@ -452,6 +452,41 @@ class TestCoinWords:
                 deepest = max(deepest, max(_split_depths(keyed)))
         assert deepest >= rng._WORD_DEPTHS
 
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_prepared_ties_past_the_key_depths_equal_flipped_splits(self, p):
+        """A window of a prepared block whose pair ties on every key bit the
+        block's pass hashed gives the trace of a source that flips every
+        coin; a protocol that splits pairs splits that one by flips past
+        the keys' depths.
+        Blocks are 64 windows of Poisson(12) users, as windowed:40 at rate
+        0.3 draws them; the first blocks that hold such ties are searched
+        for here."""
+        base = rng.derive_seed(4602, "coins")
+        rnd = np.random.default_rng(4602)
+        ties = 0
+        for block in range(400):
+            sizes = rnd.poisson(12, size=64).tolist()
+            starts = np.cumsum([0] + sizes).tolist()
+            groups = [(rng.stream_seed(base, 64 * block + j), list(range(a, a + n)))
+                      for j, (a, n) in enumerate(zip(starts, sizes))]
+            for (seed, ids), source in zip(groups, prepared_sources(groups, p)):
+                if source is None:
+                    continue
+                _, _, keys, depths = source._keyed
+                assert depths == rng._key_depths(max(sizes), p)
+                if len(set(keys)) == len(keys):
+                    continue
+                ties += 1
+                flipper = CoinSource(seed, p, {(-1, 0): True})
+                for protocol in PROTOCOLS:
+                    keyed = run_cri(protocol, ids, p, source, record=True)
+                    assert keyed == run_cri(protocol, ids, p, flipper, record=True), seed
+                    if not engines.RULES[protocol].z_on_collision:  # pairs split
+                        assert max(_split_depths(keyed)) >= depths
+            if ties >= 3:
+                break
+        assert ties >= 3
+
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_prepared_source_serves_any_interval(self, protocol):
         """A prepared source gives the trace of its int seed for the

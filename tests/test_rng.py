@@ -1,6 +1,7 @@
 """Tests for the randomness plumbing: arrival streams and split coins."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from treesplit.rng import (
     ArrivalStreams,
     CoinSource,
     StreamCursor,
+    _key_depths,
     _pcg64_states,
     coin_uniform,
     coin_words,
@@ -174,12 +176,11 @@ class TestArrivalStreams:
         base = derive_seed(10, "arrivals")
         for index in range(2000):
             cursor, ref = _cursor_and_reference(stream_seed(base, index))
-            lo, hi = index * 1.5, (index + 1) * 1.5
             size = index % 4 + 1
-            assert cursor.uniform(lo, hi, size) == ref.uniform(lo, hi, size=size).tolist()
+            assert cursor.random(size) == ref.random(size).tolist()
             # A 32-bit draw after doubles, then doubles with its half word buffered.
             assert cursor.integers(0, 40, 1) == ref.integers(0, 40, size=1).tolist()
-            assert cursor.uniform(0.0, 2.0, 2) == ref.uniform(0.0, 2.0, size=2).tolist()
+            assert cursor.random(2) == ref.random(2).tolist()
             assert cursor.integers(0, 40, 1) == ref.integers(0, 40, size=1).tolist()
             _assert_same_position(cursor, ref)
 
@@ -232,24 +233,33 @@ class TestCoinSource:
             assert coins.flip(*key) == (not value if key in script else value)
 
 
-def _assert_keys_match_flip(seed, p, uids):
-    ((order, keys),) = coin_words([(seed, uids)], p)
+def _assert_row_matches_flip(seed, p, uids, row, depths):
+    """``row`` holds ``uids`` by ascending key, ties in their given order,
+    and each key's ``depths`` bits are the uid's tails at depths below it."""
+    order, keys, row_depths = row
     coins = CoinSource(seed, p)
+    assert row_depths == depths
     assert sorted(order) == sorted(uids)
     assert keys == sorted(keys)
     position = {uid: i for i, uid in enumerate(uids)}
     for i, (uid, key) in enumerate(zip(order, keys)):
-        assert 0 <= key < 1 << _WORD_DEPTHS
-        for depth in range(_WORD_DEPTHS):
-            tails = bool(key >> (_WORD_DEPTHS - 1 - depth) & 1)
+        assert 0 <= key < 1 << depths
+        for depth in range(depths):
+            tails = bool(key >> (depths - 1 - depth) & 1)
             assert tails == (not coins.flip(uid, depth)), (uid, depth)
-        if i and keys[i - 1] == key:
+        if i and keys[i - 1] == key and order[i - 1] != uid:
             assert position[order[i - 1]] < position[uid]  # ties keep the given order
 
 
+def _assert_keys_match_flip(seed, p, uids):
+    (row,) = coin_words([(seed, uids)], p)
+    _assert_row_matches_flip(seed, p, uids, row, _key_depths(len(uids), p))
+
+
 class TestCoinWords:
-    """Bit 31 - d of a ``coin_words`` key is 1 exactly when ``flip`` is
-    False at depth d < 32, and each group comes back sorted by key."""
+    """Bit D - 1 - d of a ``coin_words`` key is 1 exactly when ``flip`` is
+    False at depth d < D, D the depths the pass's largest group needs, and
+    each group comes back sorted by key."""
 
     UIDS = list(range(5)) + list(range((1 << 64) - 40, 1 << 64))
 
@@ -265,8 +275,10 @@ class TestCoinWords:
             for depth in (0, 13, _WORD_DEPTHS - 1):
                 u = coin_uniform(seed, uid, depth)
                 for p, heads in ((u, False), (math.nextafter(u, 1.0), True)):
-                    ((_, (key,)),) = coin_words([(seed, [uid])], p)
-                    assert key >> (_WORD_DEPTHS - 1 - depth) & 1 == (not heads)
+                    ((order, keys, depths),) = coin_words([(seed, self.UIDS)], p)
+                    if depth < depths:  # a skewed p hashes every depth
+                        key = keys[order.index(uid)]
+                        assert key >> (depths - 1 - depth) & 1 == (not heads)
                     _assert_keys_match_flip(seed, p, self.UIDS)
 
     def test_words_of_ids_beyond_uint64(self):
@@ -284,9 +296,10 @@ class TestCoinWords:
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.123])
     def test_groups_match_one_group_words(self, p):
-        """Each group's order and keys from one shared pass equal those of
-        a pass over that group alone, across seeds, pass boundaries and
-        sizes."""
+        """Each group's order and keys from one shared pass hold its coins
+        at the depths its largest group needs, across seeds, pass
+        boundaries and sizes, and agree with a pass over that group alone
+        at the depths both cover."""
         near = (1 << 63) - 1
         groups = [
             (0, [7]),
@@ -299,8 +312,12 @@ class TestCoinWords:
         ]
         got = coin_words(groups, p)
         assert len(got) == len(groups)
+        depths = _key_depths(_WORD_ROWS - 50, p)
         for (seed, uids), row in zip(groups, got):
-            assert row == coin_words([(seed, uids)], p)[0], seed
+            _assert_row_matches_flip(seed, p, uids, row, depths)
+            ((_, alone, fewer),) = coin_words([(seed, uids)], p)
+            assert fewer <= depths
+            assert sorted(alone) == sorted(key >> depths - fewer for key in row[1]), seed
 
     def test_no_groups(self):
         assert coin_words([], 0.5) == []
@@ -337,6 +354,20 @@ class TestSplitter:
 
     DEPTHS = (0, 1, 13, _WORD_DEPTHS - 1, _WORD_DEPTHS, 40)
 
+    @staticmethod
+    def _walk(coins, ids):
+        """``_walk`` over the splitter's order of ``ids``, splitting as the
+        engine does: by bisection of the keys above their depths."""
+        order, keys, depths, split = coins.splitter(list(ids))
+
+        def keyed_split(order, a, b, depth):
+            if depth < depths:
+                shift = depths - depth
+                return bisect_left(keys, keys[a] >> shift << shift | 1 << shift - 1, a, b)
+            return split(order, a, b, depth)
+
+        return order, _walk(coins, order, keyed_split)
+
     @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3])
     @pytest.mark.parametrize("kind", ["prepared", "unprepared", "small", "scripted"])
     def test_split_puts_heads_before_tails(self, monkeypatch, kind, p):
@@ -350,8 +381,7 @@ class TestSplitter:
                                          (ids[2], _WORD_DEPTHS - 1): True, (ids[3], 0): False})
         else:
             coins = CoinSource(seed, p)
-        order, split = coins.splitter(list(ids))
-        depths = _walk(coins, order, split)
+        _, depths = self._walk(coins, ids)
         if p == 1e-3:
             # Almost every coin is tails, so groups reach past the keys' depths.
             assert set(self.DEPTHS) <= depths
@@ -362,9 +392,8 @@ class TestSplitter:
         assert small is None
         monkeypatch.setattr(rng, "coin_words", _no_coin_words)
         for _ in range(2):  # a split reorders the served order, not the prepared one
-            order, split = source.splitter(ids)
+            order, _ = self._walk(source, ids)
             assert sorted(order) == ids and order is not ids
-            _walk(CoinSource(9, 0.3), order, split)
 
     def test_prepared_sources_make_one_pass(self, monkeypatch):
         calls = []
@@ -393,8 +422,8 @@ class TestSplitter:
         coins = CoinSource(seed, p, script)
         # A scripted source flips every coin, so it makes no keys pass.
         monkeypatch.setattr(rng, "coin_words", _no_coin_words)
-        order, split = coins.splitter(ids)
-        assert order is ids
+        order, keys, depths, split = coins.splitter(ids)
+        assert order is ids and depths == 0
         for depth in (0, 31, 40):
             order = list(ids)
             m = split(order, 0, len(order), depth)

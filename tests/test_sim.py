@@ -402,7 +402,7 @@ def test_layer_call_counts(monkeypatch, protocol, policy):
 
     def counted_words(groups, p):
         out = words(groups, p)
-        counts["rows"] += sum(len(order) for order, _ in out)
+        counts["rows"] += sum(len(order) for order, _, _ in out)
         return out
 
     monkeypatch.setattr(sim, "run_cri", counted_run_cri)
@@ -438,7 +438,7 @@ def test_windowed_coins_are_prepared_at_service(monkeypatch):
 
     def counted_words(groups, p):
         out = words(groups, p)
-        rows.append(sum(len(order) for order, _ in out))
+        rows.append(sum(len(order) for order, _, _ in out))
         return out
 
     monkeypatch.setattr(rng, "coin_words", counted_words)
@@ -450,6 +450,30 @@ def test_windowed_coins_are_prepared_at_service(monkeypatch):
     assert sum(rows) <= sum(n for n in counts if n >= rng._WORDS_MIN)
     closed = math.floor(r.slots_simulated / delta)
     assert closed - r.cri_count > sim._WINDOW_BLOCK
+
+
+def test_windowed_key_passes_hash_only_the_depths_the_rule_allows(monkeypatch):
+    """Each block pass of a windowed run hashes the depth columns that
+    ``rng._key_depths`` gives its largest window, 14 for windowed:40 at
+    rate 0.3, not all 32 a key holds."""
+    columns, allowed = [], []
+    words, mix = rng.coin_words, rng._splitmix64_inplace
+
+    def counted_words(groups, p):
+        groups = list(groups)
+        allowed.append(rng._key_depths(max(len(ids) for _, ids in groups), p))
+        return words(groups, p)
+
+    def counted_mix(x):
+        if x.ndim == 2:
+            columns.append(x.shape[1])
+        return mix(x)
+
+    monkeypatch.setattr(rng, "coin_words", counted_words)
+    monkeypatch.setattr(rng, "_splitmix64_inplace", counted_mix)
+    simulate("sicta", "windowed:40", 0.3, 4000, 2024)
+    assert columns == allowed and len(columns) == math.ceil(100 / sim._WINDOW_BLOCK)
+    assert max(columns) < rng._WORD_DEPTHS
 
 
 @pytest.mark.parametrize("protocol", list(RULES))
@@ -589,7 +613,13 @@ def test_slot_arrivals_match_sorted_draws(index, span_start, span_len, count):
 @example(0, 0, 40.0, 0)
 @example(3, 5, 40.0, 1)
 @example(9, 12, 0.25, 300)
+@example(5, 4_000_000, 2.5, 12)       # windows near 1e7 slots, fractional delta
+@example(6, 4_285_714, 7 / 3, 3)
+@example(7, 250_000, 40.0, 900)
 def test_instant_arrivals_match_sorted_draws(index, window, delta, count):
+    """Both kinds of draws (the Python cursor a mean below 6 gets, numpy's
+    generator above) give numpy's sorted ``uniform`` instants mapped
+    through ceil(u + 1 - 1e-9)."""
     base = derive_seed(17, "arrivals")
     lo, hi = window * delta, (window + 1) * delta
     rng = np.random.default_rng(stream_seed(base, index))

@@ -6,7 +6,6 @@ the matching expected-length and throughput laws analytically, and runs
 Poisson-traffic experiments under gated or windowed channel access.
 """
 
-from .signals import NotContainedError, Signal, cancel, superpose
 from .rng import CoinSource, coin_uniform, derive_seed, stream_seed
 from .analytics import (
     CollisionCountTable,
@@ -47,7 +46,6 @@ from .reports import IoError, config_digest, emit_report, render_csv, render_jso
 from ._version import __version__
 
 __all__ = [
-    "NotContainedError", "Signal", "cancel", "superpose",
     "CoinSource", "coin_uniform", "derive_seed", "stream_seed",
     "CollisionCountTable", "CriLengthTable",
     "asymptotic_throughput", "cri_table_rows", "expected_cri_closed",

@@ -358,8 +358,6 @@ def _poisson_truncation(load: float) -> int:
 
     Chernoff bound: P(N >= M) <= exp(-load + M + M ln(load / M)) for M > load.
     """
-    if load <= 0.0:
-        return 0
     m = int(load) + 1
     step = max(int(4.0 * math.sqrt(load)) + 8, 8)
     while True:

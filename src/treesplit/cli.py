@@ -75,7 +75,6 @@ def build_parser() -> _Parser:
     _add_common(sp)
     sp.add_argument("--protocols", help="comma list of protocols")
     sp.add_argument("--n-max", type=int, default=24, dest="n_max")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(handler=_cmd_analytic)
 
     sp = subs.add_parser("asymptote",
@@ -98,9 +97,7 @@ def build_parser() -> _Parser:
     _add_common(sp)
     _add_stochastic(sp)
     sp.add_argument("--protocol", help="protocol name")
-    sp.add_argument("--rate", type=float, help="Poisson arrival rate (packets/slot)")
     sp.add_argument("--rates", dest="rates", help="arrival-rate grid or comma list")
-    sp.add_argument("--replications", type=int, help="independent repeats")
     sp.set_defaults(handler=_cmd_simulate)
 
     sp = subs.add_parser("sweep",
@@ -135,13 +132,13 @@ def build_parser() -> _Parser:
 
 def _merge_config(args) -> ExperimentConfig:
     """The config file's settings, checked first, under every given flag
-    that names a setting, coerced and checked as a file's are.  ``--rate``
-    and ``--protocol`` set ``rates`` and ``protocols``, over ``--rates``."""
+    that names a setting, coerced and checked as a file's are.  The
+    one-protocol ``--protocol`` of ``simulate`` and ``tree`` sets
+    ``protocols``."""
     settings = asdict(load_config(args.config)) if args.config else {}
     flags = vars(args).copy()
-    for one, many in (("rate", "rates"), ("protocol", "protocols")):
-        if flags.get(one) is not None:
-            flags[many] = [flags[one]]
+    if flags.get("protocol") is not None:
+        flags["protocols"] = [flags["protocol"]]
     settings.update((name, value) for name, value in flags.items()
                     if name in _FIELD_NAMES and value is not None)
     return config_from_mapping(settings)
@@ -166,6 +163,18 @@ def _policy_tag(policy: str) -> str:
     return policy.replace(":", "-").replace(".", "p")
 
 
+def _one_protocol(cfg: ExperimentConfig, command: str) -> str:
+    if len(cfg.protocols) != 1:
+        raise ConfigError("protocols", f"{command} takes exactly one protocol; "
+                          f"got {','.join(cfg.protocols)}")
+    return cfg.protocols[0]
+
+
+def _require_rates(cfg: ExperimentConfig, command: str) -> None:
+    if not cfg.rates:
+        raise ConfigError("rates", f"{command} needs an arrival rate (--rates)")
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -177,8 +186,8 @@ def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
             {"n": n, "L_n": length, "T_n": thr}
             for n, length, thr in cri_table_rows(args.n_max, cfg.p, proto)
         ]
-        path = _outpath(cfg, f"analytic_{proto}.{args.format}")
-        emit_report(rows, args.format, path, seed=cfg.seed, config=_hashable(cfg))
+        path = _outpath(cfg, f"analytic_{proto}.csv")
+        emit_report(rows, "csv", path, seed=cfg.seed, config=_hashable(cfg))
         print(f"analytic {proto} p={cfg.p:g} n_max={args.n_max}: wrote {path}")
     return 0
 
@@ -222,10 +231,7 @@ def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("load_min", "need 0 < load_min < load_max")
     if not 2 <= args.points <= _GRID_MAX_POINTS:
         raise ConfigError("points", f"need 2 to {_GRID_MAX_POINTS} grid points, got {args.points}")
-    if len(cfg.protocols) != 1:
-        raise ConfigError("protocols", "windowed-scan scans one protocol; "
-                          f"got {','.join(cfg.protocols)}")
-    table = CriLengthTable(cfg.p, cfg.protocols[0])
+    table = CriLengthTable(cfg.p, _one_protocol(cfg, "windowed-scan"))
     loads = np.geomspace(args.load_min, args.load_max, args.points)
     rows = [
         {"load": float(x), "stable_rate": windowed_stable_rate(float(x), table)}
@@ -238,13 +244,6 @@ def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
           f"n={args.points}: best rate {best['stable_rate']:.9f} "
           f"at load {best['load']:.6g}; wrote {path}")
     return 0
-
-
-def _replication_seeds(cfg: ExperimentConfig) -> list:
-    base = cfg.require_seed()
-    if cfg.replications == 1:
-        return [base]
-    return [derive_seed(base, "rep", i) for i in range(cfg.replications)]
 
 
 def _run_one(cfg: ExperimentConfig, proto: str, lam: float, seed: int):
@@ -261,31 +260,25 @@ def _grid_runs(cfg: ExperimentConfig, seed: int):
             yield proto, lam, run_seed, _run_one(cfg, proto, lam, run_seed)
 
 
-def _report_name(proto: str, policy: str, lam: float, rep: int, reps: int) -> str:
-    stem = f"sim_{proto}_{_policy_tag(policy)}_{rate_tag(lam)}"
-    if reps > 1:
-        stem += f"_r{rep}"
-    return stem + ".json"
+def _report_name(proto: str, policy: str, lam: float) -> str:
+    return f"sim_{proto}_{_policy_tag(policy)}_{rate_tag(lam)}.json"
 
 
 def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    if not cfg.rates:
-        raise ConfigError("rates", "simulate needs an arrival rate (--rate)")
-    seeds = _replication_seeds(cfg)
+    _require_rates(cfg, "simulate")
+    seed = cfg.require_seed()
     for proto in cfg.protocols:
         for lam in cfg.rates:
-            for rep, seed in enumerate(seeds):
-                report = _run_one(cfg, proto, lam, seed)
-                name = _report_name(proto, cfg.policy, lam, rep, len(seeds))
-                path = _outpath(cfg, name)
-                emit_report(report.to_dict(), "json", path, seed=seed, config=_hashable(cfg))
-                try:
-                    mean_delay = f"{delay_stats(report).mean:.4g}"
-                except EmptySampleError:
-                    mean_delay = "n/a"
-                print(f"simulate {proto} {cfg.policy} rate={lam:g} seed={seed} "
-                      f"budget={cfg.budget}: thr={report.throughput:.4f} "
-                      f"delay={mean_delay} unstable={report.unstable}; wrote {path}")
+            report = _run_one(cfg, proto, lam, seed)
+            path = _outpath(cfg, _report_name(proto, cfg.policy, lam))
+            emit_report(report.to_dict(), "json", path, seed=seed, config=_hashable(cfg))
+            try:
+                mean_delay = f"{delay_stats(report).mean:.4g}"
+            except EmptySampleError:
+                mean_delay = "n/a"
+            print(f"simulate {proto} {cfg.policy} rate={lam:g} seed={seed} "
+                  f"budget={cfg.budget}: thr={report.throughput:.4f} "
+                  f"delay={mean_delay} unstable={report.unstable}; wrote {path}")
     return 0
 
 
@@ -304,8 +297,7 @@ def _delay_row(proto: str, lam: float, report) -> dict:
 
 
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    if not cfg.rates:
-        raise ConfigError("rates", "sweep needs an arrival-rate grid (--rates)")
+    _require_rates(cfg, "sweep")
     seed = cfg.require_seed()
     rows = [_delay_row(proto, lam, report)
             for proto, lam, _, report in _grid_runs(cfg, seed)]
@@ -339,10 +331,7 @@ def _parse_script(text: str) -> dict:
 
 def _cmd_tree(args, cfg: ExperimentConfig) -> int:
     seed = cfg.require_seed()
-    if len(cfg.protocols) != 1:
-        raise ConfigError("protocols", "tree draws one protocol's tree; "
-                          f"got {','.join(cfg.protocols)}")
-    proto = cfg.protocols[0]
+    proto = _one_protocol(cfg, "tree")
     if not 0 <= args.users <= _GRID_MAX_POINTS:
         raise ConfigError("users", f"need 0 <= users <= {_GRID_MAX_POINTS}, got {args.users}")
     coins = CoinSource(seed, cfg.p, _parse_script(args.script)) if args.script else seed
@@ -366,14 +355,12 @@ _COMPARE_SCALARS = (
 
 
 def _cmd_compare(args, cfg: ExperimentConfig) -> int:
-    if not cfg.rates:
-        raise ConfigError("rates", "compare needs at least one arrival rate")
+    _require_rates(cfg, "compare")
     seed = cfg.require_seed()
     rows = []
     for proto, lam, run_seed, report in _grid_runs(cfg, seed):
         payload = report.to_dict()
-        name = _report_name(proto, cfg.policy, lam, 0, 1)
-        emit_report(payload, "json", _outpath(cfg, name),
+        emit_report(payload, "json", _outpath(cfg, _report_name(proto, cfg.policy, lam)),
                     seed=run_seed, config=_hashable(cfg))
         row = {key: payload[key] for key in _COMPARE_SCALARS}
         row["ap_memory_peak"] = max(report.ap_memory_highwater, default=0)
@@ -404,7 +391,3 @@ def entrypoint(argv=None) -> int:
     except IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(entrypoint())

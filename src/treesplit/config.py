@@ -84,7 +84,6 @@ class ExperimentConfig:
     seed: int | None = None
     outdir: str = field(default_factory=lambda: os.environ.get(ENV_OUTDIR, "."))
     packet_bits: int = _DEFAULT_BITS
-    replications: int = 1
 
     def validate(self) -> "ExperimentConfig":
         if not self.protocols:
@@ -117,8 +116,6 @@ class ExperimentConfig:
             raise ConfigError("seed", f"seed must be >= 0, got {self.seed}")
         if self.packet_bits < 1:
             raise ConfigError("packet_bits", f"must be >= 1, got {self.packet_bits}")
-        if self.replications < 1:
-            raise ConfigError("replications", f"must be >= 1, got {self.replications}")
         return self
 
     def require_seed(self) -> int:
@@ -179,7 +176,6 @@ _COERCERS = {
     "seed": lambda v, f: None if v is None else _as_int(v, f),
     "outdir": lambda v, f: _as_type(v, str, f),
     "packet_bits": _as_int,
-    "replications": _as_int,
 }
 
 

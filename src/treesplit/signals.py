@@ -4,8 +4,9 @@ A received waveform is represented as a multiset of packet identifiers.
 Superposition is multiset union and interference cancellation is
 multiset difference.  Because the channel is noiseless and cancellation
 is exact, set algebra is a faithful model and every decode decision made
-on top of it is deterministic; the engines therefore decide on plain int
-sets, and the tests check this algebra with :class:`Signal`.
+on top of it is deterministic.  The engine builds no signals: it walks
+ranges of one id list, a stored collision's remainder being its range
+past the decoded prefix.  The tests check that model against this algebra.
 
 Slot signals produced by well-behaved protocols are plain sets (each
 active user contributes its own id exactly once).  The multiset

@@ -217,8 +217,6 @@ def _detect_instability(report: MetricsReport, backlog_points: list) -> bool:
     """Trailing-half backlog drift test, with a mass fallback for runs
     whose final intervals are so long that the trend has too few points."""
     horizon = report.slots_simulated
-    if horizon <= 0:
-        return False
     tail = [(s, b) for s, b in backlog_points if s >= horizon / 2]
     if len(tail) >= _MIN_TREND_POINTS:
         xs = np.array([s for s, _ in tail], dtype=float)
@@ -280,8 +278,7 @@ def simulate(
         run = _run_windowed(report, protocol, rate, budget, p,
                             arrivals_base, coins_base, single, delta)
     report.slots_simulated, report.terminal_backlog, backlog_points = run
-    report.throughput = (report.packets_decoded / report.slots_simulated
-                         if report.slots_simulated else 0.0)
+    report.throughput = report.packets_decoded / report.slots_simulated
     _fill_feedback_bits(report, rules)
     report.unstable = _detect_instability(report, backlog_points)
     return report

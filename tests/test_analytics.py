@@ -140,6 +140,13 @@ class TestPoissonAndWindowed:
         table = CriLengthTable(HALF, "atic")
         assert poisson_expected_cri(1e-6, table) == pytest.approx(1.0, abs=1e-4)
 
+    def test_mixture_at_zero_load_and_rejected_loads(self):
+        table = CriLengthTable(HALF, "atic")
+        assert poisson_expected_cri(0.0, table) == table.expected(0)
+        for load in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                poisson_expected_cri(load, table)
+
     def test_grown_table_gives_fresh_value(self):
         table = CriLengthTable(0.3, "sicta")
         table.expected(80)
@@ -227,6 +234,13 @@ class TestTableMechanics:
                 CriLengthTable(bad)
             with pytest.raises(ValueError):
                 asymptotic_throughput(bad)
+
+    def test_out_of_range_n_rejected(self):
+        table = CriLengthTable(HALF, "atic")
+        with pytest.raises(ValueError, match="non-negative"):
+            table.expected(-1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            table.throughput(0)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):

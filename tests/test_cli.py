@@ -2,7 +2,13 @@
 
 import csv
 import json
+import math
 import os
+import re
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +79,10 @@ class TestConfig:
         ({"protocols": ["atic", "atic"]}, "protocols"),
         ({"rates": [0.1, 0.1]}, "rates"),
         ({"policy": "windowed:0.5"}, "policy"),
+        ({"protocols": []}, "protocols"),
+        ({"protocols": 5}, "protocols"),
+        ({"policy": 5}, "policy"),
+        ({"budget": 2.5}, "budget"),
     ])
     def test_validation_names_offending_field(self, payload, field):
         with pytest.raises(ConfigError) as err:
@@ -99,15 +109,27 @@ class TestConfig:
             parse_grid("0.3:0.1:0.1")
         with pytest.raises(ConfigError):
             parse_grid("a:b:c")
-        # The last four overflow the point count, would build 1e300 points,
-        # or pass the 100,000-point cap by one.
-        for text in ("0.1:0.5:nan", "0.4:inf:0.1", "0.4:0.6:inf", "nan:0.5:0.1",
-                     "-inf:0.5:0.1", "0:1e308:1e-308", "-1e308:1e308:1", "0:1e300:1",
-                     "0:100000:1"):
+        # The first three are a range without a step, a non-numeric list
+        # entry and an empty list.  The last four overflow the point count,
+        # would build 1e300 points, or pass the 100,000-point cap by one.
+        for text in ("0.1:0.5", "0.1,x", ",", "0.1:0.5:nan", "0.4:inf:0.1", "0.4:0.6:inf",
+                     "nan:0.5:0.1", "-inf:0.5:0.1", "0:1e308:1e-308", "-1e308:1e308:1",
+                     "0:1e300:1", "0:100000:1"):
             with pytest.raises(ConfigError) as err:
                 parse_grid(text, "rates")
             assert err.value.field == "rates"
         assert len(parse_grid("0:99999:1")) == 100_000
+
+    def test_integral_float_budget_accepted(self):
+        budget = config_from_mapping({"budget": 2000.0}).budget
+        assert budget == 2000 and type(budget) is int
+
+    def test_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.field == "<root>"
 
     def test_merged_override_wins(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -170,20 +192,18 @@ class TestCommands:
             assert float(row["T_n"]) == pytest.approx(n / table.expected(n), rel=1e-11)
 
     def test_analytic_json_rows_match_csv(self, tmp_path):
+        """Every protocol's CSV rows are its length table's, to 12 digits."""
         protocols = ("bta", "mta", "sicta", "atic", "atic_left")
-        for fmt in ("csv", "json"):
-            assert run_cli("analytic", "--protocols", ",".join(protocols), "--n-max", "30",
-                           "--format", fmt, "--outdir", str(tmp_path / fmt)) == 0
+        assert run_cli("analytic", "--protocols", ",".join(protocols), "--n-max", "30",
+                       "--outdir", str(tmp_path)) == 0
         for proto in protocols:
-            header, rows = read_csv(tmp_path / "csv" / f"analytic_{proto}.csv")
-            blob = json.loads((tmp_path / "json" / f"analytic_{proto}.json").read_text())
-            assert f"config_sha256={blob['meta']['config_sha256']} " in header
-            assert len(blob["data"]) == len(rows) == 30
-            for got, want in zip(blob["data"], rows):
-                assert got.keys() == want.keys()
-                assert str(got["n"]) == want["n"]
-                for key in ("L_n", "T_n"):
-                    assert format(got[key], ".12g") == want[key]
+            _, rows = read_csv(tmp_path / f"analytic_{proto}.csv")
+            table = CriLengthTable(0.5, proto)
+            assert [row["n"] for row in rows] == [str(n) for n in range(1, 31)]
+            for row in rows:
+                n = int(row["n"])
+                assert row["L_n"] == format(table.expected(n), ".12g")
+                assert row["T_n"] == format(table.throughput(n), ".12g")
 
     def test_analytic_writes_atic_left_law(self, tmp_path):
         assert run_cli("analytic", "--protocols", "atic_left", "--n-max", "4",
@@ -213,6 +233,7 @@ class TestCommands:
         (("--load-min", "nan"), "load_min"),
         (("--load-max", "1e300"), "load_max"),
         (("--points", "100001"), "points"),
+        (("--load-min", "5", "--load-max", "1"), "load_min"),
     ])
     def test_windowed_scan_rejects_non_finite(self, tmp_path, capsys, flags, field):
         outdir = tmp_path / "out"
@@ -302,6 +323,7 @@ class TestCommands:
         (("asymptote", "--p-grid", "0.4:inf:0.1"), "p_grid"),
         (("asymptote", "--p-grid", "0.4:0.6:inf"), "p_grid"),
         (("sweep", "--rates", "0:1e308:1e-308", "--seed", "7"), "rates"),
+        (("asymptote", "--p-grid", "0:1:0.5"), "p_grid"),
     ])
     def test_range_grids_reject_non_finite(self, tmp_path, capsys, argv, field):
         outdir = tmp_path / "out"
@@ -377,15 +399,36 @@ class TestCommands:
         assert "error: config field 'policy'" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_simulate_replications(self, tmp_path):
-        assert run_cli("simulate", "--protocol", "sicta", "--rate", "0.3",
-                       "--budget", "2000", "--seed", "5", "--replications", "3",
-                       "--outdir", str(tmp_path)) == 0
-        names = sorted(os.listdir(tmp_path))
-        assert names == [f"sim_sicta_gated_0p3_r{i}.json" for i in range(3)]
-        seeds = {json.loads((tmp_path / n).read_text())["data"]["seed"]
-                 for n in names}
-        assert len(seeds) == 3
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+    def test_traffic_commands_need_a_rate(self, tmp_path, capsys, command):
+        outdir = tmp_path / "out"
+        assert run_cli(command, "--seed", "1", "--budget", "100",
+                       "--outdir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert "error: config field 'rates'" in err and "(--rates)" in err
+        assert not outdir.exists()
+
+    def test_simulate_without_arrivals_has_no_delay(self, tmp_path, capsys):
+        assert run_cli("simulate", "--protocol", "atic", "--rates", "0", "--budget", "100",
+                       "--seed", "7", "--outdir", str(tmp_path)) == 0
+        assert "delay=n/a" in capsys.readouterr().out
+
+    def test_sweep_rate_without_arrivals_writes_nan_row(self, tmp_path):
+        assert run_cli("sweep", "--protocols", "atic", "--rates", "0,0.3", "--budget", "2000",
+                       "--seed", "7", "--outdir", str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "delay.csv")
+        idle, busy = rows
+        assert float(idle["lambda"]) == 0.0 and idle["n_samples"] == "0"
+        for key in ("mean", "var", "p50", "p95"):
+            assert math.isnan(float(idle[key]))
+        assert int(busy["n_samples"]) > 0
+
+    def test_tree_script_skips_empty_entries(self, tmp_path):
+        for name, script in (("gap", "1:0=l,,2:0=r"), ("plain", "1:0=l,2:0=r")):
+            assert run_cli("tree", "--protocol", "sicta", "--users", "2", "--seed", "3",
+                           "--script", script, "--outdir", str(tmp_path / name)) == 0
+        dot = "tree_sicta_n2.dot"
+        assert (tmp_path / "gap" / dot).read_text() == (tmp_path / "plain" / dot).read_text()
 
     def test_sweep_delay_schema(self, tmp_path):
         assert run_cli("sweep", "--protocols", "sicta,atic", "--rates",
@@ -488,3 +531,66 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from treesplit import *", namespace)
     assert set(treesplit.__all__) <= set(namespace)
+
+
+class TestSurface:
+    """Options and names that only tests used are gone; the module entry
+    point and the signal algebra's own module stay."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--protocol", "atic", "--rates", "0.3", "--seed", "1",
+         "--budget", "100", "--replications", "2"),
+        ("analytic", "--n-max", "3", "--format", "json"),
+    ])
+    def test_removed_options_are_usage_errors(self, tmp_path, capsys, argv):
+        outdir = tmp_path / "out"
+        assert run_cli(*argv, "--outdir", str(outdir)) == 1
+        assert "error: config field 'argv'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_help_lists_only_kept_options(self, capsys):
+        for command in ("simulate", "analytic"):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+        out = capsys.readouterr().out
+        assert "--rates" in out and "--n-max" in out
+        assert not re.search(r"--rate\b|--replications|--format", out)
+
+    def test_replications_is_an_unknown_config_field(self):
+        assert "replications" not in {f.name for f in fields(ExperimentConfig)}
+        with pytest.raises(ConfigError, match="unknown config field") as err:
+            config_from_mapping({"replications": 2})
+        assert err.value.field == "replications"
+
+    def test_signal_names_left_the_package_namespace(self):
+        src = str(Path(treesplit.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import treesplit; "
+                "print('treesplit.signals' in sys.modules); "
+                "from treesplit.signals import Signal; print(Signal.__name__)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "Signal"]
+        exported = set(treesplit.__all__)
+        assert exported.isdisjoint({"Signal", "superpose", "cancel", "NotContainedError"})
+
+
+class TestModuleEntryPoint:
+    """``python -m treesplit`` runs the CLI in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(treesplit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, "-m", "treesplit", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_analytic_writes_its_table(self, tmp_path):
+        proc = self.run_module("analytic", "--n-max", "3", "--outdir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert os.listdir(tmp_path) == ["analytic_atic.csv"]
+
+    def test_missing_command_exits_one(self):
+        proc = self.run_module()
+        assert proc.returncode == 1
+        assert "error: config field 'argv'" in proc.stderr

@@ -171,6 +171,9 @@ class TestDistributions:
         assert sum(hist.values()) == pytest.approx(1.0, abs=1e-12)
         assert hist[1] > 0.2  # plain successes dominate alongside k=2
 
+    def test_feedback_histogram_empty_without_successes(self):
+        assert feedback_value_histogram(simulate("sicta", "gated", 0.0, 500, 2)) == {}
+
     def test_feedback_histogram_needs_sic(self):
         r = simulate("bta", "gated", 0.3, 5000, 2)
         with pytest.raises(ProtocolError):

@@ -2,8 +2,8 @@
 
 Subcommands:
   analytic       expected-length / throughput tables from the recursions
-  asymptote      limiting throughput and its optimum over the split bias
-  windowed-scan  stable-rate curve over window loads
+  asymptote      atic's limiting throughput and its optimum over the split bias
+  windowed-scan  atic's stable-rate curve over window loads
   simulate       one traffic run, full metrics report as JSON
   sweep          delay statistics over an arrival-rate grid (CSV)
   tree           single-interval resolution tree as a DOT file
@@ -34,8 +34,6 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     _FIELD_NAMES,
-    config_from_mapping,
-    load_config,
     parse_grid,
     rate_tag,
 )
@@ -53,7 +51,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--outdir", help="output directory (default: $TREESPLIT_OUTDIR or .)")
     sub.add_argument("--p", type=float, help="split bias towards the left group")
 
@@ -113,7 +110,7 @@ def build_parser() -> _Parser:
                          help="resolve one interval and export its tree as DOT")
     _add_common(sp)
     sp.add_argument("--protocol",
-                    help="protocol name (default: the config's one protocol)")
+                    help="protocol name (default: atic)")
     sp.add_argument("--users", type=int, default=4)
     sp.add_argument("--seed", type=int, help="coin seed (required)")
     sp.add_argument("--script", help="forced splits, e.g. '1:0=l,4:0=r'")
@@ -130,18 +127,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args) -> ExperimentConfig:
-    """The config file's settings, checked first, under every given flag
-    that names a setting, coerced and checked as a file's are.  The
-    one-protocol ``--protocol`` of ``simulate`` and ``tree`` sets
-    ``protocols``."""
-    settings = asdict(load_config(args.config)) if args.config else {}
-    flags = vars(args).copy()
-    if flags.get("protocol") is not None:
-        flags["protocols"] = [flags["protocol"]]
-    settings.update((name, value) for name, value in flags.items()
-                    if name in _FIELD_NAMES and value is not None)
-    return config_from_mapping(settings)
+def _config(args) -> ExperimentConfig:
+    """The defaults under every given flag that names a config field,
+    checked by ``validate()``.  The one name of ``--protocol`` or the
+    comma list ``--protocols`` gives ``protocols``, and ``--rates`` is
+    read by :func:`parse_grid`."""
+    settings = {name: value for name, value in vars(args).items()
+                if name in _FIELD_NAMES and value is not None}
+    if getattr(args, "protocol", None) is not None:
+        settings["protocols"] = (args.protocol,)
+    elif "protocols" in settings:
+        settings["protocols"] = tuple(
+            name.strip() for name in settings["protocols"].split(",") if name.strip())
+    if "rates" in settings:
+        settings["rates"] = parse_grid(settings["rates"], "rates")
+    return ExperimentConfig(**settings).validate()
 
 
 def _hashable(cfg: ExperimentConfig) -> dict:
@@ -161,13 +161,6 @@ def _outpath(cfg: ExperimentConfig, name: str) -> str:
 
 def _policy_tag(policy: str) -> str:
     return policy.replace(":", "-").replace(".", "p")
-
-
-def _one_protocol(cfg: ExperimentConfig, command: str) -> str:
-    if len(cfg.protocols) != 1:
-        raise ConfigError("protocols", f"{command} takes exactly one protocol; "
-                          f"got {','.join(cfg.protocols)}")
-    return cfg.protocols[0]
 
 
 def _require_rates(cfg: ExperimentConfig, command: str) -> None:
@@ -193,9 +186,6 @@ def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_asymptote(args, cfg: ExperimentConfig) -> int:
-    if cfg.protocols != ("atic",):
-        raise ConfigError("protocols", "the asymptote is atic's law; "
-                          f"got {','.join(cfg.protocols)}")
     grid = parse_grid(args.p_grid, "p_grid")
     for value in grid:
         try:
@@ -231,7 +221,7 @@ def _cmd_windowed_scan(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("load_min", "need 0 < load_min < load_max")
     if not 2 <= args.points <= _GRID_MAX_POINTS:
         raise ConfigError("points", f"need 2 to {_GRID_MAX_POINTS} grid points, got {args.points}")
-    table = CriLengthTable(cfg.p, _one_protocol(cfg, "windowed-scan"))
+    table = CriLengthTable(cfg.p, "atic")
     loads = np.geomspace(args.load_min, args.load_max, args.points)
     rows = [
         {"load": float(x), "stable_rate": windowed_stable_rate(float(x), table)}
@@ -267,18 +257,18 @@ def _report_name(proto: str, policy: str, lam: float) -> str:
 def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
     _require_rates(cfg, "simulate")
     seed = cfg.require_seed()
-    for proto in cfg.protocols:
-        for lam in cfg.rates:
-            report = _run_one(cfg, proto, lam, seed)
-            path = _outpath(cfg, _report_name(proto, cfg.policy, lam))
-            emit_report(report.to_dict(), "json", path, seed=seed, config=_hashable(cfg))
-            try:
-                mean_delay = f"{delay_stats(report).mean:.4g}"
-            except EmptySampleError:
-                mean_delay = "n/a"
-            print(f"simulate {proto} {cfg.policy} rate={lam:g} seed={seed} "
-                  f"budget={cfg.budget}: thr={report.throughput:.4f} "
-                  f"delay={mean_delay} unstable={report.unstable}; wrote {path}")
+    (proto,) = cfg.protocols
+    for lam in cfg.rates:
+        report = _run_one(cfg, proto, lam, seed)
+        path = _outpath(cfg, _report_name(proto, cfg.policy, lam))
+        emit_report(report.to_dict(), "json", path, seed=seed, config=_hashable(cfg))
+        try:
+            mean_delay = f"{delay_stats(report).mean:.4g}"
+        except EmptySampleError:
+            mean_delay = "n/a"
+        print(f"simulate {proto} {cfg.policy} rate={lam:g} seed={seed} "
+              f"budget={cfg.budget}: thr={report.throughput:.4f} "
+              f"delay={mean_delay} unstable={report.unstable}; wrote {path}")
     return 0
 
 
@@ -331,7 +321,7 @@ def _parse_script(text: str) -> dict:
 
 def _cmd_tree(args, cfg: ExperimentConfig) -> int:
     seed = cfg.require_seed()
-    proto = _one_protocol(cfg, "tree")
+    (proto,) = cfg.protocols
     if not 0 <= args.users <= _GRID_MAX_POINTS:
         raise ConfigError("users", f"need 0 <= users <= {_GRID_MAX_POINTS}, got {args.users}")
     coins = CoinSource(seed, cfg.p, _parse_script(args.script)) if args.script else seed
@@ -383,7 +373,7 @@ def entrypoint(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise ConfigError("argv", "missing subcommand (see --help)")
-        cfg = _merge_config(args)
+        cfg = _config(args)
         return args.handler(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

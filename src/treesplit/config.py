@@ -1,14 +1,13 @@
-"""Experiment configuration: JSON files and validation.
+"""Experiment configuration and validation.
 
 A config describes one batch experiment: which protocols to run, the
-access policy, the traffic grid, and the reproducibility seed.  Files
-are plain JSON objects; command-line flags win over file values and go
-through the same checks (:func:`config_from_mapping`).
+access policy, the traffic grid, and the reproducibility seed.  The
+command-line flags give its values over the defaults, and
+:meth:`ExperimentConfig.validate` checks every range.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -126,83 +125,3 @@ class ExperimentConfig:
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-
-
-def _as_type(value, kind, field_name):
-    if not isinstance(value, kind):
-        raise ConfigError(field_name, f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _as_float(value, field_name) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field_name, f"expected number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(field_name, "number too large for a double") from None
-
-
-def _as_int(value, field_name) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ConfigError(field_name, f"expected integer, got {value!r}")
-    return value
-
-
-def _as_str_tuple(value, field_name) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return tuple(x.strip() for x in value.split(",") if x.strip())
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_type(x, str, field_name) for x in value)
-    raise ConfigError(field_name, f"expected list of strings, got {type(value).__name__}")
-
-
-def _as_float_tuple(value, field_name) -> tuple[float, ...]:
-    if isinstance(value, str):
-        return parse_grid(value, field_name)
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_float(x, field_name) for x in value)
-    return (_as_float(value, field_name),)
-
-
-_COERCERS = {
-    "protocols": _as_str_tuple,
-    "policy": lambda v, f: _as_type(v, str, f),
-    "p": _as_float,
-    "rates": _as_float_tuple,
-    "budget": _as_int,
-    "seed": lambda v, f: None if v is None else _as_int(v, f),
-    "outdir": lambda v, f: _as_type(v, str, f),
-    "packet_bits": _as_int,
-}
-
-
-def config_from_mapping(raw: dict) -> ExperimentConfig:
-    """Build a validated config from a parsed JSON object."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", f"config must be a JSON object, got {type(raw).__name__}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _FIELD_NAMES:
-            raise ConfigError(key, "unknown config field")
-        kwargs[key] = _COERCERS[key](value, key)
-    return ExperimentConfig(**kwargs).validate()
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON config file.
-
-    Missing fields fall back to defaults (p=0.5, packet_bits=256,
-    budget=1e5).  Any parse or range problem raises ConfigError naming
-    the offending field.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("<path>", f"no such config file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<json>", f"invalid JSON in {path}: {exc}") from None
-    return config_from_mapping(raw)

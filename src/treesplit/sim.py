@@ -62,6 +62,7 @@ slot 40, serves its one interval from slot 41 and simulates 52 slots.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -106,6 +107,14 @@ def _window_length(policy: str) -> Optional[float]:
     if not (math.isfinite(delta) and delta >= 1.0):
         raise ValueError(f"window length must be finite and at least one slot, got {delta}")
     return delta
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, string or bool is refused, never
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -251,7 +260,8 @@ def simulate(
     rules = _rules(protocol)
     delta = _window_length(policy)
     rate = float(rate)
-    budget = int(budget)
+    budget = _integer(budget, "budget")
+    seed = _integer(seed, "seed")
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"arrival rate must be finite and non-negative, got {rate}")
     if budget < 1:
@@ -263,11 +273,10 @@ def simulate(
 
     report = MetricsReport(
         protocol=protocol, policy="gated" if delta is None else f"windowed:{delta:g}",
-        rate=rate, budget=budget, seed=int(seed), packet_bits=packet_bits,
+        rate=rate, budget=budget, seed=seed, packet_bits=packet_bits,
     )
-    master = int(seed)
-    arrivals_base = derive_seed(master, "arrivals")
-    coins_base = derive_seed(master, "coins")
+    arrivals_base = derive_seed(seed, "arrivals")
+    coins_base = derive_seed(seed, "coins")
 
     # One packet never splits, so every one-packet interval of the run
     # folds this trace, whatever its id and coins.

@@ -10,21 +10,17 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treesplit
 from treesplit import __version__
-from treesplit.analytics import CriLengthTable
-from treesplit.cli import _merge_config, build_parser, entrypoint
-from treesplit.config import (
-    ConfigError,
-    ExperimentConfig,
-    config_from_mapping,
-    load_config,
-    parse_grid,
-)
+from treesplit.analytics import CriLengthTable, windowed_stable_rate
+from treesplit.cli import _config, build_parser, entrypoint
+from treesplit.config import ConfigError, ExperimentConfig, parse_grid
 from treesplit.reports import config_digest, emit_report, render_csv, render_json
 
+COMMANDS = ("analytic", "asymptote", "windowed-scan", "simulate", "sweep", "tree", "compare")
 SCRIPT = ("1:0=l,2:0=l,3:0=l,4:0=r,1:1=r,2:1=r,3:1=r,"
           "1:2=l,2:2=l,3:2=r,1:3=l,2:3=r")
 
@@ -46,59 +42,34 @@ class TestConfig:
         assert cfg.p == 0.5 and cfg.packet_bits == 256 and cfg.budget == 100000
         assert cfg.seed is None
 
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({
-            "protocols": ["sicta", "atic"], "policy": "windowed:5",
-            "rates": [0.3, 0.5], "budget": 2000, "seed": 9}))
-        cfg = load_config(str(path))
-        assert cfg.protocols == ("sicta", "atic")
-        assert cfg.policy == "windowed:5"
-        assert cfg.rates == (0.3, 0.5)
-        assert cfg.budget == 2000 and cfg.seed == 9
-        # defaults fill the rest
-        assert cfg.p == 0.5 and cfg.packet_bits == 256
-
+    # Each case keeps its number from when a JSON settings file also fed
+    # this list; the numbers its file-only cases (JSON types, unknown keys)
+    # held are skipped.
     @pytest.mark.parametrize("payload,field", [
-        ({"p": 1.2}, "p"),
-        ({"p": "half"}, "p"),
-        ({"protocols": ["aloha"]}, "protocols"),
-        ({"policy": "windowed:0"}, "policy"),
-        ({"policy": "free"}, "policy"),
-        ({"budget": 0}, "budget"),
-        ({"seed": -1}, "seed"),
-        ({"packet_bits": 0}, "packet_bits"),
-        ({"replications": 0}, "replications"),
-        ({"mystery": 1}, "mystery"),
-        ({"rates": [-0.5]}, "rates"),
-        ({"rates": [float("nan")]}, "rates"),
-        ({"rates": [float("inf")]}, "rates"),
-        ({"policy": "windowed:nan"}, "policy"),
-        ({"policy": "windowed:inf"}, "policy"),
-        ({"rates": "0.1:0.5:nan"}, "rates"),
-        ({"protocols": ["atic", "atic"]}, "protocols"),
-        ({"rates": [0.1, 0.1]}, "rates"),
-        ({"policy": "windowed:0.5"}, "policy"),
-        ({"protocols": []}, "protocols"),
-        ({"protocols": 5}, "protocols"),
-        ({"policy": 5}, "policy"),
-        ({"budget": 2.5}, "budget"),
+        pytest.param(payload, field, id=f"payload{n}-{field}") for n, payload, field in [
+            (0, {"p": 1.2}, "p"),
+            (2, {"protocols": ["aloha"]}, "protocols"),
+            (3, {"policy": "windowed:0"}, "policy"),
+            (4, {"policy": "free"}, "policy"),
+            (5, {"budget": 0}, "budget"),
+            (6, {"seed": -1}, "seed"),
+            (7, {"packet_bits": 0}, "packet_bits"),
+            (10, {"rates": [-0.5]}, "rates"),
+            (11, {"rates": [float("nan")]}, "rates"),
+            (12, {"rates": [float("inf")]}, "rates"),
+            (13, {"policy": "windowed:nan"}, "policy"),
+            (14, {"policy": "windowed:inf"}, "policy"),
+            (16, {"protocols": ["atic", "atic"]}, "protocols"),
+            (17, {"rates": [0.1, 0.1]}, "rates"),
+            (18, {"policy": "windowed:0.5"}, "policy"),
+            (19, {"protocols": []}, "protocols"),
+        ]
     ])
     def test_validation_names_offending_field(self, payload, field):
         with pytest.raises(ConfigError) as err:
-            config_from_mapping(payload)
+            ExperimentConfig(**payload).validate()
         assert err.value.field == field
         assert field in str(err.value)
-
-    def test_missing_file(self):
-        with pytest.raises(ConfigError):
-            load_config("/nonexistent/nope.json")
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
 
     def test_grid_parsing(self):
         assert parse_grid("0.1:0.3:0.1") == pytest.approx((0.1, 0.2, 0.3))
@@ -120,29 +91,16 @@ class TestConfig:
             assert err.value.field == "rates"
         assert len(parse_grid("0:99999:1")) == 100_000
 
-    def test_integral_float_budget_accepted(self):
-        budget = config_from_mapping({"budget": 2000.0}).budget
-        assert budget == 2000 and type(budget) is int
-
-    def test_file_must_hold_an_object(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ConfigError) as err:
-            load_config(str(path))
-        assert err.value.field == "<root>"
-
-    def test_merged_override_wins(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"p": 0.3}))
-        parser = build_parser()
-        argv = ["simulate", "--config", str(path)]
-        assert _merge_config(parser.parse_args(argv + ["--p", "0.7"])).p == 0.7
-        # A flag not given keeps the file's value
-        assert _merge_config(parser.parse_args(argv)).p == 0.3
-        # A bad file value is reported even when a flag overrides it
-        path.write_text(json.dumps({"p": 1.5}))
-        with pytest.raises(ConfigError, match="'p'"):
-            _merge_config(parser.parse_args(argv + ["--p", "0.7"]))
+    def test_flags_over_defaults(self):
+        parse = build_parser().parse_args
+        assert _config(parse(["simulate", "--p", "0.7"])) == ExperimentConfig(p=0.7)
+        cfg = _config(parse(["sweep", "--protocols", " sicta, ,atic", "--rates", "0.1:0.3:0.1"]))
+        assert cfg.protocols == ("sicta", "atic")
+        assert cfg.rates == pytest.approx((0.1, 0.2, 0.3))
+        assert _config(parse(["tree", "--protocol", "mta"])).protocols == ("mta",)
+        # One --protocol names one protocol, commas and all
+        with pytest.raises(ConfigError, match="'protocols'"):
+            _config(parse(["simulate", "--protocol", "atic,sicta"]))
 
     def test_require_seed(self):
         with pytest.raises(ConfigError):
@@ -247,56 +205,24 @@ class TestCommands:
         assert "error: config field 'p'" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_windowed_scan_follows_config_protocol(self, tmp_path):
-        config = tmp_path / "sicta.json"
-        config.write_text(json.dumps({"protocols": ["sicta"]}))
-        assert run_cli("windowed-scan", "--load-min", "0.5", "--load-max", "100",
-                       "--points", "12", "--config", str(config),
-                       "--outdir", str(tmp_path)) == 0
-        _, rows = read_csv(tmp_path / "windowed_scan.csv")
-        # sicta's stable rate approaches ln 2; atic's exceeds 0.9
-        assert max(float(r["stable_rate"]) for r in rows) < 0.70
+    @staticmethod
+    def windowed_peak(protocol):
+        """The largest stable rate of ``protocol``'s table on windowed-scan's
+        grid of 12 loads from 0.5 to 100: the CLI scans atic's table, the
+        library every protocol's."""
+        table = CriLengthTable(0.5, protocol)
+        return max(windowed_stable_rate(float(x), table) for x in np.geomspace(0.5, 100, 12))
 
-    def test_windowed_scan_atic_left_peaks_below_atic(self, tmp_path):
-        peaks = {}
-        for protocol in ("atic_left", "atic"):
-            config, outdir = tmp_path / f"{protocol}.json", tmp_path / protocol
-            config.write_text(json.dumps({"protocols": [protocol]}))
-            assert run_cli("windowed-scan", "--load-min", "0.5", "--load-max", "100",
-                           "--points", "12", "--config", str(config),
-                           "--outdir", str(outdir)) == 0
-            _, rows = read_csv(outdir / "windowed_scan.csv")
-            peaks[protocol] = max(float(r["stable_rate"]) for r in rows)
+    def test_windowed_scan_follows_config_protocol(self):
+        # sicta's stable rate approaches ln 2; atic's exceeds 0.9
+        assert self.windowed_peak("sicta") < 0.70
+
+    def test_windowed_scan_atic_left_peaks_below_atic(self):
+        peaks = {protocol: self.windowed_peak(protocol) for protocol in ("atic_left", "atic")}
         # atic_left's pairs still cost two slots, so its windowed rate peaks
         # (0.843 near load 3.4) above its gated limit (6/5) ln 2 = 0.832,
         # yet below atic's, which tracks (4/3) ln 2 = 0.924
         assert 0.84 < peaks["atic_left"] < 0.85 < 0.92 < peaks["atic"]
-
-    @pytest.mark.parametrize("command,protocols", [
-        ("windowed-scan", ["atic", "sicta"]),
-        ("asymptote", ["sicta"]),
-    ])
-    def test_analytic_commands_reject_protocols_without_their_law(
-            self, tmp_path, capsys, command, protocols):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"protocols": protocols}))
-        outdir = tmp_path / "out"
-        assert run_cli(command, "--config", str(config), "--outdir", str(outdir)) == 1
-        assert "error: config field 'protocols'" in capsys.readouterr().err
-        assert not outdir.exists()
-
-    @pytest.mark.parametrize("payload,field", [
-        ('{"p": 1%s}' % ("0" * 400), "p"),
-        ('{"rates": [0.1, 1%s]}' % ("0" * 400), "rates"),
-        ('{"rates": -1%s}' % ("0" * 400), "rates"),
-    ], ids=["p", "rates-list", "rates-number"])
-    def test_config_rejects_an_integer_beyond_a_double(self, tmp_path, capsys, payload, field):
-        config = tmp_path / "run.json"
-        config.write_text(payload)
-        outdir = tmp_path / "out"
-        assert run_cli("analytic", "--config", str(config), "--outdir", str(outdir)) == 1
-        assert f"error: config field '{field}'" in capsys.readouterr().err
-        assert not outdir.exists()
 
     @pytest.mark.parametrize("flags,field", [
         (("--protocols", "atic,atic", "--rates", "0.2"), "protocols"),
@@ -385,16 +311,9 @@ class TestCommands:
         assert os.listdir(tmp_path) == ["sim_atic_windowed-1_0p1.json"]
 
     @pytest.mark.parametrize("policy", ["windowed_x:5", "windowed:abc", " Windowed:5"])
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_simulate_rejects_malformed_policy(self, tmp_path, capsys, via, policy):
-        if via == "flag":
-            source = ("--policy", policy)
-        else:
-            path = tmp_path / "run.json"
-            path.write_text(json.dumps({"policy": policy}))
-            source = ("--config", str(path))
+    def test_simulate_rejects_malformed_policy(self, tmp_path, capsys, policy):
         outdir = tmp_path / "out"
-        assert run_cli("simulate", "--protocol", "atic", "--rate", "0.3", *source,
+        assert run_cli("simulate", "--protocol", "atic", "--rate", "0.3", "--policy", policy,
                        "--budget", "100", "--seed", "7", "--outdir", str(outdir)) == 1
         assert "error: config field 'policy'" in capsys.readouterr().err
         assert not outdir.exists()
@@ -450,15 +369,6 @@ class TestCommands:
         assert dot.startswith("// seed=7 config_sha256=")
         assert dot.splitlines()[0].endswith(f" version={__version__}")
 
-    def test_tree_rejects_several_protocols(self, tmp_path, capsys):
-        config = tmp_path / "two.json"
-        config.write_text(json.dumps({"protocols": ["sicta", "atic"]}))
-        outdir = tmp_path / "out"
-        assert run_cli("tree", "--users", "4", "--seed", "7", "--config", str(config),
-                       "--outdir", str(outdir)) == 1
-        assert "error: config field 'protocols'" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.dot"))
-
     @pytest.mark.parametrize("users", ["-1", "100001", "10000000000"])
     def test_tree_rejects_user_counts_out_of_range(self, tmp_path, capsys, monkeypatch, users):
         """A recorded tree holds about two rows per user, so the count is
@@ -472,9 +382,7 @@ class TestCommands:
         assert not list(tmp_path.rglob("*.dot"))
 
     def test_tree_follows_config_protocol(self, tmp_path):
-        config = tmp_path / "atic.json"
-        config.write_text(json.dumps({"protocols": ["atic"]}))
-        assert run_cli("tree", "--users", "3", "--seed", "7", "--config", str(config),
+        assert run_cli("tree", "--protocol", "atic", "--users", "3", "--seed", "7",
                        "--outdir", str(tmp_path)) == 0
         assert (tmp_path / "tree_atic_n3.dot").exists()
 
@@ -491,14 +399,6 @@ class TestCommands:
             row = next(r for r in rows if r["protocol"] == proto)
             for key in ("slots_simulated", "packets_decoded", "cri_count"):
                 assert int(row[key]) == blob["data"][key]
-
-    def test_cli_overrides_config_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "protocols": ["bta"], "rates": [0.2], "budget": 1500, "seed": 2}))
-        assert run_cli("simulate", "--config", str(path), "--protocol", "mta",
-                       "--outdir", str(tmp_path)) == 0
-        assert (tmp_path / "sim_mta_gated_0p2.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -534,13 +434,15 @@ def test_star_import_binds_every_export():
 
 
 class TestSurface:
-    """Options and names that only tests used are gone; the module entry
-    point and the signal algebra's own module stay."""
+    """Options and names that only tests used are gone, the settings file
+    with them: settings come from flags alone.  The module entry point and
+    the signal algebra's own module stay."""
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--protocol", "atic", "--rates", "0.3", "--seed", "1",
          "--budget", "100", "--replications", "2"),
         ("analytic", "--n-max", "3", "--format", "json"),
+        *((command, "--config", "run.json") for command in COMMANDS),
     ])
     def test_removed_options_are_usage_errors(self, tmp_path, capsys, argv):
         outdir = tmp_path / "out"
@@ -549,18 +451,15 @@ class TestSurface:
         assert not outdir.exists()
 
     def test_help_lists_only_kept_options(self, capsys):
-        for command in ("simulate", "analytic"):
+        for command in COMMANDS:
             with pytest.raises(SystemExit):
                 run_cli(command, "--help")
         out = capsys.readouterr().out
         assert "--rates" in out and "--n-max" in out
-        assert not re.search(r"--rate\b|--replications|--format", out)
-
-    def test_replications_is_an_unknown_config_field(self):
-        assert "replications" not in {f.name for f in fields(ExperimentConfig)}
-        with pytest.raises(ConfigError, match="unknown config field") as err:
-            config_from_mapping({"replications": 2})
-        assert err.value.field == "replications"
+        assert not re.search(r"--rate\b|--replications|--format|--config", out)
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "protocols", "policy", "p", "rates", "budget", "seed", "outdir", "packet_bits"]
+        assert not {"load_config", "config_from_mapping"} & set(vars(treesplit.config))
 
     def test_signal_names_left_the_package_namespace(self):
         src = str(Path(treesplit.__file__).resolve().parents[1])

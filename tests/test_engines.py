@@ -19,9 +19,10 @@ from scipy.special import gammaln
 import treesplit.engines as engines
 import treesplit.rng as rng
 from treesplit.analytics import CollisionCountTable, CriLengthTable
-from treesplit.config import config_from_mapping
+from treesplit.config import ExperimentConfig
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import _WORDS_MIN, CoinSource, prepared_sources
+from treesplit.signals import Signal, cancel
 from treesplit.sim import simulate
 
 HALF = 0.5
@@ -64,19 +65,23 @@ def aleft_length_tables(n_max, p):
 
 
 def cancel_to_fixpoint(memory, pid):
-    """Independent oracle for one decode: cancel everything resolved from
-    every stored remainder until none holds exactly one packet.  Returns
-    the resolved set and the non-empty remainders left."""
-    resolved = {pid}
-    changed = True
-    while changed:
-        changed = False
-        for _, rem in memory:
-            left = rem - resolved
-            if len(left) == 1:
-                resolved |= left
-                changed = True
-    return resolved, [(slot, rem - resolved) for slot, rem in memory if rem - resolved]
+    """Independent oracle for one decode, on the signal algebra.  The stored
+    remainders (``Signal``s) nest along the tree path, the deepest last, so
+    every one of them holds each decoded packet: cancel it from each, which
+    raises ``NotContainedError`` on an over-subtraction, drop the emptied
+    remainders, and decode the deepest one where it holds a single packet,
+    until none does.  Returns the packets resolved, in order, and the
+    remainders left."""
+    resolved = []
+    packet = Signal.of(pid)
+    while True:
+        resolved.extend(packet)
+        memory = [(slot, cancel(rem, packet)) for slot, rem in memory]
+        while memory and not memory[-1][1]:
+            memory.pop()
+        if not memory or len(memory[-1][1]) != 1:
+            return resolved, memory
+        packet = memory[-1][1]
 
 
 # What each protocol's feedback broadcasts, written out apart from the
@@ -90,13 +95,16 @@ class TestFeedbackReplay:
            st.sampled_from([0.3, 0.5, 0.7]))
     @settings(max_examples=300)
     def test_recorded_feedback_matches_replay(self, n, seed, protocol, p):
-        """Replay every recorded slot against a set fixpoint of the stored
-        collisions.  Each success decodes what the fixpoint resolves, the
+        """Replay every recorded slot on both sides of the channel with the
+        signal algebra.  The receiver reduces its stored collision signals
+        to a fixpoint: each success decodes what the fixpoint resolves, the
         memory size counts its remainders, and ``z`` is what the protocol
         broadcasts.  Users who see a pair broadcast arbitrate it by id: the
-        next slot holds the higher id alone, and every arbitration in the
-        tree (a node with one child) comes right after a broadcast of its
-        parent's members."""
+        next slot holds the higher id alone.  Every arbitration in the tree
+        (a node with one child) comes right after a broadcast of its
+        parent's two members, each of whom cancels its own signal out of
+        it and is left with the other's; no broadcast of three or more
+        members is followed by one."""
         z_on_collision, z_on_success = BROADCASTS[protocol]
         trace = run_cri(protocol, range(n), p, seed, record=True)
         decoded_in: dict = {}
@@ -104,26 +112,27 @@ class TestFeedbackReplay:
             decoded_in.setdefault(slot, []).append(pid)
         memory: list = []
         for rec, nxt in zip(trace.slots, trace.slots[1:] + [None]):
-            z: set = set()
+            z = Signal()
             if rec.kind == "collision":
                 assert len(rec.transmitters) >= 2
                 if protocol in SIC_PROTOCOLS:
-                    memory.append((rec.index, set(rec.transmitters)))
+                    memory.append((rec.index, Signal(rec.transmitters)))
                 if z_on_collision:
-                    z = set(rec.transmitters)
+                    z = Signal(rec.transmitters)
             elif rec.kind == "success":
                 assert len(rec.transmitters) == 1
                 pid = rec.transmitters[0]
                 resolved, memory = cancel_to_fixpoint(memory, pid)
                 decoded = decoded_in.pop(rec.index)
-                assert decoded[0] == pid and set(decoded) == resolved
+                assert decoded[0] == pid and set(decoded) == set(resolved)
                 assert len(decoded) == len(resolved)
+                assert decoded == resolved
                 if z_on_success and memory:
                     z = memory[-1][1]
             else:
                 assert rec.kind == "idle" and rec.transmitters == ()
             assert rec.memory_size == len(memory)
-            assert rec.z == tuple(sorted(z))
+            assert rec.z == z.components
             if len(z) == 2:
                 assert nxt is not None and nxt.transmitters == (max(z),)
         assert decoded_in == {} and memory == []
@@ -131,11 +140,20 @@ class TestFeedbackReplay:
         children: dict = {}
         for node in trace.nodes[1:]:
             children.setdefault(node.parent, []).append(node)
+        arbitrated = set()
         for parent, kids in children.items():
             if len(kids) == 1:
                 slot = kids[0].slot
                 assert slot is not None and slot >= 2
                 assert trace.slots[slot - 2].z == trace.nodes[parent].members
+                arbitrated.add(slot)
+                pair = trace.nodes[parent].members
+                assert len(pair) == 2
+                z = Signal(trace.slots[slot - 2].z)
+                for me, other in (pair, pair[::-1]):
+                    assert cancel(z, Signal.of(me)) == Signal.of(other)
+        assert all(rec.index + 1 not in arbitrated
+                   for rec in trace.slots if len(rec.z) >= 3)
 
 
 class TestScriptedFixtures:
@@ -287,7 +305,7 @@ class TestRunnerContract:
         (lambda name: simulate(name, "gated", 0.4, 100, 1), None),
         (lambda name: CriLengthTable(0.5, name), None),
         (lambda name: CollisionCountTable(0.5, name), None),
-        (lambda name: config_from_mapping({"protocols": [name]}), "protocols"),
+        (lambda name: ExperimentConfig(protocols=(name,)).validate(), "protocols"),
     ], ids=["run_cri", "run_cri_unhashable", "simulate", "CriLengthTable",
             "CollisionCountTable", "config"])
     def test_unknown_protocol_names_the_choices(self, call, field):

@@ -97,6 +97,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate("bta", "gated", 0.3, 0, 1)
 
+    def test_budget_and_seed_must_be_integers(self):
+        """A float, bool or string budget or seed is refused, not truncated;
+        numpy integers run as Python ones."""
+        for policy in ("windowed:40", "gated"):
+            for kwargs in ({"budget": 2.5}, {"budget": True}, {"budget": "3"},
+                           {"seed": 1.9}, {"seed": True}):
+                args = {"budget": 100, "seed": 1, **kwargs}
+                with pytest.raises(ValueError, match=next(iter(kwargs))):
+                    simulate("atic", policy, 0.3, args["budget"], args["seed"])
+        want = simulate("atic", "gated", 0.3, 100, 1).to_dict()
+        assert simulate("atic", "gated", 0.3, np.int64(100), np.int64(1)).to_dict() == want
+
     @pytest.mark.parametrize("bits", [0, -5])
     def test_packet_bits_must_be_positive(self, bits):
         with pytest.raises(ValueError):

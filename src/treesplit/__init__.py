@@ -41,7 +41,6 @@ from .sim import (
     feedback_value_histogram,
     simulate,
 )
-from .config import ConfigError, ExperimentConfig, parse_grid
 from .reports import IoError, config_digest, emit_report, render_csv, render_json
 from ._version import __version__
 
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsReport", "ProtocolError",
     "collisions_per_cri_cdf", "delay_stats", "feedback_cost",
     "feedback_value_histogram", "simulate",
-    "ConfigError", "ExperimentConfig", "parse_grid",
     "IoError", "config_digest", "emit_report", "render_csv", "render_json",
     "__version__",
 ]

@@ -9,8 +9,15 @@ Subcommands:
   tree           single-interval resolution tree as a DOT file
   compare        multi-protocol overlay of traffic metrics
 
-Exit codes: 0 ok, 1 config error, 2 output/io error.  Stochastic
-commands require an explicit seed; analytic commands do not.
+A run's settings are an :class:`ExperimentConfig`: its defaults under the
+flags given (``--outdir`` defaults to ``$TREESPLIT_OUTDIR``).  Its checks
+run the library's own on the protocol, policy, split bias, rates, budget
+and packet size, reported against the field; the CLI's own rules are at
+least one protocol and none twice, one report-file tag per rate, and a
+seed >= 0 when one is given.  Stochastic commands require an explicit
+seed; analytic commands do not.
+
+Exit codes: 0 ok, 1 config error, 2 output/io error.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,18 +36,125 @@ from .analytics import (
     windowed_stable_rate,
     CriLengthTable,
 )
-from .config import (
-    _GRID_MAX_POINTS,
-    ConfigError,
-    ExperimentConfig,
-    _FIELD_NAMES,
-    parse_grid,
-    rate_tag,
-)
-from .engines import _split_bias, export_tree, run_cri
+from .engines import _rules, _split_bias, export_tree, run_cri
 from .reports import IoError, emit_report, provenance_header, write_text
 from .rng import CoinSource, derive_seed
-from .sim import EmptySampleError, delay_stats, simulate
+from .sim import (
+    _PACKET_BITS,
+    EmptySampleError,
+    _integer,
+    _rate,
+    _window_length,
+    delay_stats,
+    simulate,
+)
+
+ENV_OUTDIR = "TREESPLIT_OUTDIR"
+
+_DEFAULT_BUDGET = 100_000
+# Most points a start:stop:step grid may expand to.
+_GRID_MAX_POINTS = 100_000
+
+
+def rate_tag(lam: float) -> str:
+    """The rate as report file names carry it: six significant digits."""
+    return format(lam, "g").replace(".", "p")
+
+
+class ConfigError(ValueError):
+    """A setting is missing, malformed, or out of range.
+
+    Carries the offending field name so the message can point at it.
+    """
+
+    def __init__(self, field_name: str, message: str):
+        self.field = field_name
+        super().__init__(f"config field '{field_name}': {message}")
+
+
+def _checked(field_name: str, check, *args):
+    """``check(*args)``, a library check, with its ``ValueError`` reported
+    as a :class:`ConfigError` on ``field_name``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(field_name, str(exc)) from None
+
+
+def parse_grid(text: str, field_name: str = "grid") -> tuple[float, ...]:
+    """Parse ``start:stop:step`` (inclusive stop, within half a step) or a
+    comma-separated list into a tuple of floats."""
+    text = text.strip()
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(field_name, f"expected start:stop:step, got {text!r}")
+        try:
+            start, stop, step = (float(x) for x in parts)
+        except ValueError:
+            raise ConfigError(field_name, f"non-numeric bound in {text!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(field_name, f"non-finite bound in {text!r}")
+        if step <= 0:
+            raise ConfigError(field_name, f"step must be > 0, got {step}")
+        if stop < start:
+            raise ConfigError(field_name, f"stop {stop} below start {start}")
+        count = (stop - start) / step + 0.5
+        if not count < _GRID_MAX_POINTS:
+            raise ConfigError(field_name, f"{text!r} spans more than {_GRID_MAX_POINTS} points")
+        values = tuple(start + i * step for i in range(int(count) + 1))
+        return tuple(v for v in values if v <= stop + step * 1e-9)
+    try:
+        values = tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise ConfigError(field_name, f"non-numeric entry in {text!r}") from None
+    if not values:
+        raise ConfigError(field_name, "empty grid")
+    return values
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated description of one experiment batch."""
+
+    protocols: tuple[str, ...] = ("atic",)
+    policy: str = "gated"
+    p: float = 0.5
+    rates: tuple[float, ...] = ()
+    budget: int = _DEFAULT_BUDGET
+    seed: int | None = None
+    outdir: str = field(default_factory=lambda: os.environ.get(ENV_OUTDIR, "."))
+    packet_bits: int = _PACKET_BITS
+
+    def validate(self) -> "ExperimentConfig":
+        if not self.protocols:
+            raise ConfigError("protocols", "at least one protocol required")
+        for name in self.protocols:
+            _checked("protocols", _rules, name)
+        if len(set(self.protocols)) != len(self.protocols):
+            raise ConfigError("protocols", f"repeated protocol in {self.protocols}")
+        _checked("policy", _window_length, self.policy)
+        _checked("p", _split_bias, self.p)
+        for lam in self.rates:
+            _checked("rates", _rate, lam)
+        # Equal tags would name one report file twice; equal rates have them.
+        if len({rate_tag(lam) for lam in self.rates}) != len(self.rates):
+            raise ConfigError("rates", f"rates {self.rates} repeat a file tag "
+                                       f"(six significant digits)")
+        _checked("budget", _integer, self.budget, "budget", 1)
+        if self.seed is not None:
+            _checked("seed", _integer, self.seed, "seed", 0)
+        _checked("packet_bits", _integer, self.packet_bits, "packet_bits", 1)
+        return self
+
+    def require_seed(self) -> int:
+        """Stochastic commands refuse to run without an explicit seed."""
+        if self.seed is None:
+            raise ConfigError("seed", "stochastic runs need an explicit seed")
+        return self.seed
+
+
+_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,10 +302,7 @@ def _cmd_analytic(args, cfg: ExperimentConfig) -> int:
 def _cmd_asymptote(args, cfg: ExperimentConfig) -> int:
     grid = parse_grid(args.p_grid, "p_grid")
     for value in grid:
-        try:
-            _split_bias(value)
-        except ValueError as exc:
-            raise ConfigError("p_grid", str(exc)) from None
+        _checked("p_grid", _split_bias, value)
     value_here = asymptotic_throughput(cfg.p)
     scan = [(p, asymptotic_throughput(p)) for p in grid]
     best_p, best_val = max(scan, key=lambda item: item[1])

@@ -84,6 +84,9 @@ _MIN_TREND_POINTS = 8
 # Poisson(12) windows (windowed:40 at rate 0.3) on a 2-vCPU VM, by block
 # size: 1: 29.2, 8: 8.2, 16: 7.6, 32: 6.6, 64: 6.2, 128: 6.4, 256: 8.4.
 _WINDOW_BLOCK = 64
+# Payload bits of a packet, which the broadcast-signal protocols' feedback
+# carries, unless a run gives its own.
+_PACKET_BITS = 256
 
 
 class ProtocolError(ValueError):
@@ -109,12 +112,23 @@ def _window_length(policy: str) -> Optional[float]:
     return delta
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a float, string or bool is refused, never
-    truncated."""
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int, at least ``least`` when given; a float, string
+    or bool is refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def _rate(value) -> float:
+    """``value`` as a float arrival rate: a finite non-negative real; a
+    bool or string is refused, never converted."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= 0)):
+        raise ValueError(f"arrival rate must be a finite non-negative real, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -133,7 +147,7 @@ class MetricsReport:
     rate: float
     budget: int
     seed: int
-    packet_bits: int = 256
+    packet_bits: int = _PACKET_BITS
     slots_simulated: int = 0
     cri_count: int = 0
     packets_decoded: int = 0
@@ -246,30 +260,28 @@ def simulate(
     seed: int,
     *,
     p: float = 0.5,
-    packet_bits: int = 256,
+    packet_bits: int = _PACKET_BITS,
 ) -> MetricsReport:
     """Run intervals back to back until ``budget`` slots and report metrics.
 
     ``protocol`` is a ``RULES`` name; ``policy`` is ``"gated"`` or
-    ``"windowed:<delta>"`` (see the module docstring); ``rate`` is the
-    Poisson arrival intensity in packets per slot (zero is allowed and
-    produces an all-idle run); ``p`` is the split bias handed to the
-    protocol engine.  Deterministic: identical
-    arguments give an identical report.
+    ``"windowed:<delta>"`` (see the module docstring); ``rate``, the
+    Poisson arrival intensity in packets per slot, is a finite
+    non-negative real (zero gives an all-idle run); ``budget`` is an
+    integer >= 1; ``seed`` is an integer; ``p`` is the split bias handed
+    to the protocol engine; ``packet_bits``, the payload a broadcast
+    signal costs, is an integer >= 1.  A value breaking its rule raises
+    ``ValueError`` naming it: numbers of the wrong kind are refused, never
+    converted.  Deterministic: identical arguments give an identical
+    report.
     """
     rules = _rules(protocol)
     delta = _window_length(policy)
-    rate = float(rate)
-    budget = _integer(budget, "budget")
+    rate = _rate(rate)
+    budget = _integer(budget, "budget", 1)
     seed = _integer(seed, "seed")
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise ValueError(f"arrival rate must be finite and non-negative, got {rate}")
-    if budget < 1:
-        raise ValueError(f"slot budget must be at least 1, got {budget}")
     p = _split_bias(p)
-    packet_bits = int(packet_bits)
-    if packet_bits < 1:
-        raise ValueError(f"packet_bits must be at least 1, got {packet_bits}")
+    packet_bits = _integer(packet_bits, "packet_bits", 1)
 
     report = MetricsReport(
         protocol=protocol, policy="gated" if delta is None else f"windowed:{delta:g}",

@@ -16,9 +16,9 @@ import pytest
 import treesplit
 from treesplit import __version__
 from treesplit.analytics import CriLengthTable, windowed_stable_rate
-from treesplit.cli import _config, build_parser, entrypoint
-from treesplit.config import ConfigError, ExperimentConfig, parse_grid
+from treesplit.cli import ConfigError, ExperimentConfig, _config, build_parser, entrypoint, parse_grid
 from treesplit.reports import config_digest, emit_report, render_csv, render_json
+from treesplit.sim import simulate
 
 COMMANDS = ("analytic", "asymptote", "windowed-scan", "simulate", "sweep", "tree", "compare")
 SCRIPT = ("1:0=l,2:0=l,3:0=l,4:0=r,1:1=r,2:1=r,3:1=r,"
@@ -70,6 +70,24 @@ class TestConfig:
             ExperimentConfig(**payload).validate()
         assert err.value.field == field
         assert field in str(err.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rates", math.nan), ("rates", -0.5), ("rates", math.inf), ("budget", 0),
+        ("packet_bits", 0), ("p", 1.2), ("policy", "windowed:0.5"), ("protocols", "aloha"),
+    ])
+    def test_cli_and_library_share_each_rule(self, field, value):
+        """A bad value gets the library's own error, which the config
+        reports against its field."""
+        args = {"protocol": "atic", "policy": "gated", "rate": 0.3, "budget": 100, "seed": 1,
+                "p": 0.5, "packet_bits": 256}
+        args[{"rates": "rate", "protocols": "protocol"}.get(field, field)] = value
+        with pytest.raises(ValueError) as lib:
+            simulate(**args)
+        settings = {field: (value,) if field in ("rates", "protocols") else value}
+        with pytest.raises(ConfigError) as cli:
+            ExperimentConfig(**settings).validate()
+        assert cli.value.field == field
+        assert str(cli.value).endswith(str(lib.value))
 
     def test_grid_parsing(self):
         assert parse_grid("0.1:0.3:0.1") == pytest.approx((0.1, 0.2, 0.3))
@@ -459,18 +477,23 @@ class TestSurface:
         assert not re.search(r"--rate\b|--replications|--format|--config", out)
         assert [f.name for f in fields(ExperimentConfig)] == [
             "protocols", "policy", "p", "rates", "budget", "seed", "outdir", "packet_bits"]
-        assert not {"load_config", "config_from_mapping"} & set(vars(treesplit.config))
+        assert not {"load_config", "config_from_mapping"} & set(vars(treesplit.cli))
 
     def test_signal_names_left_the_package_namespace(self):
         src = str(Path(treesplit.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import treesplit; "
-                "print('treesplit.signals' in sys.modules); "
+                "print(*(name in sys.modules for name in ('treesplit.signals', "
+                "'treesplit.cli', 'treesplit.config', 'argparse'))); "
                 "from treesplit.signals import Signal; print(Signal.__name__)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["False", "Signal"]
+        assert out.stdout.split() == ["False", "False", "False", "False", "Signal"]
         exported = set(treesplit.__all__)
         assert exported.isdisjoint({"Signal", "superpose", "cancel", "NotContainedError"})
+        # The settings and their errors belong to the CLI, which no library
+        # function takes or returns.
+        assert len(treesplit.__all__) == 38
+        assert exported.isdisjoint({"ConfigError", "ExperimentConfig", "parse_grid"})
 
 
 class TestModuleEntryPoint:

@@ -19,7 +19,7 @@ from scipy.special import gammaln
 import treesplit.engines as engines
 import treesplit.rng as rng
 from treesplit.analytics import CollisionCountTable, CriLengthTable
-from treesplit.config import ExperimentConfig
+from treesplit.cli import ExperimentConfig
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import _WORDS_MIN, CoinSource, prepared_sources
 from treesplit.signals import Signal, cancel

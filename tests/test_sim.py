@@ -109,6 +109,20 @@ class TestValidation:
         want = simulate("atic", "gated", 0.3, 100, 1).to_dict()
         assert simulate("atic", "gated", 0.3, np.int64(100), np.int64(1)).to_dict() == want
 
+    def test_rate_and_packet_bits_are_checked_not_coerced(self):
+        """A float, bool or string packet size and a bool, string or missing
+        rate are refused, not converted; numpy numbers run as Python ones."""
+        for policy in ("gated", "windowed:40"):
+            for kwargs in ({"packet_bits": 2.5}, {"packet_bits": True}, {"packet_bits": "256"},
+                           {"rate": True}, {"rate": "0.3"}, {"rate": None}):
+                args = {"rate": 0.3, "packet_bits": 256, **kwargs}
+                with pytest.raises(ValueError, match=next(iter(kwargs))):
+                    simulate("atic", policy, args["rate"], 100, 1,
+                             packet_bits=args["packet_bits"])
+            want = simulate("atic", policy, 0.3, 100, 1, packet_bits=64).to_dict()
+            got = simulate("atic", policy, np.float64(0.3), 100, 1, packet_bits=np.int64(64))
+            assert got.to_dict() == want
+
     @pytest.mark.parametrize("bits", [0, -5])
     def test_packet_bits_must_be_positive(self, bits):
         with pytest.raises(ValueError):

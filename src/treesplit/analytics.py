@@ -70,6 +70,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engines import _rules, _split_bias
+from .rng import _integer
 
 # Poisson tail mass a mixture over the length table may leave out.
 _POISSON_TOL = 1e-12
@@ -284,8 +285,7 @@ class _SplitTable:
         self._size = n_max + 1
 
     def expected(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = _integer(n, "n", 0)
         self._extend(n)
         return float(self._values[n])
 
@@ -306,12 +306,12 @@ class CriLengthTable(_SplitTable):
         return (0.0 if saves else 1.0, 0.0, 1.0 if saves or not skips else 0.0, 1.0, 0.0)
 
     def throughput(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("conditional throughput needs n >= 1")
+        n = _integer(n, "n", 1)
         return n / self.expected(n)
 
     def lengths_up_to(self, n_max: int) -> np.ndarray:
         """L_0..L_n_max as a new array (the table keeps its own)."""
+        n_max = _integer(n_max, "n_max", 0)
         self._extend(n_max)
         return self._values[: n_max + 1].copy()
 
@@ -323,8 +323,7 @@ def expected_cri_closed(n: int, p: float) -> float:
     so it is evaluated in exact rational arithmetic over the binary value
     of p and rounded once; use a :class:`CriLengthTable` for large n.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _integer(n, "n", 0)
     pf = Fraction(_split_bias(p))
     qf = 1 - pf
     rf = 2 - 4 * pf * qf - 3 * (pf * pf + qf * qf)

@@ -38,11 +38,10 @@ from .analytics import (
 )
 from .engines import _rules, _split_bias, export_tree, run_cri
 from .reports import IoError, emit_report, provenance_header, write_text
-from .rng import CoinSource, derive_seed
+from .rng import CoinSource, _integer, derive_seed
 from .sim import (
     _PACKET_BITS,
     EmptySampleError,
-    _integer,
     _rate,
     _window_length,
     delay_stats,

@@ -35,28 +35,28 @@ packets are a prefix of that list and a stored collision is just the end
 of its range (see :func:`run_cri`).  Split coins come from a
 :class:`CoinSource`; given an integer seed, the engine builds it only
 when a group first splits, so an interval of zero or one packet builds
-none.  At that first split the engine takes the interval's order, its
-trie keys and split function from ``CoinSource.splitter``, which alone
-decides how the coins are computed: a split above the keys' depth is one
-bisection of the keys, and a deeper one calls the split function.  The
-group on air lives in locals, and a parked group is one tuple.  Slot
-feedback (idle, success with its jump count, or collision, plus the
-broadcast members ``z``) is read off the ranges;
-``record=True`` keeps it as :class:`SlotRecord` rows along with the
-split tree as :class:`TreeNode` rows.  No per-user model is kept: the
-feedback-replay test (``tests/test_engines.py::TestFeedbackReplay``)
-checks every recorded decode, memory size and broadcast against an
-independent cancellation oracle, and checks that users who see a pair
-broadcast could arbitrate it: the higher id alone transmits next.
+none.  At that first split it takes the interval's order and trie keys
+from ``CoinSource.trie``, which alone decides how keys are computed; the
+engine makes every split, by one bisection of the keys above their depth
+and by ``CoinSource.flip`` below it.  The group on air lives in locals,
+and a parked group is one tuple.  Slot feedback (idle, success with its
+jump count, or collision, plus the broadcast members ``z``) is read off
+the ranges; ``record=True`` keeps it as :class:`SlotRecord` rows along
+with the split tree as :class:`TreeNode` rows.  No per-user model is
+kept: ``tests/test_engines.py::TestFeedbackReplay`` checks every recorded
+decode, memory size and broadcast against an independent cancellation
+oracle, and that users who see a pair broadcast could arbitrate it: the
+higher id alone transmits next.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .rng import CoinSource
+from .rng import CoinSource, _integer, _real
 
 # Slots an interval may consume per packet (an empty interval counts as
 # one packet) at split bias 1/2 before the engine declares a rule-table
@@ -162,11 +162,12 @@ def _rules(protocol) -> Rules:
 
 
 def _split_bias(p) -> float:
-    """``p`` as a float; ValueError unless 2^-53 <= p < 1.  The coins
+    """``p`` as a float; ValueError unless it is a real (never converted
+    from a bool or string) with 2^-53 <= p < 1.  The coins
     realize p rounded up to a multiple of 2^-53 (``rng.coin_words``
     compares with that bound), so a smaller p would split as if it were
     2^-53."""
-    p = float(p)
+    p = _real(p, "split probability")
     if not 2.0 ** -53 <= p < 1.0:
         raise ValueError(f"split probability must lie in [2^-53, 1), got {p}")
     return p
@@ -188,32 +189,32 @@ def run_cri(
 ) -> CriTrace:
     """Resolve one interval of a ``RULES`` protocol and return its trace.
 
-    ``initial`` holds distinct packet (user) ids; a repeated id raises
-    ValueError.  ``rng`` is either an integer seed or a prepared
-    :class:`CoinSource` of bias ``p``; split coins are keyed by (user
-    id, depth), so two protocols driven from the same seed see identical
-    split sequences.  An integer seed builds its coin source only when a group
-    first splits, so an interval that never splits (zero or one packet)
-    builds none.  Splits read the source's ``splitter``, which picks how
-    the coins are computed.  ``record=True`` also fills the
-    trace's ``slots`` (one :class:`SlotRecord` per consumed slot) and
-    ``nodes`` (the realized split tree); the scalar statistics are always
-    filled in.
+    ``initial`` holds distinct integer packet (user) ids.  ``rng`` is
+    either an integer seed or a prepared :class:`CoinSource` of bias
+    ``p``; split coins are keyed by (user id, depth), so two protocols
+    driven from the same seed see identical split sequences.  A repeated
+    id, or an id, seed or ``p`` of the wrong kind, raises ValueError:
+    none is converted.  An integer seed builds its coin source only when
+    a group first splits, so an interval that never splits (zero or one
+    packet) builds none.  ``record=True`` also fills the trace's
+    ``slots`` (one :class:`SlotRecord` per consumed slot) and ``nodes``
+    (the realized split tree); the scalar statistics are always filled in.
 
     The group on air is the range ``order[a:b]`` at tree depth ``depth``,
     whose ``nodes`` row is ``node`` (None unless the trace is recorded),
-    held in locals; ``order`` starts as the sorted ids and is the
-    splitter's trie order from the first split on, so a recorded trace
-    sorts its transmitters and node members.  A split parks the right
-    child as an ``(a, b, depth, node)`` tuple.  A parked group is a
-    definite collision, its root slot skipped under ``skips_definite``,
-    when the receiver saves collisions (everyone can derive it) or when
-    its left sibling was idle.  A split above the splitter's key depth
-    is one bisection of the keys; a deeper one calls its split function.
-    A pair's arbitration may swap it out of trie order, but a pair never
-    splits.  The tree is walked left first, so the decoded packets are
-    always the prefix ``order[:pos]``: a stored collision ``[a, b)``
-    needs only its end, its remainder being ``order[pos:b]``.
+    held in locals; ``order`` starts as the sorted ids and is
+    ``CoinSource.trie``'s order from the first split on, so a recorded
+    trace sorts its transmitters and node members.  Above the keys' depth
+    a split is one bisection of the keys; deeper, where keys tie, it
+    partitions the range stably by ``flip``, heads then tails.  A split
+    parks the right child as an ``(a, b, depth, node)`` tuple.  A parked
+    group is a definite collision, its root slot skipped under
+    ``skips_definite``, when the receiver saves collisions (everyone can
+    derive it) or when its left sibling was idle.  A pair's arbitration
+    may swap it out of trie order, but a pair never splits.  The tree is
+    walked left first, so the decoded packets are always the prefix
+    ``order[:pos]``: a stored collision ``[a, b)`` needs only its end, its
+    remainder being ``order[pos:b]``.
 
     Raises :class:`NonTerminationError` when an interval exceeds its slot
     cap, which can only happen through a rule-table bug.
@@ -221,15 +222,19 @@ def run_cri(
     saves_collisions, skips_definite, z_on_collision, z_on_success = _rules(protocol)
     derives = saves_collisions and skips_definite
     p = _split_bias(p)
-    coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, int(rng))
+    coins, seed = (rng, None) if isinstance(rng, CoinSource) else (None, _integer(rng, "seed"))
     if coins is not None and coins.p != p:
         raise ValueError(f"coin source bias {coins.p} differs from the split bias {p}")
 
-    ids = tuple(sorted(map(int, initial)))
+    try:
+        ids = tuple(sorted(map(operator.index, initial)))
+    except TypeError as err:
+        raise ValueError(f"interval ids must be integers: {err}") from None
     if len(set(ids)) < len(ids):
         repeat = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise ValueError(f"interval ids must be distinct, got {repeat} more than once")
-    cap = SLOT_CAP_PER_PACKET * max(1, len(ids))   # at bias 1/2
+    # A slot count passes the real cap iff it passes its int floor; divisor min(2p, 2 - 2p).
+    cap = int(SLOT_CAP_PER_PACKET * (len(ids) or 1) / (2 * p if p <= 0.5 else 2 - 2 * p))
     order = list(ids)          # every group is a range of this list
     pos = 0                    # order[:pos] is decoded
     memory: list = []          # ends of the stored collisions (cancellation protocols)
@@ -242,18 +247,15 @@ def run_cri(
     collisions = successes = skipped = highwater = z_successes = consumed = 0
     a, b, depth = 0, len(order), 0
     node = _add_node(nodes, None, ids) if record else None
-    split = None               # the interval's split function, set at the first split
-    keys, key_depths = None, 0
+    flip = None                # the coins' flip, bound with the trie keys at the first split
     left = False               # the group on air is a left child, its sibling just parked
 
     while True:
         # ``order[a:b]`` occupies the channel for one slot.
         consumed += 1
-        if consumed > cap and consumed > cap / min(2 * p, 2 - 2 * p):
-            raise NonTerminationError(
-                f"{protocol} interval over {len(ids)} packets exceeded "
-                f"{cap / min(2 * p, 2 - 2 * p):.0f} slots; rule table is inconsistent"
-            )
+        if consumed > cap:
+            raise NonTerminationError(f"{protocol} interval over {len(ids)} packets exceeded "
+                                      f"{cap} slots; rule table is inconsistent")
         n_here = b - a
         if n_here == 0:
             fb_kind, skip_k, z = "idle", 0, ()
@@ -336,14 +338,20 @@ def run_cri(
                 node = _add_node(nodes, node, (winner,))
             left = False
             continue
-        if split is None:
-            order, keys, key_depths, split = (coins or CoinSource(seed, p)).splitter(order)
+        if flip is None:
+            coins = coins or CoinSource(seed, p)
+            flip = coins.flip
+            order, keys, key_depths = coins.trie(order)
         if depth < key_depths:
             # Tails start at the first key past the group's depth-bit prefix.
             shift = key_depths - depth
             m = bisect_left(keys, keys[a] >> shift << shift | 1 << shift - 1, a, b)
         else:
-            m = split(order, a, b, depth)
+            heads, tails = [], []
+            for uid in order[a:b]:
+                (heads if flip(uid, depth) else tails).append(uid)
+            m = a + len(heads)
+            order[a:b] = heads + tails
         depth += 1
         if record:
             pending.append((m, b, depth, _add_node(nodes, node, order[m:b])))

@@ -17,8 +17,8 @@ bisection.  A pass hashes only the D depths its largest group needs
 (:func:`_key_depths`): enough that a pair of its users is unlikely to tie
 on all of them, at most 32.  The trees of a few dozen users rarely reach
 past depth 16.  This module alone computes keys and decides when they pay:
-the engine asks :meth:`CoinSource.splitter` for an interval's order, keys
-and split function, and the windowed simulator asks
+the engine asks :meth:`CoinSource.trie` for an interval's order and keys
+and makes every split, and the windowed simulator asks
 :func:`prepared_sources` for a block's sources.
 
 Arrival streams are numpy PCG64 streams: every draw equals the matching
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from itertools import accumulate
 
 import numpy as np
@@ -89,6 +90,29 @@ _WORDS_MIN = 8
 _WORD_ROWS = 4096
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` when given; a float, string
+    or bool is refused, never truncated.  An exact int skips the ABC test."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be non-negative, got {value}" if least == 0
+                         else f"need {name} >= {least}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool, string or other non-real is refused,
+    never converted.  An exact float skips the ABC test."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    return value
+
+
 def derive_seed(master: int, *parts) -> int:
     """Derive a 63-bit sub-stream seed from a master seed and labels.
 
@@ -96,7 +120,7 @@ def derive_seed(master: int, *parts) -> int:
     strings and integers yields an independent, reproducible stream id.
     """
     h = hashlib.sha256()
-    h.update(str(int(master)).encode())
+    h.update(str(_integer(master, "seed")).encode())
     for part in parts:
         h.update(b"\x1f")
         h.update(repr(part).encode())
@@ -138,6 +162,9 @@ _UID_KEY = np.uint64(0xA24BAED4963EE407)
 _DEPTH_KEYS = np.array([(d * 0x9FB21C651E98DF25) & _MASK64 for d in range(_WORD_DEPTHS)],
                        dtype=np.uint64)
 _U11 = np.uint64(11)
+# 2^(31 - d), the tails bit's weight at depth d, built from a list: np.left_shift
+# here added 128 KiB to every process's peak RSS.
+_KEY_WEIGHTS = np.array([1 << d for d in range(_WORD_DEPTHS - 1, -1, -1)], dtype=np.int64)
 
 
 def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -156,15 +183,15 @@ class CoinSource:
     """Bernoulli split coins keyed by (user id, depth).
 
     ``flip(uid, depth)`` returns True when the user joins the left group;
-    it equals ``coin_uniform(seed, uid, depth) < p``.  ``splitter(ids)``
-    splits an interval's groups by the same coins.  A scripted table of
-    forced outcomes can be layered on top for reproducing hand-constructed
-    split sequences; a scripted source flips every coin.
+    it equals ``coin_uniform(seed, uid, depth) < p``.  ``trie(ids)`` orders
+    an interval's users by the same coins.  A scripted table of forced
+    outcomes can be layered on top for reproducing hand-constructed split
+    sequences; a scripted source flips every coin.
     """
 
     def __init__(self, seed: int, p: float, script: dict | None = None):
-        self.seed = int(seed)
-        self.p = float(p)
+        self.seed = _integer(seed, "seed")
+        self.p = _real(p, "coin bias")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"coin bias must lie in [0, 1], got {self.p}")
         self.script = dict(script) if script else None
@@ -190,42 +217,23 @@ class CoinSource:
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
         return ((x ^ (x >> 31)) >> 11) < self._bound
 
-    def splitter(self, ids: list):
-        """``(order, keys, depths, split)`` for an interval over the sorted
-        users ``ids``: each group of its split tree is a range of ``order``.
-        ``keys[k]`` holds the coins of ``order[k]`` at depths below
-        ``depths``, bit ``depths - 1 - d`` set when the coin at depth d is
-        tails, so a group at such a depth splits where its keys' bit turns
-        1, which one bisection finds.  ``split(order, a, b, depth)``, for
-        deeper groups, returns the m that puts the group's heads (``flip``
-        is True) in ``order[a:m]`` and its tails after, partitioning the
-        range stably; below ``depths`` keys tie.  With prepared keys of
-        ``ids``, or a :func:`coin_words` pass over at least ``_WORDS_MIN``
-        ids, ``order`` is their trie order; otherwise it is ``ids``, and
-        ``depths`` is 0.
-        """
-        flip = self.flip
-        order, keys, depths = ids, None, 0
+    def trie(self, ids: list) -> tuple:
+        """``(order, keys, depths)`` of the sorted users ``ids``, as
+        :func:`coin_words` gives them: each group of the split tree is a
+        range of ``order``, one above ``depths`` split where its keys' bit
+        turns 1.  Prepared keys of ``ids`` are read (their order copied, for
+        the engine to reorder); else an unscripted source passes over at
+        least ``_WORDS_MIN`` ids, and any other gets ``(ids, None, 0)``."""
         if self._keyed is not None and self._keyed[0] == ids:
-            order, keys, depths = self._keyed[1][:], *self._keyed[2:]  # the engine reorders it
-        elif self.script is None and len(ids) >= _WORDS_MIN:
-            ((order, keys, depths),) = coin_words([(self.seed, ids)], self.p)
-
-        def split(order, a, b, depth):
-            heads, tails = [], []
-            for uid in order[a:b]:
-                (heads if flip(uid, depth) else tails).append(uid)
-            m = a + len(heads)
-            order[a:m] = heads
-            order[m:b] = tails
-            return m
-
-        return order, keys, depths, split
+            return self._keyed[1][:], *self._keyed[2:]
+        if self.script is None and len(ids) >= _WORDS_MIN:
+            return coin_words([(self.seed, ids)], self.p)[0]
+        return ids, None, 0
 
 
 def prepared_sources(groups, p: float) -> list:
     """One entry per ``(seed, ids)`` group of increasing ``ids``: a
-    :class:`CoinSource` whose ``splitter(ids)`` reads keys computed here,
+    :class:`CoinSource` whose ``trie(ids)`` reads keys computed here,
     or None for a group of fewer than ``_WORDS_MIN`` ids.  One
     :func:`coin_words` call computes every group's keys."""
     groups = list(groups)
@@ -267,8 +275,8 @@ def coin_words(groups, p: float) -> list:
     most ``_WORD_ROWS`` users a pass.  ``flip`` compares the int m = x >>
     11 with the float p * 2^53; the pass compares it with the integer
     ceil(p * 2^53), so no uint64 is cast to a double (m < b exactly when
-    m < ceil(b)).  The bits of a uid's depths fill the low end of 32
-    bools, which pack to one big-endian uint32.  One stable sort by
+    m < ceil(b)).  A uid's key is one product of its tails bits with the
+    weights 2^(depths - 1 - d), kept as a uint32.  One stable sort by
     (group, key) orders every group.
     """
     uids, seeds, sizes = [], [], []
@@ -285,15 +293,13 @@ def coin_words(groups, p: float) -> list:
     x ^= np.array(seeds, dtype=np.uint64)[rows]
     _splitmix64_inplace(x)
     bound = np.uint64(math.ceil(p * (1 << 53)))
+    weights = _KEY_WEIGHTS[_WORD_DEPTHS - depths:]
     keys = np.empty(len(uids), dtype=np.uint32)
     for start in range(0, len(uids), _WORD_ROWS):
         y = x[start:start + _WORD_ROWS, None] ^ _DEPTH_KEYS[:depths]
         _splitmix64_inplace(y)
         y >>= _U11
-        bits = np.zeros((len(y), _WORD_DEPTHS), dtype=bool)
-        np.greater_equal(y, bound, out=bits[:, _WORD_DEPTHS - depths:])
-        keys[start:start + _WORD_ROWS] = np.packbits(
-            bits, axis=1, bitorder="big").view(">u4").ravel()
+        keys[start:start + _WORD_ROWS] = (y >= bound).dot(weights)
     perm = (rows << 32 | keys).argsort(kind="stable")
     order = list(map(uids.__getitem__, perm.tolist()))
     keys = keys[perm].tolist()
@@ -466,7 +472,6 @@ class StreamCursor:
                 m = draw() * n
             out.append(lo + (m >> bits))
         return out
-
 
 
 class _GeneratorDraws:

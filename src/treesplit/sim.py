@@ -62,7 +62,6 @@ slot 40, serves its one interval from slot 41 and simulates 52 slots.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -72,7 +71,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .engines import _rules, _split_bias, run_cri
-from .rng import ArrivalStreams, derive_seed, prepared_sources, stream_seed
+from .rng import ArrivalStreams, _integer, _real, derive_seed, prepared_sources, stream_seed
 
 # Backlog drift (packets per slot) above which the trailing-half
 # regression declares the run unstable.  A rate 2-3% above the maximum
@@ -112,23 +111,12 @@ def _window_length(policy: str) -> Optional[float]:
     return delta
 
 
-def _integer(value, name: str, least: Optional[int] = None) -> int:
-    """``value`` as an int, at least ``least`` when given; a float, string
-    or bool is refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
-
-
 def _rate(value) -> float:
-    """``value`` as a float arrival rate: a finite non-negative real; a
-    bool or string is refused, never converted."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value >= 0)):
+    """``value`` as a float arrival rate: a finite non-negative real."""
+    rate = _real(value, "arrival rate")
+    if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"arrival rate must be a finite non-negative real, got {value!r}")
-    return float(value)
+    return rate
 
 
 @dataclass

@@ -242,6 +242,20 @@ class TestTableMechanics:
         with pytest.raises(ValueError, match="n >= 1"):
             table.throughput(0)
 
+    def test_n_must_be_an_integer(self):
+        """A float, bool or string n is refused with an error naming it,
+        not truncated or left to fail inside numpy; numpy integers run."""
+        table = CriLengthTable(HALF, "atic")
+        for call in (lambda: table.expected(2.5), lambda: table.throughput(2.5),
+                     lambda: table.expected(True), lambda: expected_cri_closed("3", HALF),
+                     lambda: cri_table_rows(3.5, HALF)):
+            with pytest.raises(ValueError, match=r"^n(_max)? must be an integer"):
+                call()
+        assert table.expected(np.int64(3)) == table.expected(3)
+        assert table.throughput(np.int64(3)) == table.throughput(3)
+        assert expected_cri_closed(np.int64(3), HALF) == expected_cri_closed(3, HALF)
+        assert cri_table_rows(np.int64(3), HALF) == cri_table_rows(3, HALF)
+
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
             CriLengthTable(HALF, "aloha")

@@ -18,10 +18,10 @@ from scipy.special import gammaln
 
 import treesplit.engines as engines
 import treesplit.rng as rng
-from treesplit.analytics import CollisionCountTable, CriLengthTable
+from treesplit.analytics import CollisionCountTable, CriLengthTable, asymptotic_throughput
 from treesplit.cli import ExperimentConfig
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
-from treesplit.rng import _WORDS_MIN, CoinSource, prepared_sources
+from treesplit.rng import _WORDS_MIN, CoinSource, derive_seed, prepared_sources
 from treesplit.signals import Signal, cancel
 from treesplit.sim import simulate
 
@@ -336,6 +336,14 @@ class TestRunnerContract:
         with pytest.raises(NonTerminationError, match="6000 slots"):
             run_cri("bta", range(3000), 0.5, 0)  # about 2.9 slots per packet
 
+    def test_cap_at_a_fractional_bound(self, monkeypatch):
+        # Two packets at p = 0.3 may take 1 * 2 / 0.6 = 3.33 slots: a slot
+        # count passes that bound exactly when it passes its floor, 3.
+        monkeypatch.setattr(engines, "SLOT_CAP_PER_PACKET", 1)
+        assert run_cri("sicta", [1, 2], 0.3, 1).length == 3
+        with pytest.raises(NonTerminationError, match="exceeded 3 slots"):
+            run_cri("sicta", [1, 2], 0.3, 0)  # needs a 4th slot
+
     def test_cap_scales_with_the_split_bias(self, monkeypatch):
         # An interval of two packets takes about 1/(2p) = 50 slots at
         # p = 0.01, over a cap of 2 * 10 slots at bias 1/2.
@@ -355,6 +363,41 @@ class TestRunnerContract:
                                       ("bta", range(3), CoinSource(1, 1.0))):
             with pytest.raises(ValueError, match=f"bias {source.p} differs .* 0.5"):
                 run_cri(protocol, ids, 0.5, source)
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: run_cri("atic", [1, 2, 3], 0.5, 2.7), "seed must be an integer"),
+        (lambda: run_cri("atic", [1, 2, 3], 0.5, True), "seed must be an integer"),
+        (lambda: run_cri("atic", [1, 2, 3], 0.5, "7"), "seed must be an integer"),
+        (lambda: CoinSource(2.5, 0.5), "seed must be an integer"),
+        (lambda: derive_seed(2.9), "seed must be an integer"),
+        (lambda: run_cri("atic", [1.5, 2.2, 3.9], 0.5, 7), "ids must be integers"),
+        (lambda: run_cri("atic", ["3", "4"], 0.5, 7), "ids must be integers"),
+        (lambda: run_cri("atic", [1.2, 1.7], 0.5, 7), "ids must be integers"),
+        (lambda: run_cri("atic", [1, 2, 3], "0.5", 7), "split probability must be a real"),
+        (lambda: simulate("atic", "gated", 0.3, 100, 1, p="0.5"),
+         "split probability must be a real"),
+        (lambda: CriLengthTable("0.5"), "split probability must be a real"),
+        (lambda: asymptotic_throughput("0.5"), "split probability must be a real"),
+        (lambda: CoinSource(1, "0.5"), "coin bias must be a real"),
+        (lambda: CoinSource(1, True), "coin bias must be a real"),
+    ], ids=["run_cri-float-seed", "run_cri-bool-seed", "run_cri-str-seed", "CoinSource-seed",
+            "derive_seed", "float-ids", "str-ids", "float-ids-one-apart", "run_cri-bias",
+            "simulate-bias", "CriLengthTable-bias", "asymptotic_throughput-bias",
+            "CoinSource-str-bias", "CoinSource-bool-bias"])
+    def test_inputs_are_checked_not_coerced(self, call, error):
+        """A float, bool or string seed, id or bias is refused, never
+        truncated or parsed."""
+        with pytest.raises(ValueError, match=error):
+            call()
+
+    def test_numpy_inputs_run_as_python_ones(self):
+        want = run_cri("atic", [1, 2, 3, 9], 0.5, 7, record=True)
+        got = run_cri("atic", np.array([1, 2, 3, 9]), np.float64(0.5), np.int64(7), record=True)
+        assert got == want and all(type(uid) is int for uid in got.initial)
+        source = CoinSource(np.uint64(7), np.float32(0.5))
+        assert (type(source.seed), type(source.p)) == (int, float)
+        assert run_cri("atic", [1, 2, 3, 9], 0.5, source, record=True) == want
+        assert derive_seed(np.int64(2), "coins") == derive_seed(2, "coins")
 
     def test_arbitration_needs_distinct_ids(self):
         assert arbitrate(3, 9) == 9

@@ -348,25 +348,36 @@ def _walk(coins, order, split, max_depth=48):
     return depths
 
 
+def _flip_split(coins, order, a, b, depth):
+    """Partition ``order[a:b]`` by ``coins.flip`` at ``depth``, heads then
+    tails, each in its previous order, as the engine does past the keys'
+    depth; return where the tails start."""
+    heads = [uid for uid in order[a:b] if coins.flip(uid, depth)]
+    tails = [uid for uid in order[a:b] if not coins.flip(uid, depth)]
+    order[a:b] = heads + tails
+    return a + len(heads)
+
+
 class TestSplitter:
-    """``CoinSource.splitter`` serves the coins of ``flip`` from wherever
-    they come; the engine tests check whole traces."""
+    """``CoinSource.trie`` serves an interval's trie order and keys, from
+    wherever they come, such that splitting by them agrees with ``flip``;
+    the engine tests check whole traces."""
 
     DEPTHS = (0, 1, 13, _WORD_DEPTHS - 1, _WORD_DEPTHS, 40)
 
     @staticmethod
     def _walk(coins, ids):
-        """``_walk`` over the splitter's order of ``ids``, splitting as the
-        engine does: by bisection of the keys above their depths."""
-        order, keys, depths, split = coins.splitter(list(ids))
+        """``_walk`` over the trie order of ``ids``, splitting as the engine
+        does: by bisection of the keys above their depth, by flips below."""
+        order, keys, depths = coins.trie(list(ids))
 
-        def keyed_split(order, a, b, depth):
+        def split(order, a, b, depth):
             if depth < depths:
                 shift = depths - depth
                 return bisect_left(keys, keys[a] >> shift << shift | 1 << shift - 1, a, b)
-            return split(order, a, b, depth)
+            return _flip_split(coins, order, a, b, depth)
 
-        return order, _walk(coins, order, keyed_split)
+        return order, _walk(coins, order, split)
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3])
     @pytest.mark.parametrize("kind", ["prepared", "unprepared", "small", "scripted"])
@@ -422,11 +433,11 @@ class TestSplitter:
         coins = CoinSource(seed, p, script)
         # A scripted source flips every coin, so it makes no keys pass.
         monkeypatch.setattr(rng, "coin_words", _no_coin_words)
-        order, keys, depths, split = coins.splitter(ids)
-        assert order is ids and depths == 0
+        order, keys, depths = coins.trie(ids)
+        assert order is ids and keys is None and depths == 0
         for depth in (0, 31, 40):
             order = list(ids)
-            m = split(order, 0, len(order), depth)
+            m = _flip_split(coins, order, 0, len(order), depth)
             heads, tails = order[:m], order[m:]
             assert heads == [uid for uid in ids if coins.flip(uid, depth)]
             assert tails == [uid for uid in ids if not coins.flip(uid, depth)]

@@ -401,7 +401,7 @@ def test_report_pinned(protocol, policy):
 # Coins of simulate(protocol, policy, 0.3, 4000, 2024), counted at
 # CoinSource.flip (scalar flips) and rng.coin_words (one row per member of
 # an interval of at least rng._WORDS_MIN packets, whether the engine's
-# split function or the windowed run's block pass asked for it).  The
+# CoinSource.trie or the windowed run's block pass asked for it).  The
 # gated run's intervals all lie below that size, so it keeps the 118 flips
 # counted before the engine's loop was flattened; under windowed:40, the
 # 6,095 flips of the flip-only engine became 238 flips and 1,168 word rows.

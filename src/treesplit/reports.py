@@ -116,16 +116,17 @@ def write_text(path: str, text: str) -> str:
     return path
 
 
-def emit_report(payload, fmt: str, path: str, *, seed=None, config=None) -> str:
-    """Write a table (iterable of dicts) or a report dict to ``path``.
-
-    fmt is ``csv`` or ``json``.  Returns the path.  Raises IoError when
-    the destination cannot be created or written.
+def emit_report(payload, path: str, *, seed=None, config=None) -> str:
+    """Write a table (iterable of dicts) or a report dict to ``path``, as
+    CSV or JSON by its suffix, ``.csv`` or ``.json``.  Returns the path.
+    Raises ValueError for any other suffix, and IoError when the
+    destination cannot be created or written.
     """
-    if fmt == "csv":
+    suffix = os.path.splitext(path)[1]
+    if suffix == ".csv":
         text = render_csv(payload, seed=seed, config=config)
-    elif fmt == "json":
+    elif suffix == ".json":
         text = render_json(payload, seed=seed, config=config)
     else:
-        raise ValueError(f"unknown report format {fmt!r} (want csv or json)")
+        raise ValueError(f"unknown report format {suffix!r} (want .csv or .json)")
     return write_text(path, text)

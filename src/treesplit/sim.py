@@ -62,7 +62,7 @@ slot 40, serves its one interval from slot 41 and simulates 52 slots.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -228,10 +228,10 @@ def _detect_instability(report: MetricsReport, backlog_points: list) -> bool:
     """Trailing-half backlog drift test, with a mass fallback for runs
     whose final intervals are so long that the trend has too few points."""
     horizon = report.slots_simulated
-    tail = [(s, b) for s, b in backlog_points if s >= horizon / 2]
+    # The points are in slot order, so the trailing half is a suffix.
+    tail = backlog_points[bisect_left(backlog_points, (horizon / 2,)):]
     if len(tail) >= _MIN_TREND_POINTS:
-        xs = np.array([s for s, _ in tail], dtype=float)
-        ys = np.array([b for _, b in tail], dtype=float)
+        xs, ys = np.array(tail, dtype=float).T
         slope = np.polyfit(xs, ys, 1)[0]
         if slope > _INSTABILITY_SLOPE and ys.mean() > 25.0:
             return True

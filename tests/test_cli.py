@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,17 +15,44 @@ import pytest
 import treesplit
 from treesplit import __version__
 from treesplit.analytics import CriLengthTable, windowed_stable_rate
-from treesplit.cli import ConfigError, ExperimentConfig, _config, build_parser, entrypoint, parse_grid
+from treesplit.cli import ENV_OUTDIR, UsageError, build_parser, entrypoint, parse_grid
 from treesplit.reports import config_digest, emit_report, render_csv, render_json
 from treesplit.sim import simulate
 
 COMMANDS = ("analytic", "asymptote", "windowed-scan", "simulate", "sweep", "tree", "compare")
 SCRIPT = ("1:0=l,2:0=l,3:0=l,4:0=r,1:1=r,2:1=r,3:1=r,"
           "1:2=l,2:2=l,3:2=r,1:3=l,2:3=r")
+# The flags each stochastic command requires.
+REQUIRED = {"simulate": ("--rates", "0.3", "--seed", "1"), "tree": ("--seed", "1")}
+REQUIRED["sweep"] = REQUIRED["compare"] = REQUIRED["simulate"]
+# The flag of each setting whose flag is not its name.
+FLAGS = {"p": "--p-grid", "n_max": "--n-max", "load_min": "--load-min",
+         "load_max": "--load-max", "p_grid": "--p-grid"}
 
 
 def run_cli(*argv):
     return entrypoint(list(argv))
+
+
+def flag(field):
+    """The flag that sets ``field``."""
+    return FLAGS.get(field, "--" + field)
+
+
+def flag_error(field):
+    """The start of the error line reporting a bad value of ``field``."""
+    return f"error: argument {flag(field)}: "
+
+
+def settings_argv(field, value):
+    """A command line that sets ``field`` to ``value``: a grid of split
+    biases for ``p``, a setting of compare otherwise."""
+    if field == "p":
+        return ["asymptote", f"--p-grid={value}"]
+    if isinstance(value, list):
+        value = ",".join(map(str, value))
+    argv = {"seed": "1", "rates": "0.3", field: str(value)}
+    return ["compare", *(f"--{name}={text}" for name, text in argv.items())]
 
 
 def read_csv(path):
@@ -37,14 +63,21 @@ def read_csv(path):
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = ExperimentConfig().validate()
-        assert cfg.p == 0.5 and cfg.packet_bits == 256 and cfg.budget == 100000
-        assert cfg.seed is None
+    """A run's settings are its parsed flags, each checked as it is parsed
+    and a bad value reported against its flag."""
+
+    def test_defaults(self, monkeypatch):
+        monkeypatch.delenv(ENV_OUTDIR, raising=False)
+        args = build_parser().parse_args(["compare", "--seed", "1", "--rates", "0.3"])
+        assert (args.protocols, args.policy, args.budget, args.outdir) == (
+            ("atic",), "gated", 100000, ".")
+        monkeypatch.setenv(ENV_OUTDIR, "runs")
+        assert build_parser().parse_args(["analytic"]).outdir == "runs"
 
     # Each case keeps its number from when a JSON settings file also fed
     # this list; the numbers its file-only cases (JSON types, unknown keys)
-    # held are skipped.
+    # held are skipped, and so is that of the packet size, which no flag
+    # sets.  The split bias is a setting only as --p-grid's points.
     @pytest.mark.parametrize("payload,field", [
         pytest.param(payload, field, id=f"payload{n}-{field}") for n, payload, field in [
             (0, {"p": 1.2}, "p"),
@@ -53,7 +86,6 @@ class TestConfig:
             (4, {"policy": "free"}, "policy"),
             (5, {"budget": 0}, "budget"),
             (6, {"seed": -1}, "seed"),
-            (7, {"packet_bits": 0}, "packet_bits"),
             (10, {"rates": [-0.5]}, "rates"),
             (11, {"rates": [float("nan")]}, "rates"),
             (12, {"rates": [float("inf")]}, "rates"),
@@ -66,64 +98,70 @@ class TestConfig:
         ]
     ])
     def test_validation_names_offending_field(self, payload, field):
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig(**payload).validate()
-        assert err.value.field == field
-        assert field in str(err.value)
+        with pytest.raises(UsageError) as err:
+            build_parser().parse_args(settings_argv(field, payload[field]))
+        assert str(err.value).startswith(f"argument {flag(field)}: ")
 
     @pytest.mark.parametrize("field,value", [
         ("rates", math.nan), ("rates", -0.5), ("rates", math.inf), ("budget", 0),
-        ("packet_bits", 0), ("p", 1.2), ("policy", "windowed:0.5"), ("protocols", "aloha"),
+        ("p", 1.2), ("policy", "windowed:0.5"), ("protocols", "aloha"),
     ])
     def test_cli_and_library_share_each_rule(self, field, value):
-        """A bad value gets the library's own error, which the config
-        reports against its field."""
+        """A bad value gets the library's own error, which the CLI
+        reports against its flag."""
         args = {"protocol": "atic", "policy": "gated", "rate": 0.3, "budget": 100, "seed": 1,
-                "p": 0.5, "packet_bits": 256}
+                "p": 0.5}
         args[{"rates": "rate", "protocols": "protocol"}.get(field, field)] = value
         with pytest.raises(ValueError) as lib:
             simulate(**args)
-        settings = {field: (value,) if field in ("rates", "protocols") else value}
-        with pytest.raises(ConfigError) as cli:
-            ExperimentConfig(**settings).validate()
-        assert cli.value.field == field
-        assert str(cli.value).endswith(str(lib.value))
+        with pytest.raises(UsageError) as cli:
+            build_parser().parse_args(settings_argv(field, value))
+        assert str(cli.value) == f"argument {flag(field)}: {lib.value}"
 
     def test_grid_parsing(self):
         assert parse_grid("0.1:0.3:0.1") == pytest.approx((0.1, 0.2, 0.3))
         assert parse_grid("0.25,0.5") == (0.25, 0.5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_grid("0.1:0.3:0")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_grid("0.3:0.1:0.1")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_grid("a:b:c")
         # The first three are a range without a step, a non-numeric list
         # entry and an empty list.  The last four overflow the point count,
         # would build 1e300 points, or pass the 100,000-point cap by one.
+        parse = build_parser().parse_args
         for text in ("0.1:0.5", "0.1,x", ",", "0.1:0.5:nan", "0.4:inf:0.1", "0.4:0.6:inf",
                      "nan:0.5:0.1", "-inf:0.5:0.1", "0:1e308:1e-308", "-1e308:1e308:1",
                      "0:1e300:1", "0:100000:1"):
-            with pytest.raises(ConfigError) as err:
-                parse_grid(text, "rates")
-            assert err.value.field == "rates"
+            with pytest.raises(ValueError) as lib:
+                parse_grid(text)
+            with pytest.raises(UsageError) as cli:
+                parse(["sweep", "--seed", "1", f"--rates={text}"])
+            assert str(cli.value) == f"argument --rates: {lib.value}"
         assert len(parse_grid("0:99999:1")) == 100_000
 
     def test_flags_over_defaults(self):
         parse = build_parser().parse_args
-        assert _config(parse(["simulate", "--p", "0.7"])) == ExperimentConfig(p=0.7)
-        cfg = _config(parse(["sweep", "--protocols", " sicta, ,atic", "--rates", "0.1:0.3:0.1"]))
-        assert cfg.protocols == ("sicta", "atic")
-        assert cfg.rates == pytest.approx((0.1, 0.2, 0.3))
-        assert _config(parse(["tree", "--protocol", "mta"])).protocols == ("mta",)
+        args = parse(["simulate", "--seed", "1", "--rates", "0.3", "--budget", "7",
+                      "--policy", "windowed:2"])
+        assert (args.protocol, args.budget, args.policy) == ("atic", 7, "windowed:2")
+        args = parse(["sweep", "--protocols", " sicta, ,atic", "--rates", "0.1:0.3:0.1",
+                      "--seed", "1"])
+        assert args.protocols == ("sicta", "atic")
+        assert args.rates == pytest.approx((0.1, 0.2, 0.3))
+        assert parse(["tree", "--protocol", "mta", "--seed", "1"]).protocol == "mta"
         # One --protocol names one protocol, commas and all
-        with pytest.raises(ConfigError, match="'protocols'"):
-            _config(parse(["simulate", "--protocol", "atic,sicta"]))
+        with pytest.raises(UsageError, match="^argument --protocol: unknown protocol"):
+            parse(["simulate", "--protocol", "atic,sicta", "--seed", "1", "--rates", "0.3"])
 
     def test_require_seed(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig().require_seed()
-        assert ExperimentConfig(seed=5).require_seed() == 5
+        parse = build_parser().parse_args
+        for argv in (["simulate", "--rates", "0.3"], ["sweep", "--rates", "0.3"],
+                     ["compare", "--rates", "0.3"], ["tree"]):
+            with pytest.raises(UsageError, match="required: --seed$"):
+                parse(argv)
+        assert parse(["tree", "--seed", "5"]).seed == 5
 
 
 class TestReports:
@@ -146,11 +184,11 @@ class TestReports:
 
     def test_emit_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report([], "xml", str(tmp_path / "x.xml"))
+            emit_report([], str(tmp_path / "x.xml"))
 
     def test_emit_creates_directories(self, tmp_path):
         path = tmp_path / "deep" / "dir" / "t.csv"
-        emit_report([{"n": 1}], "csv", str(path), seed=0, config={})
+        emit_report([{"n": 1}], str(path), seed=0, config={})
         assert path.exists()
 
 
@@ -214,13 +252,16 @@ class TestCommands:
     def test_windowed_scan_rejects_non_finite(self, tmp_path, capsys, flags, field):
         outdir = tmp_path / "out"
         assert run_cli("windowed-scan", *flags, "--outdir", str(outdir)) == 1
-        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert flag_error(field) in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_analytic_rejects_a_bias_below_the_coin_resolution(self, tmp_path, capsys):
+        """The split bias an analytic command scans is checked by the
+        library's rule, which refuses p below 2^-53."""
         outdir = tmp_path / "out"
-        assert run_cli("analytic", "--p", "1e-20", "--outdir", str(outdir)) == 1
-        assert "error: config field 'p'" in capsys.readouterr().err
+        assert run_cli("asymptote", "--p-grid", "1e-20,0.5", "--outdir", str(outdir)) == 1
+        assert flag_error("p_grid") + "split probability must lie in [2^-53, 1)" in (
+            capsys.readouterr().err)
         assert not outdir.exists()
 
     @staticmethod
@@ -251,7 +292,7 @@ class TestCommands:
         outdir = tmp_path / "out"
         assert run_cli("compare", *flags, "--seed", "1", "--budget", "300",
                        "--outdir", str(outdir)) == 1
-        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert flag_error(field) in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_compare_rejects_rates_sharing_a_file_tag(self, tmp_path, capsys):
@@ -259,7 +300,7 @@ class TestCommands:
         outdir = tmp_path / "out"
         assert run_cli("compare", "--protocols", "atic", "--rates", "0.1000001,0.1000002",
                        "--seed", "1", "--budget", "300", "--outdir", str(outdir)) == 1
-        assert "error: config field 'rates'" in capsys.readouterr().err
+        assert flag_error("rates") in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("argv,field", [
@@ -272,18 +313,18 @@ class TestCommands:
     def test_range_grids_reject_non_finite(self, tmp_path, capsys, argv, field):
         outdir = tmp_path / "out"
         assert run_cli(*argv, "--outdir", str(outdir)) == 1
-        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert flag_error(field) in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("n_max", ["0", "-3", "100001"])
     def test_analytic_rejects_n_max_below_one(self, tmp_path, capsys, n_max):
         outdir = tmp_path / "out"
         assert run_cli("analytic", "--n-max", n_max, "--outdir", str(outdir)) == 1
-        assert "error: config field 'n_max'" in capsys.readouterr().err
+        assert flag_error("n_max") in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_simulate_writes_report(self, tmp_path):
-        assert run_cli("simulate", "--protocol", "atic", "--rate", "0.4",
+        assert run_cli("simulate", "--protocol", "atic", "--rates", "0.4",
                        "--budget", "4000", "--seed", "7",
                        "--outdir", str(tmp_path)) == 0
         blob = json.loads((tmp_path / "sim_atic_gated_0p4.json").read_text())
@@ -300,30 +341,31 @@ class TestCommands:
             "sim_atic_gated_0p2.json", "sim_atic_gated_0p4.json"]
 
     def test_simulate_requires_seed(self, tmp_path, capsys):
-        assert run_cli("simulate", "--protocol", "atic", "--rate", "0.4",
+        assert run_cli("simulate", "--protocol", "atic", "--rates", "0.4",
                        "--outdir", str(tmp_path)) == 1
-        assert "seed" in capsys.readouterr().err
+        assert "error: the following arguments are required: --seed" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags,field", [
-        (("--rate", "nan"), "rates"),
-        (("--rate", "inf"), "rates"),
-        (("--rate", "0.3", "--policy", "windowed:nan"), "policy"),
-        (("--rate", "0.3", "--policy", "windowed:inf"), "policy"),
+        (("--rates", "nan"), "rates"),
+        (("--rates", "inf"), "rates"),
+        (("--rates", "0.3", "--policy", "windowed:nan"), "policy"),
+        (("--rates", "0.3", "--policy", "windowed:inf"), "policy"),
     ])
     def test_simulate_rejects_non_finite(self, tmp_path, capsys, flags, field):
         assert run_cli("simulate", "--protocol", "atic", *flags, "--budget", "100",
                        "--seed", "7", "--outdir", str(tmp_path)) == 1
-        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert flag_error(field) in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_simulate_window_of_at_least_one_slot(self, tmp_path, capsys):
         # Windows under a slot would queue without bound: every interval
         # takes a slot.  A window of exactly one slot runs.
-        argv = ("simulate", "--protocol", "atic", "--rate", "0.1", "--budget", "100",
+        argv = ("simulate", "--protocol", "atic", "--rates", "0.1", "--budget", "100",
                 "--seed", "7")
         outdir = tmp_path / "short"
         assert run_cli(*argv, "--policy", "windowed:0.5", "--outdir", str(outdir)) == 1
-        assert "error: config field 'policy'" in capsys.readouterr().err
+        assert flag_error("policy") in capsys.readouterr().err
         assert not outdir.exists()
         assert run_cli(*argv, "--policy", "windowed:1", "--outdir", str(tmp_path)) == 0
         assert os.listdir(tmp_path) == ["sim_atic_windowed-1_0p1.json"]
@@ -331,9 +373,9 @@ class TestCommands:
     @pytest.mark.parametrize("policy", ["windowed_x:5", "windowed:abc", " Windowed:5"])
     def test_simulate_rejects_malformed_policy(self, tmp_path, capsys, policy):
         outdir = tmp_path / "out"
-        assert run_cli("simulate", "--protocol", "atic", "--rate", "0.3", "--policy", policy,
+        assert run_cli("simulate", "--protocol", "atic", "--rates", "0.3", "--policy", policy,
                        "--budget", "100", "--seed", "7", "--outdir", str(outdir)) == 1
-        assert "error: config field 'policy'" in capsys.readouterr().err
+        assert flag_error("policy") in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
@@ -341,8 +383,8 @@ class TestCommands:
         outdir = tmp_path / "out"
         assert run_cli(command, "--seed", "1", "--budget", "100",
                        "--outdir", str(outdir)) == 1
-        err = capsys.readouterr().err
-        assert "error: config field 'rates'" in err and "(--rates)" in err
+        assert "error: the following arguments are required: --rates" in (
+            capsys.readouterr().err)
         assert not outdir.exists()
 
     def test_simulate_without_arrivals_has_no_delay(self, tmp_path, capsys):
@@ -396,7 +438,7 @@ class TestCommands:
         monkeypatch.setattr(treesplit.cli, "run_cri", no_run)
         assert run_cli("tree", "--users", users, "--seed", "7",
                        "--outdir", str(tmp_path)) == 1
-        assert "error: config field 'users'" in capsys.readouterr().err
+        assert flag_error("users") in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.dot"))
 
     def test_tree_follows_config_protocol(self, tmp_path):
@@ -426,6 +468,41 @@ class TestCommands:
                            "--outdir", str(d)) == 0
         assert (d1 / "delay.csv").read_bytes() == (d2 / "delay.csv").read_bytes()
 
+    @staticmethod
+    def header_hash(outdir, *argv):
+        """The ``config_sha256`` of the one artifact ``argv`` writes."""
+        assert run_cli(*argv, "--outdir", str(outdir)) == 0
+        (path,) = outdir.iterdir()
+        return re.search(r"config_sha256\W+([0-9a-f]{64})", path.read_text()).group(1)
+
+    def test_header_hash_follows_every_flag(self, tmp_path):
+        """Runs that differ in any flag but --outdir hash apart; the same
+        flags in another order, or written elsewhere, hash alike."""
+        scan = ("windowed-scan", "--load-min", "0.5", "--load-max", "50")
+        tree = ("tree", "--protocol", "sicta", "--users", "2", "--seed", "3")
+        pairs = [
+            (("analytic", "--n-max", "6"), ("analytic", "--n-max", "7")),
+            ((*scan, "--points", "12"), (*scan, "--points", "13")),
+            ((*scan, "--points", "12"), ("windowed-scan", "--load-min", "0.5",
+                                         "--load-max", "60", "--points", "12")),
+            (("asymptote", "--p-grid", "0.45:0.55:0.01"), ("asymptote", "--p-grid", "0.45,0.55")),
+            (("tree", "--users", "3", "--seed", "7"), ("tree", "--users", "4", "--seed", "7")),
+            (tree, (*tree, "--script", "1:0=l,2:0=r")),
+        ]
+        for k, (one, other) in enumerate(pairs):
+            assert (self.header_hash(tmp_path / f"a{k}", *one)
+                    != self.header_hash(tmp_path / f"b{k}", *other)), (one, other)
+        same = [
+            (("analytic", "--n-max", "6", "--protocols", "sicta"),
+             ("analytic", "--protocols", "sicta", "--n-max", "6")),
+            ((*tree, "--script", "1:0=l,2:0=r"),
+             ("tree", "--script", "1:0=l,2:0=r", "--seed", "3", "--users", "2",
+              "--protocol", "sicta")),
+        ]
+        for k, (one, other) in enumerate(same):
+            assert (self.header_hash(tmp_path / f"c{k}", *one)
+                    == self.header_hash(tmp_path / f"d{k}", *other)), (one, other)
+
     def test_bad_subcommand_exits_one(self, capsys):
         assert run_cli("bogus") == 1
         assert run_cli() == 1
@@ -453,19 +530,26 @@ def test_star_import_binds_every_export():
 
 class TestSurface:
     """Options and names that only tests used are gone, the settings file
-    with them: settings come from flags alone.  The module entry point and
+    with them: settings are the parsed flags.  The module entry point and
     the signal algebra's own module stay."""
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--protocol", "atic", "--rates", "0.3", "--seed", "1",
          "--budget", "100", "--replications", "2"),
         ("analytic", "--n-max", "3", "--format", "json"),
-        *((command, "--config", "run.json") for command in COMMANDS),
+        *((command, *REQUIRED.get(command, ()), "--config", "run.json") for command in COMMANDS),
+        *((command, *REQUIRED.get(command, ()), "--p", "0.5") for command in COMMANDS),
+        *((command, *REQUIRED[command], "--bits", "64") for command in ("simulate", "sweep",
+                                                                       "compare")),
     ])
     def test_removed_options_are_usage_errors(self, tmp_path, capsys, argv):
         outdir = tmp_path / "out"
         assert run_cli(*argv, "--outdir", str(outdir)) == 1
-        assert "error: config field 'argv'" in capsys.readouterr().err
+        removed = next(arg for arg in argv if arg in (
+            "--replications", "--format", "--config", "--p", "--bits"))
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unrecognized arguments: {removed} ")
+        assert err.count("\n") == 1
         assert not outdir.exists()
 
     def test_help_lists_only_kept_options(self, capsys):
@@ -473,11 +557,10 @@ class TestSurface:
             with pytest.raises(SystemExit):
                 run_cli(command, "--help")
         out = capsys.readouterr().out
-        assert "--rates" in out and "--n-max" in out
-        assert not re.search(r"--rate\b|--replications|--format|--config", out)
-        assert [f.name for f in fields(ExperimentConfig)] == [
-            "protocols", "policy", "p", "rates", "budget", "seed", "outdir", "packet_bits"]
-        assert not {"load_config", "config_from_mapping"} & set(vars(treesplit.cli))
+        assert "--rates" in out and "--n-max" in out and "--p-grid" in out
+        assert not re.search(r"--rate\b|--replications|--format|--config|--p\b(?!-)|--bits", out)
+        assert not {"load_config", "config_from_mapping", "ExperimentConfig"} & set(
+            vars(treesplit.cli))
 
     def test_signal_names_left_the_package_namespace(self):
         src = str(Path(treesplit.__file__).resolve().parents[1])
@@ -515,4 +598,4 @@ class TestModuleEntryPoint:
     def test_missing_command_exits_one(self):
         proc = self.run_module()
         assert proc.returncode == 1
-        assert "error: config field 'argv'" in proc.stderr
+        assert proc.stderr == "error: the following arguments are required: command\n"

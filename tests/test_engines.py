@@ -19,7 +19,7 @@ from scipy.special import gammaln
 import treesplit.engines as engines
 import treesplit.rng as rng
 from treesplit.analytics import CollisionCountTable, CriLengthTable, asymptotic_throughput
-from treesplit.cli import ExperimentConfig
+from treesplit.cli import build_parser
 from treesplit.engines import NonTerminationError, arbitrate, export_tree, run_cri
 from treesplit.rng import _WORDS_MIN, CoinSource, derive_seed, prepared_sources
 from treesplit.signals import Signal, cancel
@@ -299,22 +299,25 @@ class TestRunnerContract:
         with pytest.raises(ValueError):
             run_cri("aloha", [1], 0.5, 0)
 
-    @pytest.mark.parametrize("call,field", [
+    @pytest.mark.parametrize("call,flag", [
         (lambda name: run_cri(name, [1], 0.5, 0), None),
         (lambda name: run_cri([name], [1], 0.5, 0), None),
         (lambda name: simulate(name, "gated", 0.4, 100, 1), None),
         (lambda name: CriLengthTable(0.5, name), None),
         (lambda name: CollisionCountTable(0.5, name), None),
-        (lambda name: ExperimentConfig(protocols=(name,)).validate(), "protocols"),
+        (lambda name: build_parser().parse_args(["analytic", "--protocols", name]),
+         "--protocols"),
     ], ids=["run_cri", "run_cri_unhashable", "simulate", "CriLengthTable",
             "CollisionCountTable", "config"])
-    def test_unknown_protocol_names_the_choices(self, call, field):
+    def test_unknown_protocol_names_the_choices(self, call, flag):
         """Every entry point reads protocols from ``RULES`` alone and
-        gives one error naming its five names."""
+        gives one error naming its five names; the CLI reports it against
+        the flag."""
         with pytest.raises(ValueError) as err:
             call("aloha")
         assert "choices: ('bta', 'mta', 'sicta', 'atic', 'atic_left')" in str(err.value)
-        assert getattr(err.value, "field", None) == field
+        prefix = f"argument {flag}: " if flag else ""
+        assert str(err.value).startswith(prefix + "unknown protocol ")
 
     def test_rejects_a_bias_below_the_coin_resolution(self):
         """The coins realize p rounded up to a multiple of 2^-53, so a

@@ -2,7 +2,9 @@
 
 Every law takes the split bias p, the probability that a collider joins
 the left group, as a float in [2^-53, 1), with q = 1 - p; an
-out-of-range p raises ValueError, as in the engines and the simulator.
+out-of-range p raises ValueError, as in the engine.  Traffic runs fix
+p = 1/2; the laws take any p, so that the paper's claim that p = 1/2
+maximises throughput can be checked.
 
 The length laws are reached through their tables: ``CriLengthTable``
 grows the bottom-up probabilistic recursion (all-positive terms,

@@ -41,13 +41,10 @@ from .analytics import (
 from .engines import _rules, _split_bias, export_tree, run_cri
 from .reports import IoError, emit_report, provenance_header, write_text
 from .rng import CoinSource, _integer, derive_seed
-from .sim import EmptySampleError, _rate, _window_length, delay_stats, simulate
+from .sim import EmptySampleError, _P, _rate, _window_length, delay_stats, simulate
 
 ENV_OUTDIR = "TREESPLIT_OUTDIR"
 
-# The split bias of every command: the fair coin, at which the paper
-# states its results.
-_P = 0.5
 _DEFAULT_BUDGET = 100_000
 # Most points a start:stop:step grid may expand to.
 _GRID_MAX_POINTS = 100_000

@@ -14,10 +14,11 @@ channel access policy, given as a string:
                       in first out; the backlog counts the packets of
                       closed, unserved windows.
 
-Every run is a pure function of (protocol, policy, rate, budget, seed):
-arrival counts, arrival positions, and split coins all come from
-counter-derived sub-streams of the master seed, so replications are
-order-independent and reports are bit-identical across reruns.  The
+Every run splits by the fair coin, with 256-bit packets, as the paper
+states its results, and is a pure function of (protocol, policy, rate,
+budget, seed): arrival counts, arrival positions, and split coins all
+come from counter-derived sub-streams of the master seed, so replications
+are order-independent and reports are bit-identical across reruns.  The
 arrivals of interval (or window) ``i`` come from the numpy PCG64 stream
 ``np.random.default_rng(stream_seed(arrivals_base, i))``, draw for draw
 (:class:`~treesplit.rng.ArrivalStreams`): a zero count is read off the
@@ -70,7 +71,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .engines import _rules, _split_bias, run_cri
+from .engines import _rules, run_cri
 from .rng import ArrivalStreams, _integer, _real, derive_seed, prepared_sources, stream_seed
 
 # Backlog drift (packets per slot) above which the trailing-half
@@ -83,8 +84,11 @@ _MIN_TREND_POINTS = 8
 # Poisson(12) windows (windowed:40 at rate 0.3) on a 2-vCPU VM, by block
 # size: 1: 29.2, 8: 8.2, 16: 7.6, 32: 6.6, 64: 6.2, 128: 6.4, 256: 8.4.
 _WINDOW_BLOCK = 64
+# The split bias of every traffic run: the fair coin, at which the paper
+# states its results.
+_P = 0.5
 # Payload bits of a packet, which the broadcast-signal protocols' feedback
-# carries, unless a run gives its own.
+# carries.
 _PACKET_BITS = 256
 
 
@@ -103,7 +107,11 @@ def _window_length(policy: str) -> Optional[float]:
         return None
     if not (isinstance(policy, str) and policy.startswith("windowed:")):
         raise ValueError(f"unrecognized access policy: {policy!r}")
-    delta = float(policy.split(":", 1)[1])
+    text = policy.split(":", 1)[1]
+    try:
+        delta = float(text)
+    except ValueError:
+        raise ValueError(f"window length must be a number of slots, got {text!r}") from None
     # Every interval takes at least one slot, so windows shorter than a
     # slot would queue without bound whatever the rate.
     if not (math.isfinite(delta) and delta >= 1.0):
@@ -240,52 +248,37 @@ def _detect_instability(report: MetricsReport, backlog_points: list) -> bool:
     return report.terminal_backlog > max(100.0, 0.25 * report.rate * horizon)
 
 
-def simulate(
-    protocol: str,
-    policy: str,
-    rate: float,
-    budget: int,
-    seed: int,
-    *,
-    p: float = 0.5,
-    packet_bits: int = _PACKET_BITS,
-) -> MetricsReport:
+def simulate(protocol: str, policy: str, rate: float, budget: int, seed: int) -> MetricsReport:
     """Run intervals back to back until ``budget`` slots and report metrics.
 
     ``protocol`` is a ``RULES`` name; ``policy`` is ``"gated"`` or
     ``"windowed:<delta>"`` (see the module docstring); ``rate``, the
     Poisson arrival intensity in packets per slot, is a finite
     non-negative real (zero gives an all-idle run); ``budget`` is an
-    integer >= 1; ``seed`` is an integer; ``p`` is the split bias handed
-    to the protocol engine; ``packet_bits``, the payload a broadcast
-    signal costs, is an integer >= 1.  A value breaking its rule raises
-    ``ValueError`` naming it: numbers of the wrong kind are refused, never
-    converted.  Deterministic: identical arguments give an identical
-    report.
+    integer >= 1; ``seed`` is an integer.  Colliders split by the fair
+    coin, p = 1/2, and a broadcast signal costs a 256-bit packet.  A value
+    breaking its rule raises ``ValueError`` naming it: numbers of the wrong
+    kind are refused, never converted.  Deterministic: identical arguments
+    give an identical report.
     """
     rules = _rules(protocol)
     delta = _window_length(policy)
     rate = _rate(rate)
     budget = _integer(budget, "budget", 1)
     seed = _integer(seed, "seed")
-    p = _split_bias(p)
-    packet_bits = _integer(packet_bits, "packet_bits", 1)
 
-    report = MetricsReport(
-        protocol=protocol, policy="gated" if delta is None else f"windowed:{delta:g}",
-        rate=rate, budget=budget, seed=seed, packet_bits=packet_bits,
-    )
+    report = MetricsReport(protocol, "gated" if delta is None else f"windowed:{delta:g}",
+                           rate, budget, seed)
     arrivals_base = derive_seed(seed, "arrivals")
     coins_base = derive_seed(seed, "coins")
 
     # One packet never splits, so every one-packet interval of the run
     # folds this trace, whatever its id and coins.
-    single = run_cri(protocol, (0,), p, 0)
+    single = run_cri(protocol, (0,), _P, 0)
     if delta is None:
-        run = _run_gated(report, protocol, rate, budget, p, arrivals_base, coins_base, single)
+        run = _run_gated(report, arrivals_base, coins_base, single)
     else:
-        run = _run_windowed(report, protocol, rate, budget, p,
-                            arrivals_base, coins_base, single, delta)
+        run = _run_windowed(report, arrivals_base, coins_base, single, delta)
     report.slots_simulated, report.terminal_backlog, backlog_points = run
     report.throughput = report.packets_decoded / report.slots_simulated
     _fill_feedback_bits(report, rules)
@@ -293,7 +286,7 @@ def simulate(
     return report
 
 
-def _serve_batch(report, protocol, p, coins_base, single, batch, start, coins=None) -> int:
+def _serve_batch(report, coins_base, single, batch, start, coins=None) -> int:
     """Run one interval for ``batch`` beginning at slot ``start``.
 
     Returns the index of the last slot the interval consumed and folds
@@ -312,7 +305,7 @@ def _serve_batch(report, protocol, p, coins_base, single, batch, start, coins=No
         return _fold_trace(report, single, batch, start)
     if coins is None:
         coins = stream_seed(coins_base, report.cri_count)
-    trace = run_cri(protocol, batch.ids, p, coins)
+    trace = run_cri(report.protocol, batch.ids, _P, coins)
     return _fold_trace(report, trace, batch, start)
 
 
@@ -353,7 +346,7 @@ def _fold_trace(report, trace, batch, start) -> int:
     return base + trace.length
 
 
-def _run_gated(report, protocol, rate, budget, p, arrivals_base, coins_base, single):
+def _run_gated(report, arrivals_base, coins_base, single):
     """Serve gated batches back to back; return the slots consumed, the
     batch left at the end and the backlog points.  Batch k arrives during
     its span, the one slot-0 epoch for batch 0 and interval k - 1 after
@@ -361,6 +354,7 @@ def _run_gated(report, protocol, rate, budget, p, arrivals_base, coins_base, sin
     when the span ends; its arrival slots only when it is served, which is
     exact because no other stream is drawn in between, and never for the
     batch left at the end.  Its ids continue from the packets decoded."""
+    rate, budget = report.rate, report.budget
     streams = ArrivalStreams(arrivals_base)
     span_start, span_len = 0, 1
     consumed = 0
@@ -376,19 +370,20 @@ def _run_gated(report, protocol, rate, budget, p, arrivals_base, coins_base, sin
             first = report.packets_decoded
             batch = _Batch(range(first, first + count),
                            _slot_arrivals(draws, span_start, span_len, count))
-            consumed = _serve_batch(report, protocol, p, coins_base, single, batch, start)
+            consumed = _serve_batch(report, coins_base, single, batch, start)
         else:
             consumed = _fold_idle(report, start)
         # Arrivals blocked during the interval just served form the next batch.
         span_start, span_len = start, consumed - start + 1
 
 
-def _run_windowed(report, protocol, rate, budget, p, arrivals_base, coins_base, single, delta):
+def _run_windowed(report, arrivals_base, coins_base, single, delta):
     """Serve window j as interval j; return as :func:`_run_gated` does.
     ``pending`` holds the windows drawn but not yet served, from window
     ``window`` on, each ``[batch, coins]``.  ``closed`` counts the windows
     closed or served; ids follow window order, so their packets are the ids
     below ``arrived``, and the unserved ones are the backlog."""
+    rate, budget = report.rate, report.budget
     streams = ArrivalStreams(arrivals_base)
     closing = max(0, int(budget // delta) - 1)  # windows j with (j + 1) * delta <= budget
     while (closing + 1) * delta <= budget:
@@ -420,7 +415,7 @@ def _run_windowed(report, protocol, rate, budget, p, arrivals_base, coins_base, 
             # served, not when drawn, keeps keys out of a long backlog.
             block = list(islice(pending, min(_WINDOW_BLOCK, closing - window)))
             seeds = [stream_seed(coins_base, j) for j in range(window, window + len(block))]
-            sources = prepared_sources(zip(seeds, (b.ids for b, _ in block)), p)
+            sources = prepared_sources(zip(seeds, (b.ids for b, _ in block)), _P)
             for entry, source, seed in zip(block, sources, seeds):
                 entry[1] = source or seed
         batch, coins = pending[0]
@@ -431,7 +426,7 @@ def _run_windowed(report, protocol, rate, budget, p, arrivals_base, coins_base, 
             # slots count toward the horizon but belong to no interval.
             report.idle_slots += start - 1 - consumed
             consumed = start - 1
-        consumed = _serve_batch(report, protocol, p, coins_base, single, batch, start, coins)
+        consumed = _serve_batch(report, coins_base, single, batch, start, coins)
         # A served window has arrived even if it is still open.  Windows
         # that closed while the channel was busy wait in ``pending``; those
         # left at the end are arrivals of the period never served.
@@ -513,9 +508,9 @@ def feedback_cost(report: MetricsReport) -> FeedbackCostStats:
 
     BTA/MTA broadcast a ternary flag: 2 bits always.  SICTA appends the
     skip count, at a fixed width covering the largest value seen (4 bits
-    in practice).  The broadcast-signal protocols spend the run's
-    ``packet_bits`` on every slot whose broadcast carries a signal, plus
-    the flag.
+    in practice).  The broadcast-signal protocols spend a packet,
+    ``report.packet_bits`` (256), on every slot whose broadcast carries a
+    signal, plus the flag.
     """
     hist = report.feedback_bits
     total = sum(hist.values())

@@ -229,34 +229,36 @@ def test_criterion_08_collision_work(announce):
 
 
 def test_criterion_09_delay_anchors(announce):
+    # Each anchor's target, tolerance, and the exact stationary gated-delay
+    # law under the package's delay measure (slots from first eligible
+    # slot to decode, queueing included).
     anchors = [
-        ("atic", 0.5, 1.0, 0.15),
-        ("atic", 0.878, 10.2, 1.5),
-        ("sicta", 0.5, 1.7, 0.2),
-        ("sicta", 0.658, 12.3, 1.5),
+        ("atic", 0.5, 1.0, 0.15, 0.9175),
+        ("atic", 0.878, 10.2, 1.5, 12.6425),
+        ("sicta", 0.5, 1.7, 0.2, 3.1716),
+        ("sicta", 0.658, 12.3, 1.5, 20.7038),
     ]
-    misses = []
-    for proto, lam, target, tol in anchors:
+    misses = {}
+    for proto, lam, target, tol, law in anchors:
         report = simulate(proto, "gated", lam, 1_000_000, 414)
         mean = delay_stats(report).mean
         hit = abs(mean - target) <= tol
         announce(f"[criterion 9]   {proto} λ={lam}: mean delay {mean:.3f} "
                  f"(target {target}±{tol}) -> {'PASS' if hit else 'FAIL'}")
         if not hit:
-            misses.append(f"{proto}@{lam}={mean:.3f}")
-    ok = not misses
-    announce(f"[criterion 9] {'PASS' if ok else 'FAIL'}: "
+            misses[f"{proto}@{lam}"] = f"{mean:.3f} against {law} ({mean / law - 1:+.1%})"
+    announce(f"[criterion 9] {'PASS' if not misses else 'FAIL'}: "
              f"{4 - len(misses)}/4 delay anchors within tolerance")
-    if misses:
-        pytest.xfail(
-            "delay targets unattainable under the package's delay measure "
-            "(slots from first eligible slot to decode, queueing included): "
-            + ", ".join(misses)
-            + "; the mid-load targets sit below the in-interval decode "
-            "position implied by the protocols' own length laws, and an exact "
-            "stationary gated-delay law under this measure gives atic@0.5=0.9175, "
-            "atic@0.878=12.6425, sicta@0.5=3.1716, sicta@0.658=20.7038, which "
-            "the 1e6-slot means match within 0.4%")
+    # The law puts the other three targets out of reach, so they miss; a
+    # miss at atic@0.5, or any other set of misses, is a drift.
+    assert set(misses) == {"atic@0.878", "sicta@0.5", "sicta@0.658"}, misses
+    pytest.xfail(
+        "delay targets unattainable under the package's delay measure "
+        "(slots from first eligible slot to decode, queueing included): the "
+        "mid-load targets sit below the in-interval decode position implied "
+        "by the protocols' own length laws.  The 1e6-slot means against the "
+        "exact stationary gated-delay law under this measure: "
+        + ", ".join(f"{anchor}={gap}" for anchor, gap in misses.items()))
 
 
 def test_criterion_10_windowed_rate_curve(announce):

@@ -14,7 +14,7 @@ import pytest
 
 import treesplit
 from treesplit import __version__
-from treesplit.analytics import CriLengthTable, windowed_stable_rate
+from treesplit.analytics import CriLengthTable, asymptotic_throughput, windowed_stable_rate
 from treesplit.cli import ENV_OUTDIR, UsageError, build_parser, entrypoint, parse_grid
 from treesplit.reports import config_digest, emit_report, render_csv, render_json
 from treesplit.sim import simulate
@@ -109,11 +109,11 @@ class TestConfig:
     def test_cli_and_library_share_each_rule(self, field, value):
         """A bad value gets the library's own error, which the CLI
         reports against its flag."""
-        args = {"protocol": "atic", "policy": "gated", "rate": 0.3, "budget": 100, "seed": 1,
-                "p": 0.5}
+        args = {"protocol": "atic", "policy": "gated", "rate": 0.3, "budget": 100, "seed": 1}
         args[{"rates": "rate", "protocols": "protocol"}.get(field, field)] = value
         with pytest.raises(ValueError) as lib:
-            simulate(**args)
+            # --p-grid's points pass the split-bias rule of the laws.
+            asymptotic_throughput(value) if field == "p" else simulate(**args)
         with pytest.raises(UsageError) as cli:
             build_parser().parse_args(settings_argv(field, value))
         assert str(cli.value) == f"argument {flag(field)}: {lib.value}"
@@ -370,12 +370,14 @@ class TestCommands:
         assert run_cli(*argv, "--policy", "windowed:1", "--outdir", str(tmp_path)) == 0
         assert os.listdir(tmp_path) == ["sim_atic_windowed-1_0p1.json"]
 
-    @pytest.mark.parametrize("policy", ["windowed_x:5", "windowed:abc", " Windowed:5"])
+    @pytest.mark.parametrize("policy", ["windowed_x:5", "windowed:abc", " Windowed:5",
+                                        "windowed:", "windowed:40:2"])
     def test_simulate_rejects_malformed_policy(self, tmp_path, capsys, policy):
         outdir = tmp_path / "out"
         assert run_cli("simulate", "--protocol", "atic", "--rates", "0.3", "--policy", policy,
                        "--budget", "100", "--seed", "7", "--outdir", str(outdir)) == 1
-        assert flag_error("policy") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(flag_error("policy")) and err.count("\n") == 1
         assert not outdir.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])

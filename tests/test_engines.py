@@ -324,7 +324,6 @@ class TestRunnerContract:
         smaller p is refused rather than run as 2^-53; at 2^-53 every
         table stays finite and positive."""
         for call in (lambda: run_cri("sicta", [1, 2], 1e-20, 3),
-                     lambda: simulate("atic", "gated", 0.3, 100, 1, p=1e-20),
                      lambda: CriLengthTable(1e-20, "atic"),
                      lambda: CollisionCountTable(1e-20, "atic")):
             with pytest.raises(ValueError, match=r"\[2\^-53, 1\)"):
@@ -377,15 +376,13 @@ class TestRunnerContract:
         (lambda: run_cri("atic", ["3", "4"], 0.5, 7), "ids must be integers"),
         (lambda: run_cri("atic", [1.2, 1.7], 0.5, 7), "ids must be integers"),
         (lambda: run_cri("atic", [1, 2, 3], "0.5", 7), "split probability must be a real"),
-        (lambda: simulate("atic", "gated", 0.3, 100, 1, p="0.5"),
-         "split probability must be a real"),
         (lambda: CriLengthTable("0.5"), "split probability must be a real"),
         (lambda: asymptotic_throughput("0.5"), "split probability must be a real"),
         (lambda: CoinSource(1, "0.5"), "coin bias must be a real"),
         (lambda: CoinSource(1, True), "coin bias must be a real"),
     ], ids=["run_cri-float-seed", "run_cri-bool-seed", "run_cri-str-seed", "CoinSource-seed",
             "derive_seed", "float-ids", "str-ids", "float-ids-one-apart", "run_cri-bias",
-            "simulate-bias", "CriLengthTable-bias", "asymptotic_throughput-bias",
+            "CriLengthTable-bias", "asymptotic_throughput-bias",
             "CoinSource-str-bias", "CoinSource-bool-bias"])
     def test_inputs_are_checked_not_coerced(self, call, error):
         """A float, bool or string seed, id or bias is refused, never

@@ -1,6 +1,7 @@
 """Tests for the traffic-level simulator and its report statistics."""
 
 import hashlib
+import inspect
 import json
 import math
 
@@ -109,24 +110,24 @@ class TestValidation:
         want = simulate("atic", "gated", 0.3, 100, 1).to_dict()
         assert simulate("atic", "gated", 0.3, np.int64(100), np.int64(1)).to_dict() == want
 
-    def test_rate_and_packet_bits_are_checked_not_coerced(self):
-        """A float, bool or string packet size and a bool, string or missing
-        rate are refused, not converted; numpy numbers run as Python ones."""
+    def test_rate_is_checked_not_coerced(self):
+        """A bool, string or missing rate is refused, not converted; a
+        numpy rate runs as a Python one."""
         for policy in ("gated", "windowed:40"):
-            for kwargs in ({"packet_bits": 2.5}, {"packet_bits": True}, {"packet_bits": "256"},
-                           {"rate": True}, {"rate": "0.3"}, {"rate": None}):
-                args = {"rate": 0.3, "packet_bits": 256, **kwargs}
-                with pytest.raises(ValueError, match=next(iter(kwargs))):
-                    simulate("atic", policy, args["rate"], 100, 1,
-                             packet_bits=args["packet_bits"])
-            want = simulate("atic", policy, 0.3, 100, 1, packet_bits=64).to_dict()
-            got = simulate("atic", policy, np.float64(0.3), 100, 1, packet_bits=np.int64(64))
-            assert got.to_dict() == want
+            for rate in (True, "0.3", None):
+                with pytest.raises(ValueError, match="rate"):
+                    simulate("atic", policy, rate, 100, 1)
+            want = simulate("atic", policy, 0.3, 100, 1).to_dict()
+            assert simulate("atic", policy, np.float64(0.3), 100, 1).to_dict() == want
 
-    @pytest.mark.parametrize("bits", [0, -5])
-    def test_packet_bits_must_be_positive(self, bits):
-        with pytest.raises(ValueError):
-            simulate("atic", "gated", 0.5, 2000, 1, packet_bits=bits)
+    def test_a_run_takes_its_five_inputs(self):
+        """The split bias and packet size are the paper's, fixed for every
+        run: ``simulate`` takes neither."""
+        assert list(inspect.signature(simulate).parameters) == [
+            "protocol", "policy", "rate", "budget", "seed"]
+        for kwargs in ({"p": 0.5}, {"packet_bits": 256}):
+            with pytest.raises(TypeError):
+                simulate("atic", "gated", 0.3, 100, 1, **kwargs)
 
     def test_policy_coercion_from_string(self):
         assert simulate("atic", "gated", 0.4, 5000, 9).policy == "gated"
@@ -144,16 +145,16 @@ class TestValidation:
         for text in ("windowed:nan", "windowed:inf"):
             with pytest.raises(ValueError):
                 simulate("atic", text, 0.4, 100, 1)
+        # A window that is no number is named, and its text quoted.
+        for text, window in (("windowed:abc", "'abc'"), ("windowed:", "''"),
+                             ("windowed:40:2", "'40:2'")):
+            with pytest.raises(ValueError) as err:
+                simulate("atic", text, 0.3, 10, 1)
+            assert str(err.value) == f"window length must be a number of slots, got {window}"
 
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
             simulate("aloha", "gated", 0.4, 100, 1)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2, math.nan])
-    def test_split_probability_validated(self, p):
-        # At rate 0 no interval reaches the engine, so simulate checks p itself.
-        with pytest.raises(ValueError):
-            simulate("atic", "gated", 0.0, 200, 1, p=p)
 
 
 class TestDelayStatistics:
@@ -271,10 +272,36 @@ class TestFeedbackCost:
         assert 2.0 < fc.mean_bits < 258.0
 
     def test_cost_reads_the_report_histogram(self):
-        r = simulate("atic", "gated", 0.5, 2000, 1, packet_bits=64)
+        r = simulate("atic", "gated", 0.5, 2000, 1)
         fc = feedback_cost(r)
         assert fc.histogram == r.feedback_bits
-        assert fc.max_bits == 66
+        assert fc.max_bits == 258
+
+    @pytest.mark.parametrize("policy", ["gated", "windowed:40"])
+    @pytest.mark.parametrize("protocol", list(RULES))
+    def test_bits_follow_from_the_slot_counts(self, protocol, policy):
+        """Each slot's feedback costs the 2-bit flag, plus the skip count
+        where the protocol announces one and a 256-bit packet where its
+        broadcast carries a signal.  An atic interval of n >= 1 packets
+        broadcasts a signal on all of its successes but the last."""
+        r = simulate(protocol, policy, 0.5, 3000, 4601 + list(RULES).index(protocol))
+        width = sim._bit_width(max(r.feedback_k_hist, default=0))
+        if protocol in ("bta", "mta"):
+            want = [(2, r.slots_simulated)]
+        elif protocol == "sicta":
+            want = [(width, r.slots_simulated)]
+        elif protocol == "atic_left":
+            want = [(258, r.collision_slots), (width, r.success_slots), (2, r.idle_slots)]
+        else:
+            served = sum(1 for n in r.decoded_per_cri if n)
+            assert r.z_broadcast_slots == r.success_slots - served > 0
+            signals = r.collision_slots + r.z_broadcast_slots
+            want = [(258, signals), (2, r.slots_simulated - signals)]
+        bits: dict = {}
+        for slot_bits, slots in want:
+            if slots:
+                bits[slot_bits] = bits.get(slot_bits, 0) + slots
+        assert r.feedback_bits == bits
 
 
 class TestWindowedAccess:
@@ -516,8 +543,7 @@ def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
     trace = run_cri(protocol, (), p, stream_seed(coins_base, 3))
     single = run_cri(protocol, (0,), p, 0)
     assert sim._fold_trace(folded, trace, batch, start) == start
-    assert sim._serve_batch(served, protocol, p, coins_base,
-                            single, batch, start) == start
+    assert sim._serve_batch(served, coins_base, single, batch, start) == start
     assert served.to_dict() == folded.to_dict()
 
 
@@ -534,8 +560,7 @@ def test_one_packet_interval_folds_as_the_engine_resolves_it(protocol, uid, star
     trace = run_cri(protocol, batch.ids, p, stream_seed(coins_base, 3))
     single = run_cri(protocol, (0,), p, 0)
     assert sim._fold_trace(folded, trace, batch, start) == start
-    assert sim._serve_batch(served, protocol, p, coins_base,
-                            single, batch, start) == start
+    assert sim._serve_batch(served, coins_base, single, batch, start) == start
     assert served.delay_samples == [start - arrival]
     assert served.to_dict() == folded.to_dict()
 
@@ -561,24 +586,24 @@ def test_gated_runs_draw_arrival_slots_only_for_served_batches(
         assert report.terminal_backlog > 0
 
 
-@pytest.mark.parametrize("protocol,rate,budget,p,seed", [
-    ("atic", 0.1, 5000, 0.5, 4501),       # light: most batches hold 0 or 1 packet
-    ("sicta", 0.6, 5000, 0.5, 4502),      # heavy, below SICTA's stable rate
-    ("atic_left", 0.8, 4000, 0.3, 4503),  # heavy, biased coins
-    ("bta", 0.0, 300, 0.5, 4504),         # rate 0: idle intervals only
-    ("mta", 0.4, 1, 0.7, 4505),           # budget 1: one interval
-    ("atic", 1.2, 3000, 0.5, 4506),       # overload: the batches grow
-    ("sicta", 3.0, 2000, 0.5, 4507),
-    ("bta", 1.2, 2000, 0.5, 4508),
+@pytest.mark.parametrize("protocol,rate,budget,seed", [
+    ("atic", 0.1, 5000, 4501),       # light: most batches hold 0 or 1 packet
+    ("sicta", 0.6, 5000, 4502),      # heavy, below SICTA's stable rate
+    ("atic_left", 0.8, 4000, 4503),  # heavy
+    ("bta", 0.0, 300, 4504),         # rate 0: idle intervals only
+    ("mta", 0.4, 1, 4505),           # budget 1: one interval
+    ("atic", 1.2, 3000, 4506),       # overload: the batches grow
+    ("sicta", 3.0, 2000, 4507),
+    ("bta", 1.2, 2000, 4508),
 ])
-def test_gated_runs_replay_batch_by_batch(protocol, rate, budget, p, seed):
+def test_gated_runs_replay_batch_by_batch(protocol, rate, budget, seed):
     """Batch k of a gated run is the Poisson count of numpy stream k, of
     mean ``rate`` times the length of the span it arrived in: interval
     k - 1, or the one slot-0 epoch for batch 0.  Its arrival slots are
     uniform over that span, each first eligible a slot later, its ids
     follow those of the batches before it, and coin stream k splits it.
     Replayed here from numpy and the engine, batch by batch."""
-    r = simulate(protocol, "gated", rate, budget, seed, p=p)
+    r = simulate(protocol, "gated", rate, budget, seed)
     arrivals_base, coins_base = derive_seed(seed, "arrivals"), derive_seed(seed, "coins")
     k = span_start = consumed = first = total = 0
     span_len = 1
@@ -590,7 +615,7 @@ def test_gated_runs_replay_batch_by_batch(protocol, rate, budget, p, seed):
         if consumed >= budget:
             break
         arrivals = sorted(draws.integers(span_start + 1, span_start + span_len + 1, n))
-        trace = run_cri(protocol, range(first, first + n), p, stream_seed(coins_base, k))
+        trace = run_cri(protocol, range(first, first + n), 0.5, stream_seed(coins_base, k))
         delays += [consumed + slot - int(arrivals[pid - first])
                    for pid, slot in trace.decoded_order]
         decoded.append(n)

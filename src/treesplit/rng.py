@@ -26,14 +26,17 @@ draw of ``np.random.default_rng(stream_seed(base, i))``.  Building a
 ``SeedSequence`` and a ``Generator`` per interval would cost more than the
 interval's own draws, so :class:`ArrivalStreams` reproduces the seeding
 itself, for a block of streams at once in numpy uint64 limbs, together with
-each stream's first double.  For a mean below 10, numpy multiplies uniform
-doubles until the product falls to ``exp(-lam)`` or below, so the count is
-zero exactly when the first double is at most ``exp(-lam)``.  Any other
-count of a mean below 6, and the arrival draws after it, are drawn by a
-:class:`StreamCursor` that steps the stream's 128-bit state in Python ints
-as numpy's PCG64 would.  A mean of 6 or more, where the cursor's Python
-steps cost more than a reseed, reseeds one generator object to the
-stream's start and lets numpy draw.
+each stream's first double and the product of its first two.  For a mean
+below 10, numpy multiplies uniform doubles until the product falls to
+``exp(-lam)`` or below, so the count is zero exactly when the first double
+is at most ``exp(-lam)``, and one exactly when the first is above it and
+the product of two is not: a run of such counts is read off the block
+(:meth:`ArrivalStreams.small_counts`).  Any other count of a mean below 6,
+and the arrival draws after it, are drawn by a :class:`StreamCursor` that
+steps the stream's 128-bit state in Python ints as numpy's PCG64 would.
+A mean of 6 or more, where the cursor's Python steps cost more than a
+reseed, reseeds one generator object to the stream's start and lets numpy
+draw.
 """
 
 from __future__ import annotations
@@ -371,11 +374,23 @@ def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple:
     return _add128(hi, lo * _MULT_LO, inc_hi, inc_lo)
 
 
+def _next_double(hi, lo, inc_hi, inc_lo) -> tuple:
+    """``(hi, lo, u)``: the LCG state one step on, and the ``random()``
+    double numpy draws from it, the top 53 bits of PCG64's XSL-RR output
+    scaled to [0, 1)."""
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return hi, lo, (out >> np.uint64(11)).astype(np.float64) * _INV53
+
+
 def _pcg64_states(seeds: np.ndarray) -> tuple:
-    """Lists ``(state_hi, state_lo, inc_hi, inc_lo, first)`` over the uint64
-    seeds: the 64-bit limbs of the LCG state and increment that
-    ``np.random.PCG64(s)`` starts with, and ``first``, the first
-    ``random()`` double its generator draws.
+    """Lists ``(state_hi, state_lo, inc_hi, inc_lo, first, product)`` over
+    the uint64 seeds: the 64-bit limbs of the LCG state and increment that
+    ``np.random.PCG64(s)`` starts with, ``first``, the first ``random()``
+    double its generator draws, and ``product``, that double times the
+    second, as numpy's Poisson multiplication forms it.
 
     Vectorizes numpy's ``SeedSequence`` over the seeds: the entropy words
     are the seed's low and high 32 bits (a seed below 2^32 has one word,
@@ -384,8 +399,8 @@ def _pcg64_states(seeds: np.ndarray) -> tuple:
     from a zero state, so it only adds the increment).  Numpy's own
     ``SeedSequence(s).generate_state(4, np.uint64)`` costs about as much
     per seed as ``default_rng(s)`` does, so calling it per stream would
-    save next to nothing.  The first double is one more LCG step followed
-    by PCG64's XSL-RR output, whose top 53 bits are scaled to [0, 1).
+    save next to nothing.  Each double is one more LCG step
+    (:func:`_next_double`).
     """
     zero = np.zeros(len(seeds), dtype=np.uint32)
     keys = iter(_POOL_KEYS)
@@ -407,13 +422,10 @@ def _pcg64_states(seeds: np.ndarray) -> tuple:
     inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
     inc_lo = (i_lo << one) | one
     hi, lo = _lcg_step(*_add128(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo)
-    step_hi, step_lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    x = step_hi ^ step_lo
-    rot = step_hi >> np.uint64(58)
-    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    first = (out >> np.uint64(11)).astype(np.float64) * _INV53
+    step_hi, step_lo, first = _next_double(hi, lo, inc_hi, inc_lo)
+    second = _next_double(step_hi, step_lo, inc_hi, inc_lo)[2]
     return (hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist(),
-            first.tolist())
+            first.tolist(), (first * second).tolist())
 
 
 class StreamCursor:
@@ -499,10 +511,13 @@ class ArrivalStreams:
     draw never touches numpy: a first double at most ``exp(-lam)`` is a
     zero count, and any other count is drawn by a :class:`StreamCursor`
     started at the stream's state.  A larger mean reseeds one shared
-    Generator through ``generator(i)`` and lets numpy draw.  The seeds of
-    a block of consecutive indices are hashed together, so a run that
-    walks the indices in order hashes each seed once; a jump backwards or
-    past the block rehashes from the requested index.
+    Generator through ``generator(i)`` and lets numpy draw.
+    ``small_counts(i, lam, most)`` reads the counts of streams ``i, i + 1,
+    ...`` off the block while each is 0 or 1.  The seeds of a block of
+    consecutive indices are hashed together, with each stream's first two
+    doubles, so a run that walks the indices in order hashes each seed
+    once; a jump backwards or past the block rehashes from the requested
+    index.
     """
 
     def __init__(self, base: int):
@@ -510,7 +525,7 @@ class ArrivalStreams:
         self._bitgen = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bitgen)
         self._start = 0
-        self._block: tuple = ((), (), (), (), ())
+        self._block: tuple = ((), (), (), (), (), ())
 
     def _offset(self, index: int) -> int:
         """Offset of stream ``index`` in the block, hashing a new block
@@ -524,7 +539,7 @@ class ArrivalStreams:
 
     def _state(self, offset: int) -> tuple:
         """``(state, inc)`` of the block's stream at ``offset``, as ints."""
-        s_hi, s_lo, i_hi, i_lo, _ = self._block
+        s_hi, s_lo, i_hi, i_lo = self._block[:4]
         return s_hi[offset] << 64 | s_lo[offset], i_hi[offset] << 64 | i_lo[offset]
 
     def generator(self, index: int) -> np.random.Generator:
@@ -558,3 +573,23 @@ class ArrivalStreams:
             count += 1
             prod *= cursor.random()
         return count, cursor
+
+    def small_counts(self, index: int, lam: float, most: int) -> list:
+        """The Poisson counts of mean ``lam`` of streams ``index, index +
+        1, ...`` while each is 0 or 1, at most ``most`` of them: the list
+        stops before the first count of 2 or more.  Numpy's multiplication
+        draws a count of at least 2 exactly when the product of the first
+        two doubles is above ``exp(-lam)``, so no stream is stepped.  A
+        mean of ``_POISSON_MULT_MAX`` or more gives ``[]``."""
+        counts: list = []
+        if lam >= _POISSON_MULT_MAX:
+            return counts
+        limit = math.exp(-lam)
+        while len(counts) < most:
+            offset = self._offset(index + len(counts))
+            firsts, products = self._block[4:6]
+            for k in range(offset, min(len(firsts), offset + most - len(counts))):
+                if products[k] > limit:
+                    return counts
+                counts.append(1 if firsts[k] > limit else 0)
+        return counts

@@ -35,7 +35,13 @@ A gated batch depends on the interval just served, so gated runs draw one
 batch at a time, batch 0 from the one slot-0 epoch and batch k from
 interval k - 1: its count when that span ends, and its arrival slots only
 when it is served, so the batch left at the end draws none.  Every served
-batch is decoded whole, so a batch's ids follow the packets decoded.
+batch is decoded whole, so a batch's ids follow the packets decoded.  A
+batch of 0 or 1 packets is served in one slot, so the batch after it
+arrives in one slot too, as batch 0 does; each run of such one-slot spans
+is served in one step, its counts read off the arrival block
+(:meth:`~treesplit.rng.ArrivalStreams.small_counts`) up to the first batch
+of two or more packets, and its one-packet batches, which arrive at the
+slot that serves them, draw no arrival slot.
 Window j's batch does not depend on the queue and is always served
 as interval j, so a windowed run keeps one queue of the windows drawn and
 not yet served, and draws those that close by the budget ahead,
@@ -346,6 +352,37 @@ def _fold_trace(report, trace, batch, start) -> int:
     return base + trace.length
 
 
+def _fold_small(report, single, counts, consumed, backlog_points) -> int:
+    """Fold a run of gated batches of 0 or 1 packets, ``counts``, into the
+    report and the backlog points: their arrivals, and their intervals of
+    one slot each from slot ``consumed + 1`` on; returns the run's last
+    slot.  An empty batch folds as :func:`_fold_idle` does and a one-packet
+    one as :func:`_fold_trace` folds ``single``.  Each batch arrived in the
+    one slot before its interval, so its packet is first eligible at the
+    slot that serves it, and each decode waits its slot in ``single`` minus
+    one."""
+    n, ones = len(counts), sum(counts)
+    report.arrivals_total += ones
+    backlog_points.extend(zip(range(consumed, consumed + n), counts))
+    report.cri_count += n
+    report.packets_decoded += ones
+    report.success_slots += ones * single.successes
+    report.collision_slots += ones * single.collisions
+    report.idle_slots += n - ones + ones * single.idles
+    report.skipped_slots += ones * single.skipped_slots
+    report.z_broadcast_slots += ones * single.z_success_slots
+    if ones:  # a run without one adds no histogram key
+        for hist, values in ((report.collision_degree_hist, single.collision_degrees),
+                             (report.feedback_k_hist, single.k_values)):
+            for value in values:
+                hist[value] = hist.get(value, 0) + ones
+        report.delay_samples.extend([slot - 1 for _, slot in single.decoded_order] * ones)
+    report.collisions_per_cri.extend([single.collisions * c for c in counts])
+    report.decoded_per_cri.extend(counts)
+    report.ap_memory_highwater.extend([single.memory_highwater * c for c in counts])
+    return consumed + n
+
+
 def _run_gated(report, arrivals_base, coins_base, single):
     """Serve gated batches back to back; return the slots consumed, the
     batch left at the end and the backlog points.  Batch k arrives during
@@ -353,13 +390,20 @@ def _run_gated(report, arrivals_base, coins_base, single):
     it.  Its count and stream (``ArrivalStreams.draw_count``) are drawn
     when the span ends; its arrival slots only when it is served, which is
     exact because no other stream is drawn in between, and never for the
-    batch left at the end.  Its ids continue from the packets decoded."""
+    batch left at the end.  Its ids continue from the packets decoded.
+    While spans last one slot, the batches of 0 or 1 packets that follow,
+    up to the budget, are served in one step by :func:`_fold_small`."""
     rate, budget = report.rate, report.budget
     streams = ArrivalStreams(arrivals_base)
     span_start, span_len = 0, 1
     consumed = 0
     backlog_points: list = []
     while True:
+        if span_len == 1:
+            counts = streams.small_counts(report.cri_count, rate, budget - consumed)
+            if counts:
+                consumed = span_start = _fold_small(report, single, counts, consumed,
+                                                    backlog_points)
         count, draws = streams.draw_count(report.cri_count, rate * span_len)
         report.arrivals_total += count
         backlog_points.append((consumed, count))

@@ -77,12 +77,14 @@ class TestArrivalStreams:
         1 << 32, (1 << 32) + 1, (1 << 63) - 1, (1 << 64) - 1,
     ])
     def test_pcg64_seeding_matches_numpy(self, seed):
-        (s_hi,), (s_lo,), (i_hi,), (i_lo,), (first,) = _pcg64_states(
+        (s_hi,), (s_lo,), (i_hi,), (i_lo,), (first,), (product,) = _pcg64_states(
             np.array([seed], dtype=np.uint64))
         state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
         expected = np.random.default_rng(seed).bit_generator.state["state"]
         assert {"state": state, "inc": inc} == expected
         assert first == np.random.default_rng(seed).random()
+        ref = np.random.default_rng(seed)
+        assert product == ref.random() * ref.random()
 
     @pytest.mark.parametrize("base", BASES)
     def test_first_double_matches_numpy(self, base):
@@ -113,6 +115,34 @@ class TestArrivalStreams:
                 drawn = rng.integers(1, 5001, count)
                 assert drawn == ref.integers(1, 5001, size=count).tolist(), index
 
+    # Runs that end at once (lam 2, 5.99) and that cross a block (lam 0, 0.05).
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.5, 2.0, 5.99])
+    def test_small_counts_match_numpy(self, lam):
+        draw = np.random.default_rng(int(lam * 100) + 1)
+        for base in (BASES[2], int(draw.integers(1 << 62))):
+            streams = ArrivalStreams(base)
+            # The block from 0, starts whose runs reach its end, then jumps.
+            starts = [0, *range(_SEED_BLOCK - 4, _SEED_BLOCK + 7),
+                      *draw.integers(0, 1 << 40, size=4).tolist()]
+            for k, start in enumerate(starts):
+                most = (1, 7, 40, _SEED_BLOCK + 60)[k % 4]
+                counts = streams.small_counts(start, lam, most)
+                stop = len(counts) + (len(counts) < most)
+                ref = [int(np.random.default_rng(stream_seed(base, start + i)).poisson(lam))
+                       for i in range(stop)]
+                assert counts == ref[:len(counts)], start
+                assert all(type(count) is int and count <= 1 for count in counts), start
+                # The run stops at the first count of 2 or more, or at most.
+                assert len(counts) == most or ref[-1] >= 2, start
+
+    @pytest.mark.parametrize("lam", [_POISSON_MULT_MAX, 6.5, 9.999, 12.0, 40.0])
+    def test_small_counts_leave_large_means_to_draw_count(self, lam):
+        # Streams whose first double is below exp(-10), so a mean below 10
+        # would draw them a zero count: none is read at a mean of 6 or more.
+        streams = ArrivalStreams(derive_seed(5, "arrivals"))
+        for index in (0, 4950, 45193, 71439):
+            assert streams.small_counts(index, lam, 100) == [], index
+
     def test_buffered_half_word_does_not_leak_into_next_stream(self):
         base = derive_seed(3, "arrivals")
         streams = ArrivalStreams(base)
@@ -134,12 +164,14 @@ class TestArrivalStreams:
         low = min(max(anchor - 1000, 0), (1 << 64) - 2000)
         seeds = [low + k for k in range(2000)]
         assert anchor in seeds
-        s_hi, s_lo, i_hi, i_lo, firsts = _pcg64_states(np.array(seeds, dtype=np.uint64))
+        s_hi, s_lo, i_hi, i_lo, firsts, products = _pcg64_states(
+            np.array(seeds, dtype=np.uint64))
         for k, seed in enumerate(seeds):
             ref = np.random.default_rng(seed)
             assert ref.bit_generator.state["state"] == {
                 "state": s_hi[k] << 64 | s_lo[k], "inc": i_hi[k] << 64 | i_lo[k]}, seed
             assert firsts[k] == ref.random(), seed
+            assert products[k] == firsts[k] * ref.random(), seed
 
     @pytest.mark.parametrize("lam", [1e-9, 0.1, 1.0, 3.0, 9.999])
     def test_cursor_count_leaves_the_stream_where_numpy_does(self, monkeypatch, lam):

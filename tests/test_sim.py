@@ -548,6 +548,32 @@ def test_empty_interval_folds_as_the_engine_resolves_it(protocol):
 
 
 @pytest.mark.parametrize("protocol", list(RULES))
+@pytest.mark.parametrize("counts", [[0] * 5, [1] * 4, [1, 0, 0, 1, 1, 0], []])
+def test_run_of_one_slot_intervals_folds_batch_by_batch(protocol, counts):
+    """Folding a run of 0/1-packet gated batches in one step equals
+    drawing and folding them one at a time: an empty one with
+    ``_fold_idle``, a one-packet one, which arrived at the slot serving
+    it, with ``_fold_trace`` of the run's one-packet trace."""
+    consumed, first = 40, 9
+    single = run_cri(protocol, (0,), 0.5, 0)
+    stepped = MetricsReport(protocol, "gated", 0.3, 100, 4, cri_count=3, packets_decoded=first)
+    folded = MetricsReport(protocol, "gated", 0.3, 100, 4, cri_count=3, packets_decoded=first)
+    stepped_points, folded_points = [(0, 2)], [(0, 2)]
+    end = consumed
+    for count in counts:
+        stepped.arrivals_total += count
+        stepped_points.append((end, count))
+        start = end + 1
+        ids = range(stepped.packets_decoded, stepped.packets_decoded + count)
+        end = (sim._fold_trace(stepped, single, sim._Batch(ids, [start]), start) if count
+               else sim._fold_idle(stepped, start))
+    assert sim._fold_small(folded, single, counts, consumed, folded_points) == end
+    assert end == consumed + len(counts)
+    assert folded.to_dict() == stepped.to_dict()
+    assert folded_points == stepped_points
+
+
+@pytest.mark.parametrize("protocol", list(RULES))
 @pytest.mark.parametrize("uid,start,arrival", [(0, 1, 1), (7, 31, 12),
                                                (2**40 + 5, 9000, 8999)])
 def test_one_packet_interval_folds_as_the_engine_resolves_it(protocol, uid, start, arrival):
@@ -570,7 +596,11 @@ def test_one_packet_interval_folds_as_the_engine_resolves_it(protocol, uid, star
 def test_gated_runs_draw_arrival_slots_only_for_served_batches(
         monkeypatch, protocol, rate, budget, seed):
     """A gated run draws the arrival slots of each served non-empty batch
-    once, and never those of the batch left unserved at the end."""
+    once, except a one-packet batch whose span is one slot, which arrives
+    at the slot that serves it, and never those of the batch left
+    unserved at the end.  Batch k's span is one slot when k is 0 or batch
+    k - 1 held at most one packet.  (At a rate of 6 or more every served
+    non-empty batch draws its slots.)"""
     drawn = []
     slot_arrivals = sim._slot_arrivals
 
@@ -580,7 +610,12 @@ def test_gated_runs_draw_arrival_slots_only_for_served_batches(
 
     monkeypatch.setattr(sim, "_slot_arrivals", counted_slot_arrivals)
     report = simulate(protocol, "gated", rate, budget, seed)
-    assert drawn == [n for n in report.decoded_per_cri if n]
+    decoded = report.decoded_per_cri
+    one_slot = [k == 0 or decoded[k - 1] <= 1 for k in range(len(decoded))]
+    assert drawn == [n for n, short in zip(decoded, one_slot) if n and not (n == 1 and short)]
+    if rate < 1:
+        # Both kinds of one-packet batch occur: drawn and not drawn.
+        assert 1 in drawn and drawn.count(1) < decoded.count(1)
     assert report.arrivals_total == report.packets_decoded + report.terminal_backlog
     if rate > 1:
         assert report.terminal_backlog > 0
@@ -595,6 +630,9 @@ def test_gated_runs_draw_arrival_slots_only_for_served_batches(
     ("atic", 1.2, 3000, 4506),       # overload: the batches grow
     ("sicta", 3.0, 2000, 4507),
     ("bta", 1.2, 2000, 4508),
+    ("atic", 0.02, 2500, 4509),      # runs of one-slot intervals cross two seed blocks
+    ("sicta", 0.3, 200, 4510),       # the budget ends inside a run of one-slot intervals
+    ("bta", 6.5, 60, 4512),          # a mean of 6 or more: no run is read off the block
 ])
 def test_gated_runs_replay_batch_by_batch(protocol, rate, budget, seed):
     """Batch k of a gated run is the Poisson count of numpy stream k, of
